@@ -420,11 +420,3 @@ def criterion_11() -> CriterionResult:
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4,
                 criterion_5, criterion_6, criterion_7, criterion_8,
                 criterion_9, criterion_10, criterion_11]
-
-
-def run_all(selected=None):
-    """Run the acceptance suite; returns the list of CriterionResult."""
-    results = []
-    for fn in ALL_CRITERIA if selected is None else selected:
-        results.append(fn())
-    return results

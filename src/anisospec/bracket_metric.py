@@ -194,11 +194,3 @@ def fit_power_constant(ratios, brackets, exponent):
     brackets = np.asarray(brackets, dtype=float)
     return float(np.max(ratios / brackets**exponent))
 
-
-def fit_loglog_slope(x, y):
-    """Ordinary least-squares slope of log(y) against log(x)."""
-    x = np.log(np.asarray(x, dtype=float))
-    y = np.log(np.asarray(y, dtype=float))
-    if x.size < 3:
-        raise ValueError("need at least 3 points for a slope fit")
-    return float(np.polyfit(x, y, 1)[0])

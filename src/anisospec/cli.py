@@ -36,6 +36,18 @@ def _parse_scalar(text):
     return text
 
 
+def _parse_list(key, text, cast, valid, sep=","):
+    """A sep-separated list of cast values for which valid(values) holds;
+    anything else is a ConfigError."""
+    try:
+        values = [cast(part) for part in str(text).split(sep)]
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from exc
+    if not valid(values):
+        raise ConfigError(f"key {key!r}: invalid value {text!r}")
+    return values
+
+
 def load_config(path, known_keys):
     """Flat key=value file; unknown keys are rejected."""
     cfg = {}
@@ -163,7 +175,8 @@ def run_resolution_check(cfg):
         for kz in range(-band, band + 1):
             u += (rng.normal() + 1j * rng.normal()) \
                 * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
-    windows = [int(w) for w in str(cfg["windows"]).split(",")]
+    windows = _parse_list("windows", cfg["windows"], int,
+                          lambda ws: min(ws) >= 0)
     levels = []
     for win in windows:
         tr = BargmannTransform(g, p, window=win)
@@ -317,7 +330,10 @@ WEYL_DEFAULTS = dict(beta0=0.5, n=1, omega_min=64.0, omega_max=16384.0,
 def run_weyl_boxes(cfg):
     from .fractal_count import box_count, optimal_alpha, synth_holder
 
-    lo, hi, step = (float(v) for v in str(cfg["alpha_grid"]).split(":"))
+    lo, hi, step = _parse_list(
+        "alpha_grid", cfg["alpha_grid"], float, sep=":",
+        valid=lambda g: len(g) == 3 and bool(np.all(np.isfinite(g)))
+        and g[0] <= g[1] and g[2] > 0)
     alphas = np.arange(lo, hi + 1e-9, step)
     omegas = []
     om = float(cfg["omega_min"])
@@ -352,8 +368,10 @@ def run_verify_all(cfg):
     from .acceptance import ALL_CRITERIA
 
     wanted = str(cfg["criteria"])
-    fns = ALL_CRITERIA if wanted == "all" else \
-        [ALL_CRITERIA[int(i) - 1] for i in wanted.split(",")]
+    fns = ALL_CRITERIA if wanted == "all" else [
+        ALL_CRITERIA[i - 1] for i in _parse_list(
+            "criteria", wanted, int,
+            lambda ix: all(1 <= i <= len(ALL_CRITERIA) for i in ix))]
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
         results = list(pool.map(lambda fn: fn(), fns))
     results.sort(key=lambda r: r.index)
@@ -410,6 +428,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return runner(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return 3

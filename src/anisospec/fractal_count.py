@@ -157,12 +157,6 @@ def box_count(form: HolderForm, omega: float, alpha: float,
     return total
 
 
-def count_table(form: HolderForm, omegas, alphas):
-    """N(omega, alpha) table; rows follow omegas, columns alphas."""
-    return np.array([[box_count(form, om, al) for al in alphas]
-                     for om in omegas], dtype=float)
-
-
 def regime_slope(form: HolderForm, omegas, alpha: float) -> float:
     """OLS slope of log N vs log omega at fixed alpha."""
     omegas = np.asarray(omegas, dtype=float)

@@ -16,6 +16,7 @@ truncation of the phase window).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,18 +78,19 @@ class TorusGrid:
             - 0.5 * self.length
 
 
-def _profile0(grid: TorusGrid, eta_center, p: MetricParams, fg=None):
-    """Unnormalized frequency Gaussian of the packet centered at eta_center."""
-    eta_center = np.asarray(eta_center, dtype=float)
-    if fg is None:
-        fg = grid.freq_grids()
-    en = float(np.linalg.norm(eta_center))
-    dp = delta_perp(en, p)
-    dl = delta_par(en, p)
-    q = np.zeros(grid.shape)
+def _profile0(grid: TorusGrid, eta_centers, p: MetricParams, fg):
+    """Unnormalized frequency Gaussians of the packets centered at the rows of
+    eta_centers, shape (c,) + grid.shape; fg is grid.freq_grids()."""
+    cs = np.asarray(eta_centers, dtype=float)
+    # norms one row at a time: np.linalg.norm(cs, axis=1) rounds differently
+    en = [float(np.linalg.norm(eta)) for eta in cs]
+    col = (-1,) + (1,) * grid.d
+    dp = np.array([delta_perp(e, p) for e in en]).reshape(col)
+    dl = np.array([delta_par(e, p) for e in en]).reshape(col)
+    q = np.zeros((cs.shape[0],) + grid.shape)
     for ax in range(grid.n):
-        q += (dp * (fg[ax] - eta_center[ax])) ** 2
-    q += (dl * (fg[-1] - eta_center[-1])) ** 2
+        q += (dp * (fg[ax] - cs[:, ax].reshape(col))) ** 2
+    q += (dl * (fg[-1] - cs[:, -1].reshape(col))) ** 2
     return np.exp(-0.5 * q)
 
 
@@ -202,23 +204,27 @@ def _gaussian_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
     return out / grid.norm(out)
 
 
-def _exact_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
-    """Exact packet: inverse lattice Fourier transform of prof0 / sqrt(m).
+def _samples_from_profile(grid: TorusGrid, rho: PhasePoint, prof):
+    """Grid samples of the packet at rho with normalized frequency profile prof.
 
     The constant phase e^{i eta.y} aligns the packet with the absolute-phase
     convention of the Gaussian packet (rank-one projectors are unaffected).
     """
-    _check_resolution(grid, rho.eta_norm, p)
     y = np.concatenate([rho.x, [rho.z]])
     fg = grid.freq_grids()
-    prof = _profile0(grid, rho.eta, p, fg)
-    msqrt = np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1), p, grid.d))
-    shift = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        shift += fg[ax] * y[ax]
-    coef = np.exp(-1j * shift) * prof / msqrt
+    coef = np.exp(-1j * sum(fg[ax] * y[ax] for ax in range(grid.d))) * prof
     phase = np.exp(1j * float(np.dot(rho.eta, y)))
     return TWO_PI ** (grid.d / 2.0) * phase * grid.finv(coef)
+
+
+def _exact_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
+    """Exact packet: inverse lattice Fourier transform of prof0 / sqrt(m),
+    with m by Gauss-Hermite."""
+    _check_resolution(grid, rho.eta_norm, p)
+    fg = grid.freq_grids()
+    msqrt = np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1), p, grid.d))
+    return _samples_from_profile(grid, rho,
+                                 _profile0(grid, [rho.eta], p, fg)[0] / msqrt)
 
 
 def make_packet(rho: PhasePoint, kind: str, p: MetricParams,
@@ -261,7 +267,42 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
     return float(vals)
 
 
-_M_LATTICE_CACHE: dict = {}
+# Byte budget of one complex (c,) + grid array of a kernel batch.
+_BATCH_BYTES = 2**20
+
+
+@functools.lru_cache(maxsize=8)
+def _m_lattice(n: int, points: int, length: float, p: MetricParams):
+    """m(eta') as the trapezoid sum of prof0^2 over the full center lattice.
+
+    Cached per grid and metric, so transforms that differ only in their
+    window share one build.  The array is shared, hence read-only.
+    """
+    g = TorusGrid(n, points, length)
+    fg = g.freq_grids()
+    full = np.stack([f.ravel() for f in fg], axis=1)
+    out = np.zeros(g.shape)
+    chunk = 64
+    for start in range(0, full.shape[0], chunk):
+        cs = full[start : start + chunk]
+        en = np.linalg.norm(cs, axis=1)
+        dp = delta_perp(en, p)
+        dl = delta_par(en, p)
+        q = np.zeros((cs.shape[0],) + g.shape)
+        for ax in range(g.d):
+            scale = dp if ax < g.n else dl
+            diff = fg[ax][None, ...] - cs[:, ax].reshape((-1,) + (1,) * g.d)
+            q += (scale.reshape((-1,) + (1,) * g.d) * diff) ** 2
+        out += np.exp(-q).sum(axis=0)
+    out = out * g.d_eta**g.d
+    out.flags.writeable = False
+    return out
+
+
+def _add_rows(acc, rows):
+    """acc + rows[0] + rows[1] + ..., one row at a time (overwrites rows[0])."""
+    rows[0] += acc
+    return rows.sum(axis=0)
 
 
 class BargmannTransform:
@@ -271,6 +312,17 @@ class BargmannTransform:
     eta with |k_i| <= window_i in lattice units).  m(eta') is the trapezoid
     sum over the full DFT center lattice, so B* B - Id measures exactly the
     window truncation.
+
+    Every per-center method rests on one kernel: `_analysis` walks the
+    centers in batches and yields their normalized profiles and B u on them,
+    and `_synthesis` adds prof * fcoef(v) into one accumulator.  A batch
+    holds at most _BATCH_BYTES per complex (c,) + grid array, whatever the
+    window: the FFTs run no faster on larger batches, while the peak memory
+    grows with them.  The arithmetic order is fixed to that of a loop over
+    single centers (scalar factors in the same order, norms per center,
+    accumulation one center at a time), so every result is bitwise
+    independent of the batching, and residuals that are pure rounding noise
+    reproduce exactly.
     """
 
     def __init__(self, grid: TorusGrid, p: MetricParams, window):
@@ -287,91 +339,80 @@ class BargmannTransform:
         worst = float(np.max(np.linalg.norm(self.centers, axis=1)))
         _check_resolution(grid, worst, p)
         self._fg = grid.freq_grids()
-        key = (grid.n, grid.points, grid.length, p)
-        if key not in _M_LATTICE_CACHE:
-            _M_LATTICE_CACHE[key] = self._m_lattice()
-        self._msqrt = np.sqrt(_M_LATTICE_CACHE[key])
+        self._sg = grid.space_grids()
+        self._msqrt = np.sqrt(_m_lattice(grid.n, grid.points, grid.length, p))
         self.cell = grid.h**grid.d * grid.d_eta**grid.d
-
-    # -- m and profiles -------------------------------------------------
-
-    def _m_lattice(self):
-        """m(eta') as the trapezoid sum of prof0^2 over the full center lattice."""
-        g = self.grid
-        full = np.stack([f.ravel() for f in g.freq_grids()], axis=1)
-        out = np.zeros(g.shape)
-        chunk = 64
-        fg = self._fg
-        for start in range(0, full.shape[0], chunk):
-            cs = full[start : start + chunk]
-            en = np.linalg.norm(cs, axis=1)
-            dp = delta_perp(en, self.p)
-            dl = delta_par(en, self.p)
-            q = np.zeros((cs.shape[0],) + g.shape)
-            for ax in range(g.d):
-                scale = dp if ax < g.n else dl
-                diff = fg[ax][None, ...] - cs[:, ax].reshape((-1,) + (1,) * g.d)
-                q += (scale.reshape((-1,) + (1,) * g.d) * diff) ** 2
-            out += np.exp(-q).sum(axis=0)
-        return out * g.d_eta**g.d
 
     def profile(self, eta_center):
         """Normalized frequency profile prof0 / sqrt(m) of the packet."""
-        return _profile0(self.grid, eta_center, self.p, self._fg) / self._msqrt
+        return _profile0(self.grid, [eta_center], self.p, self._fg)[0] \
+            / self._msqrt
 
     def packet_samples(self, rho: PhasePoint):
         """Grid samples of the exact packet as the transform normalizes it."""
+        return _samples_from_profile(self.grid, rho, self.profile(rho.eta))
+
+    # -- the kernel ------------------------------------------------------
+
+    def _analysis(self, u, centers=None, fn=None):
+        """Walk the centers (default: the window) in byte-bounded batches.
+
+        Yields (sl, cs, prof, v) per batch: the batch's slice of the centers,
+        the centers, their normalized profiles and, unless u is None, B u on
+        them without the packets' absolute phase e^{-i eta.y}, multiplied by
+        fn(Y, ETA) when fn is given.  prof and v have shape (c,) + grid.
+        """
         g = self.grid
-        y = np.concatenate([rho.x, [rho.z]])
-        shift = np.zeros(g.shape)
-        for ax in range(g.d):
-            shift += self._fg[ax] * y[ax]
-        coef = np.exp(-1j * shift) * self.profile(rho.eta)
-        phase = np.exp(1j * float(np.dot(rho.eta, y)))
-        return TWO_PI ** (g.d / 2.0) * phase * g.finv(coef)
+        centers = self.centers if centers is None else np.asarray(centers, float)
+        uhat = None if u is None else g.fcoef(u)
+        axes = tuple(range(1, g.d + 1))
+        step = max(1, _BATCH_BYTES // (16 * g.points**g.d))
+        for start in range(0, centers.shape[0], step):
+            sl = slice(start, start + step)
+            cs = centers[sl]
+            prof = _profile0(g, cs, self.p, self._fg) / self._msqrt
+            v = None
+            if uhat is not None:
+                v = TWO_PI ** (g.d / 2.0) \
+                    * (np.fft.ifftn(prof * uhat, axes=axes) / g.h**g.d)
+                if fn is not None:
+                    v = v * np.stack([np.broadcast_to(fn(self._sg, eta), g.shape)
+                                      for eta in cs])
+            yield sl, cs, prof, v
+
+    def _synthesis(self, batches):
+        """B* of a field given batch by batch as (prof, v) pairs."""
+        g = self.grid
+        axes = tuple(range(1, g.d + 1))
+        acc = np.zeros(g.shape, dtype=complex)
+        for prof, v in batches:
+            acc = _add_rows(acc, prof * (g.h**g.d * np.fft.fftn(v, axes=axes)))
+        scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
+        return scale * g.finv(acc)
+
+    def _phase(self, cs, sign):
+        """e^{sign eta.y} on the grid for each center eta of cs."""
+        col = (-1,) + (1,) * self.grid.d
+        return np.exp(sign * sum(cs[:, ax].reshape(col) * self._sg[ax]
+                                 for ax in range(self.grid.d)))
 
     # -- transforms ------------------------------------------------------
 
     def forward_field(self, u, centers=None):
         """B u on (selected) frequency centers; shape (M,) + grid.shape."""
-        g = self.grid
-        uhat = g.fcoef(u)
-        centers = self.centers if centers is None else np.asarray(centers, float)
-        out = np.empty((centers.shape[0],) + g.shape, dtype=complex)
-        sg = g.space_grids()
-        for i, eta in enumerate(centers):
-            # conjugate of the packet's absolute center phase e^{i eta.y}
-            ph = np.exp(-1j * sum(eta[ax] * sg[ax] for ax in range(g.d)))
-            out[i] = TWO_PI ** (g.d / 2.0) * ph * g.finv(self.profile(eta) * uhat)
-        return out
+        return np.concatenate([self._phase(cs, -1j) * v for _, cs, _, v
+                               in self._analysis(u, centers)])
 
     def forward_at(self, u, rho_list):
-        """B u at arbitrary phase points (not restricted to the lattice)."""
-        g = self.grid
-        uhat = g.fcoef(u)
-        vals = np.empty(len(rho_list), dtype=complex)
-        for i, rho in enumerate(rho_list):
-            prof = _profile0(g, rho.eta, self.p, self._fg) / self._msqrt
-            y = np.concatenate([rho.x, [rho.z]])
-            phase = np.zeros(g.shape)
-            for ax in range(g.d):
-                phase += self._fg[ax] * y[ax]
-            s = np.sum(prof * uhat * np.exp(1j * phase))
-            vals[i] = TWO_PI ** (-g.d / 2.0) * g.d_eta**g.d * s \
-                * np.exp(-1j * float(np.dot(rho.eta, y)))
-        return vals
+        """B u at arbitrary phase points (not restricted to the lattice):
+        the inner products <phi_rho, u> with the transform's packets."""
+        return np.array([self.grid.inner(self.packet_samples(rho), u)
+                         for rho in rho_list])
 
     def adjoint(self, v_field, centers=None):
         """B* of a field given on the frequency centers (default: the window)."""
-        g = self.grid
-        centers = self.centers if centers is None else np.asarray(centers, float)
-        acc = np.zeros(g.shape, dtype=complex)
-        sg = g.space_grids()
-        for i, eta in enumerate(centers):
-            ph = np.exp(1j * sum(eta[ax] * sg[ax] for ax in range(g.d)))
-            acc += self.profile(eta) * g.fcoef(ph * v_field[i])
-        scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
-        return scale * g.finv(acc)
+        return self._synthesis((prof, self._phase(cs, 1j) * v_field[sl])
+                               for sl, cs, prof, _ in self._analysis(None, centers))
 
     def op_apply(self, u, symbol=None):
         """Anti-Wick operator: B* (multiply by the symbol on phase space) B.
@@ -380,27 +421,16 @@ class BargmannTransform:
         and a frequency center vector ETA, returning the symbol on the
         spatial grid for that center; None means the identity symbol.
         """
-        g = self.grid
-        uhat = g.fcoef(u)
-        acc = np.zeros(g.shape, dtype=complex)
-        sg = g.space_grids() if symbol is not None else None
-        for eta in self.centers:
-            prof = self.profile(eta)
-            v = TWO_PI ** (g.d / 2.0) * g.finv(prof * uhat)
-            if symbol is not None:
-                v = v * symbol(sg, eta)
-            acc += prof * g.fcoef(v)
-        scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
-        return scale * g.finv(acc)
+        return self._synthesis((prof, v) for _, _, prof, v
+                               in self._analysis(u, fn=symbol))
 
     def identity_symbol_sum(self):
         """sum_eta prof(eta; .)^2 d_eta^d on the lattice; equals 1 where the
         window fully covers the packet mass (diagnostic for B*B - Id)."""
-        g = self.grid
-        acc = np.zeros(g.shape)
-        for eta in self.centers:
-            acc += self.profile(eta) ** 2
-        return acc * g.d_eta**g.d
+        acc = np.zeros(self.grid.shape)
+        for _, _, prof, _ in self._analysis(None):
+            acc = _add_rows(acc, prof**2)
+        return acc * self.grid.d_eta**self.grid.d
 
     def sobolev_norm(self, u, weight=None):
         """Weighted-space norm: sqrt(sum W^2 |Bu|^2 cell / (2 pi)^d).
@@ -408,42 +438,12 @@ class BargmannTransform:
         weight(Y, ETA) follows the symbol convention; None means W = 1 and
         the result is the L^2 norm up to the identity defect.
         """
-        g = self.grid
-        uhat = g.fcoef(u)
-        sg = g.space_grids() if weight is not None else None
-        total = 0.0
-        for eta in self.centers:
-            v = TWO_PI ** (g.d / 2.0) * g.finv(self.profile(eta) * uhat)
-            if weight is not None:
-                v = v * weight(sg, eta)
-            total += float(np.sum(np.abs(v) ** 2))
-        return float(np.sqrt(total * self.cell / TWO_PI**g.d))
-
-
-def bargmann_field_csv(transform: BargmannTransform, u, centers=None) -> str:
-    """CSV export of B u: columns (x, z, xi, omega, re, im, abs).
-
-    For n = 0 grids the x and xi columns are omitted.
-    """
-    import io
-
-    g = transform.grid
-    centers = transform.centers if centers is None else np.asarray(centers, float)
-    field = transform.forward_field(u, centers)
-    sg = g.space_grids()
-    buf = io.StringIO()
-    if g.n == 0:
-        buf.write("z,omega,re,im,abs\n")
-    else:
-        buf.write("x,z,xi,omega,re,im,abs\n")
-    for i, eta in enumerate(centers):
-        flat = field[i].ravel()
-        ys = [s.ravel() for s in sg]
-        for j in range(flat.size):
-            val = flat[j]
-            row = [y[j] for y in ys] + list(eta) + [val.real, val.imag, abs(val)]
-            buf.write(",".join(repr(float(c)) for c in row) + "\n")
-    return buf.getvalue()
+        per_center = np.concatenate([
+            np.sum(np.abs(v.reshape(v.shape[0], -1)) ** 2, axis=1)
+            for *_, v in self._analysis(u, fn=weight)])
+        # cumsum adds the centers strictly in order; np.sum would pair them
+        total = np.cumsum(per_center)[-1]
+        return float(np.sqrt(total * self.cell / TWO_PI**self.grid.d))
 
 
 # -- charts ---------------------------------------------------------------

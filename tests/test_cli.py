@@ -98,6 +98,11 @@ def test_malformed_config_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just some words\n")
     assert run(["toy", "--config", cfg, "--output-dir", tmp_path / "x"]) == 2
+    for args in (["verify-all", "--criteria", "0"],
+                 ["verify-all", "--criteria", "12"],
+                 ["resolution-check", "--windows", "7,,10"],
+                 ["weyl-boxes", "--alpha-grid", "0.5:0.9"]):
+        assert run(args + ["--output-dir", tmp_path / "y"]) == 2
 
 
 def test_resolution_error_exit_code(tmp_path):

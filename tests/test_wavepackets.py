@@ -7,8 +7,8 @@ from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, distortion,
                                       jbracket, phase_point)
 from anisospec.errors import ResolutionError
-from anisospec.wavepackets import (BargmannTransform, TorusGrid,
-                                   bargmann_field_csv, chart_decompose,
+from anisospec.wavepackets import (_BATCH_BYTES, TWO_PI, BargmannTransform,
+                                   TorusGrid, _m_lattice, chart_decompose,
                                    chart_recompose, circle_atlas,
                                    m_closed_form_constant, m_gauss_hermite,
                                    make_packet, packet_norm_sq_continuous,
@@ -246,6 +246,50 @@ def test_adjoint_of_forward_matches_op_apply(circle_transform):
     direct = tr.op_apply(u)
     assert np.max(np.abs(via_field - direct)) <= 1e-10
     assert np.linalg.norm(direct - u) / np.linalg.norm(u) <= 1e-3
+    # a y-dependent symbol multiplies B u pointwise on the phase grid
+    bump = lambda sg, eta: (1.0 + 0.5 * np.cos(sg[0] - 1.0)) \
+        * np.exp(-(eta[-1] / 10.0) ** 2)
+    sym = np.stack([bump(g.space_grids(), eta) for eta in tr.centers])
+    via_field = tr.adjoint(tr.forward_field(u) * sym)
+    assert np.max(np.abs(via_field - tr.op_apply(u, bump))) <= 1e-10
+
+
+def test_forward_at_matches_forward_field_on_lattice(torus_transform):
+    """B u as packet inner products and as batched FFTs agree on the lattice."""
+    tr = torus_transform
+    g = tr.grid
+    rng = np.random.default_rng(6)
+    u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    field = tr.forward_field(u)
+    for i, j, l in ((0, 0, 0), (100, 5, 17), (144, 63, 2), (288, 30, 40)):
+        xi, om = tr.centers[i]
+        rho = phase_point(x=[g.axis[j]], z=g.axis[l], xi=[xi], omega=om)
+        assert abs(tr.forward_at(u, [rho])[0] - field[i, j, l]) \
+            <= 1e-12 * np.max(np.abs(field))
+
+
+def test_kernel_batches_do_not_change_results(torus_transform):
+    """Results are bitwise those of a per-center loop, whatever the batches."""
+    tr = torus_transform
+    g = tr.grid
+    step = _BATCH_BYTES // (16 * g.points**g.d)
+    k = step + step // 2
+    assert step < k < len(tr.centers)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    assert np.array_equal(tr.forward_field(u, tr.centers[:k]),
+                          tr.forward_field(u)[:k])
+    # the per-center anti-Wick loop the kernel replaced, as the reference
+    sg = g.space_grids()
+    symbol = lambda sg, eta: np.cos(sg[0]) * np.exp(-(eta[-1] / 6.0) ** 2)
+    uhat = g.fcoef(u)
+    acc = np.zeros(g.shape, dtype=complex)
+    for eta in tr.centers:
+        prof = tr.profile(eta)
+        v = TWO_PI ** (g.d / 2.0) * g.finv(prof * uhat) * symbol(sg, eta)
+        acc += prof * g.fcoef(v)
+    ref = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0) * g.finv(acc)
+    assert np.array_equal(tr.op_apply(u, symbol), ref)
 
 
 def test_identity_symbol_sum_near_one_on_band(torus_transform):
@@ -278,13 +322,10 @@ def test_phase_window_guard(params_half):
         BargmannTransform(g, params_half, window=40)
 
 
-def test_csv_export(circle_transform):
-    tr = circle_transform
-    u = np.exp(1j * 3.0 * tr.grid.axis)
-    text = bargmann_field_csv(tr, u, centers=tr.centers[:2])
-    lines = text.splitlines()
-    assert lines[0] == "z,omega,re,im,abs"
-    assert len(lines) == 1 + 2 * tr.grid.points
-    row = lines[1].split(",")
-    assert len(row) == 5
-    float(row[4])  # parses
+def test_m_lattice_shared_across_windows(params_half):
+    g = TorusGrid(0, 96)
+    BargmannTransform(g, params_half, window=5)
+    before = _m_lattice.cache_info()
+    BargmannTransform(g, params_half, window=7)
+    after = _m_lattice.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
