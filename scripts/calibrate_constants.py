@@ -20,7 +20,7 @@ from anisospec.bracket_metric import (MetricParams, distortion_from_eta_norm,
 from anisospec.escape import EscapeConfig, temperate_ratio_samples
 from anisospec.fractal_count import lipschitz_unit_scale_test, synth_holder
 from anisospec.suspension import (MappingTorus, eigenfunction_hw_norm,
-                                  wavefront_value)
+                                  wavefront_extrema)
 from anisospec.wavepackets import (BargmannTransform, TorusGrid, make_packet,
                                    packet_norm_sq_continuous)
 
@@ -196,29 +196,8 @@ def wavefront_constants():
     k = 3
     hw = eigenfunction_hw_norm(k, split, p, cfg)
     print(f"||phi_3||_HW = {hw:.4f}")
-    rng = np.random.default_rng(3)
-    worst = {2: 0.0, 4: 0.0}
-    worst_out = {2: 0.0, 4: 0.0}
-    from anisospec.escape import weight
-    om0 = 2 * np.pi * k
-    eps = 0.4
-    for _ in range(4000):
-        xu = rng.normal() * rng.uniform(0, 30)
-        xs = rng.normal() * rng.uniform(0, 30)
-        om = om0 + rng.normal() * rng.uniform(0, 30)
-        val = wavefront_value(k, xu, xs, om, split, p)
-        w = weight(xu, xs, om, split, cfg, p)
-        for n_exp in (2, 4):
-            worst[n_exp] = max(worst[n_exp],
-                               val * jbracket(om - om0) ** n_exp * w / hw)
-        xi_full = float(np.hypot(np.linalg.norm(split.compose(xu, xs)), om))
-        gs = xi_full ** (-p.alpha_perp) * abs(xs) if xi_full > 0 else 0.0
-        inside = (jbracket(om - om0) <= max(xi_full, 2.0) ** eps
-                  and jbracket(gs) <= max(xi_full, 2.0) ** eps)
-        if not inside:
-            for n_exp in (2, 4):
-                worst_out[n_exp] = max(worst_out[n_exp],
-                                       val * jbracket(xi_full) ** n_exp / hw)
+    worst, worst_out = wavefront_extrema(k, split, p, cfg, hw, n_samples=4000,
+                                         seed=3)
     for n_exp, v in worst.items():
         print(f"wavefront C_{n_exp} >= {v:.4f}")
     for n_exp, v in worst_out.items():

@@ -19,7 +19,7 @@ from .bracket_metric import (MetricParams, delta_par, distortion_from_eta_norm,
                              jbracket, phase_point)
 from .escape import (EscapeConfig, decay_rate_fit, lower_bound_report,
                      order_estimate, theoretical_decay_rate,
-                     theoretical_orders, weight)
+                     theoretical_orders)
 from .fractal_count import (lipschitz_unit_scale_test, optimal_alpha,
                             regime_slope, synth_holder)
 from .quantize import FlowModel, microlocality_probe
@@ -27,7 +27,7 @@ from .shift_model import (ShiftModel, apply_L, apply_L_inv, eigen_residual,
                           eigvec_U, eigvec_V, interior_slice,
                           membership_truth_table)
 from .suspension import (MappingTorus, eigenfunction_hw_norm, full_spectrum,
-                         generator_residual, wavefront_value, weyl_count,
+                         generator_residual, wavefront_extrema, weyl_count,
                          weyl_density_exponent, zero_sector_spectrum)
 from .wavepackets import (BargmannTransform, TorusGrid,
                           packet_norm_sq_continuous)
@@ -48,7 +48,7 @@ class CriterionResult:
 
 
 def _result(index, name, passed, detail, t0, budget=None):
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     if budget is not None:
         if elapsed >= budget:
             passed = False
@@ -61,7 +61,7 @@ def _result(index, name, passed, detail, t0, budget=None):
 
 
 def criterion_1() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rs = [-2.0, -1.0, 0.0, 1.0, 2.0]
     ws = [round(0.1 * k, 1) for k in range(1, 10)]
     records = membership_truth_table(rs, ws, ws)
@@ -96,7 +96,7 @@ RESOLUTION_GRID = dict(points=128, length=np.pi, band=2, windows=(7, 10, 14))
 
 
 def criterion_2() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(1, RESOLUTION_GRID["points"], length=RESOLUTION_GRID["length"])
     band = RESOLUTION_GRID["band"]
@@ -130,7 +130,7 @@ def criterion_2() -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = MetricParams(1.0, 0.5, 0.5)
     etas = 2.0 ** np.arange(0, 11)
     defects, deltas = [], []
@@ -153,7 +153,7 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     n = 100_000
     s = rng.standard_cauchy(n) * 10.0   # heavy tails stress the inequalities
@@ -191,7 +191,7 @@ def criterion_4() -> CriterionResult:
 
 
 def criterion_5() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     split = MappingTorus().dual_splitting()
     ts = np.linspace(0.0, 3.0, 13)
     worst_rel = 0.0
@@ -218,7 +218,7 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     split = MappingTorus().dual_splitting()
     p = MetricParams(1.0, 0.5, 0.0)
     cfg = EscapeConfig(r_u=2.0, r_s=3.0, gamma=0.0)
@@ -243,7 +243,7 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     torus = MappingTorus()
     p = MetricParams(1.0, 0.5, 0.0)
     cfg = EscapeConfig(r_u=8.0, r_s=8.0, gamma=0.0)
@@ -272,7 +272,7 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     omegas = 2.0 ** np.arange(6, 15)
     alpha_grid = np.arange(0.5, 0.95 + 1e-9, 0.025)
     details = []
@@ -298,7 +298,7 @@ def criterion_8() -> CriterionResult:
 
 
 def criterion_9() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(0, 512)
     tr = BargmannTransform(g, p, window=8)
@@ -328,38 +328,14 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    t0 = time.time()
-    torus = MappingTorus()
-    split = torus.dual_splitting()
+    t0 = time.perf_counter()
+    split = MappingTorus().dual_splitting()
     p = MetricParams(1.0, 0.5, 0.0)
     cfg = EscapeConfig(r_u=4.0, r_s=4.0, gamma=0.0)
     k = 3
-    om0 = 2.0 * np.pi * k
     hw = eigenfunction_hw_norm(k, split, p, cfg)
-    rng = np.random.default_rng(13)
-    worst = {2: 0.0, 4: 0.0}
-    worst_out = {2: 0.0, 4: 0.0}
-    eps = 0.4
-    for _ in range(3000):
-        xu = rng.normal() * rng.uniform(0, 30)
-        xs = rng.normal() * rng.uniform(0, 30)
-        om = om0 + rng.normal() * rng.uniform(0, 30)
-        val = wavefront_value(k, xu, xs, om, split, p)
-        w = weight(xu, xs, om, split, cfg, p)
-        xi_norm = float(np.linalg.norm(split.compose(xu, xs)))
-        xi_full = float(np.hypot(xi_norm, om))
-        for n_exp in (2, 4):
-            worst[n_exp] = max(worst[n_exp],
-                               val * jbracket(om - om0) ** n_exp * w / hw)
-        # outside the parabolic vicinity (alpha_perp = 1/2 smooth-model choice)
-        gs = xi_full ** (-p.alpha_perp) * abs(xs) if xi_full > 0 else 0.0
-        inside = (jbracket(om - om0) <= max(xi_full, 2.0) ** eps
-                  and jbracket(gs) <= max(xi_full, 2.0) ** eps)
-        if not inside:
-            for n_exp in (2, 4):
-                worst_out[n_exp] = max(
-                    worst_out[n_exp],
-                    val * jbracket(xi_full) ** n_exp / hw)
+    worst, worst_out = wavefront_extrema(k, split, p, cfg, hw, n_samples=3000,
+                                         seed=13)
     bound_ok = all(worst[n] <= frozen.WAVEFRONT_CN[n] for n in (2, 4))
     out_ok = all(worst_out[n] <= frozen.WAVEFRONT_OUTSIDE_CAL[n]
                  for n in (2, 4))
@@ -394,7 +370,7 @@ def criterion_10() -> CriterionResult:
 
 
 def criterion_11() -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok = True
     for b0 in (0.5, 0.8):

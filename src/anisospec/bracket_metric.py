@@ -147,27 +147,27 @@ def distortion(rho: PhasePoint, p: MetricParams) -> float:
     return float(distortion_from_eta_norm(rho.eta_norm, p))
 
 
+def g_norm_rows(eta_norm, v, p: MetricParams):
+    """g_norm over the leading axes: tangent vectors v of shape (..., 2(n+1))
+    at base points whose frequency norms |eta| are eta_norm, shape (...)."""
+    v = np.asarray(v, dtype=float)
+    n = v.shape[-1] // 2 - 1
+    dp, dl = delta_perp(eta_norm, p), delta_par(eta_norm, p)
+    vx, vz = v[..., :n], v[..., n]
+    vxi, vom = v[..., n + 1 : 2 * n + 1], v[..., 2 * n + 1]
+    return np.sqrt(np.sum(vx * vx, axis=-1) / dp**2
+                   + dp**2 * np.sum(vxi * vxi, axis=-1)
+                   + vz**2 / dl**2 + dl**2 * vom**2)
+
+
 def g_norm(rho: PhasePoint, v, p: MetricParams) -> float:
     """Norm of a tangent vector v (ordered x, z, xi, omega) in the metric at rho.
 
     g = (dx/dperp)^2 + (dperp dxi)^2 + (dz/dpar)^2 + (dpar domega)^2.
     """
-    v = np.asarray(v, dtype=float)
-    n = rho.n
-    if v.size != 2 * (n + 1):
-        raise ValueError(f"tangent vector must have length {2 * (n + 1)}, got {v.size}")
-    dp = delta_perp(rho.eta_norm, p)
-    dl = delta_par(rho.eta_norm, p)
-    vx, vz = v[:n], v[n]
-    vxi, vom = v[n + 1 : 2 * n + 1], v[2 * n + 1]
-    return float(
-        np.sqrt(
-            np.dot(vx, vx) / dp**2
-            + dp**2 * np.dot(vxi, vxi)
-            + vz**2 / dl**2
-            + dl**2 * vom**2
-        )
-    )
+    if np.size(v) != 2 * (rho.n + 1):
+        raise ValueError(f"tangent vector must have length {2 * (rho.n + 1)}, got {np.size(v)}")
+    return float(g_norm_rows(rho.eta_norm, v, p))
 
 
 def g_dist(rho0: PhasePoint, rho1: PhasePoint, p: MetricParams) -> float:

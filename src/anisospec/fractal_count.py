@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket_metric import (MetricParams, PhasePoint, delta_par, delta_perp,
-                             g_norm, jbracket, phase_point)
+                             g_norm_rows, jbracket, phase_point)
 from .errors import ResolutionError
 
 
@@ -227,34 +227,35 @@ def lipschitz_unit_scale_test(form: HolderForm, p: MetricParams,
     frequencies up to omega_max, which is where a too-small alpha_perp is
     expected to break the bound.
     """
+    n = form.n
     rng = np.random.default_rng(seed)
-    ratios = np.empty(n_pairs)
-    for i in range(n_pairs):
-        om = np.exp(rng.uniform(np.log(10.0), np.log(omega_max)))
-        x = rng.uniform(0.0, 1.0, size=form.n)
-        xi = rng.normal(size=form.n) * om * 0.1
-        rho = phase_point(x=x, z=rng.uniform(0, 1), xi=xi, omega=om)
-        dp = delta_perp(rho.eta_norm, p)
-        dl = delta_par(rho.eta_norm, p)
-        dx = rng.normal(size=form.n)
-        dx *= rng.uniform(0.2, 3.0) / np.linalg.norm(dx) * dp
-        dxi = rng.normal(size=form.n) * rng.uniform(0.0, 2.0) / dp
-        dz = rng.normal() * dl
-        dom = rng.normal() / dl
-        rho_p = phase_point(x=x + dx, z=rho.z + dz, xi=xi + dxi,
-                            omega=om + dom)
-        num = jbracket(_g_dist_at(straighten_phi(form, rho),
-                                  straighten_phi(form, rho_p), p))
-        den = jbracket(_g_dist_at(rho, rho_p, p))
-        ratios[i] = num / den
+    # per pair, in draw order: log omega, x, xi, z, dx, |dx|, dxi, |dxi|, dz, domega
+    draws = np.array([np.hstack([
+        rng.uniform(np.log(10.0), np.log(omega_max)),
+        rng.uniform(0.0, 1.0, size=n), rng.normal(size=n), rng.uniform(0, 1),
+        rng.normal(size=n), rng.uniform(0.2, 3.0),
+        rng.normal(size=n), rng.uniform(0.0, 2.0), rng.normal(), rng.normal()])
+        for _ in range(n_pairs)]).reshape(n_pairs, 4 * n + 6)
+    log_om, x, gxi, z, gdx, sdx, gdxi, sdxi, gdz, gdom = np.split(
+        draws, np.cumsum([1, n, n, 1, n, 1, n, 1, 1]), axis=1)
+    om = np.exp(log_om)
+    xi = gxi * om * 0.1
+    en = np.linalg.norm(np.hstack([xi, om]), axis=1, keepdims=True)
+    dp, dl = delta_perp(en, p), delta_par(en, p)
+    dx = gdx * (sdx / np.linalg.norm(gdx, axis=1, keepdims=True) * dp)
+    dxi = gdxi * sdxi / dp
+    rho = np.hstack([x, z, xi, om])
+    rho_p = np.hstack([x + dx, z + gdz * dl, xi + dxi, om + gdom / dl])
+    # Phi of both points of every pair, in flat coordinates (x, z, xi, omega)
+    phi = np.vstack([rho, rho_p])
+    phi[:, n + 1 : 2 * n + 1] -= phi[:, -1:] * evaluate(form, phi[:, :n])
+    phi, phi_p = phi[:n_pairs], phi[n_pairs:]
+    num = jbracket(g_norm_rows(np.linalg.norm(phi[:, n + 1 :], axis=1),
+                               phi_p - phi, p))
+    ratios = num / jbracket(g_norm_rows(en[:, 0], rho_p - rho, p))
     max_ratio = float(np.max(ratios))
     if c_frozen is None:
         c_frozen = max_ratio
     violations = int(np.count_nonzero(ratios > c_frozen))
     return LipschitzReport(ratios=ratios, max_ratio=max_ratio,
                            violations=violations, c_frozen=c_frozen)
-
-
-def _g_dist_at(rho_base: PhasePoint, rho_other: PhasePoint,
-               p: MetricParams) -> float:
-    return g_norm(rho_base, rho_other.coords() - rho_base.coords(), p)

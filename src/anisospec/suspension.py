@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bracket_metric import MetricParams, delta_par, delta_perp
+from .bracket_metric import MetricParams, delta_par, delta_perp, jbracket
 from .errors import CertificationError, ResolutionError
 from .escape import DualSplitting, EscapeConfig, weight
 from .wavepackets import m_gauss_hermite
@@ -337,8 +337,6 @@ def wavefront_value(k: int, xi_u, xi_s, omega, split: DualSplitting,
     a Gaussian in the probe's offset from eta0 at the probe's own scales.
     """
     om0 = 2.0 * np.pi * k
-    xi_u = np.asarray(xi_u, dtype=float)
-    xi_s = np.asarray(xi_s, dtype=float)
     omega = np.asarray(omega, dtype=float)
     xi_vec = split.compose(xi_u, xi_s)
     xi_sq = np.sum(xi_vec**2, axis=-1)
@@ -350,6 +348,33 @@ def wavefront_value(k: int, xi_u, xi_s, omega, split: DualSplitting,
         m_eta0 = m_gauss_hermite(np.array([0.0, 0.0, om0]), p, 3)
     out = (2.0 * np.pi) ** 1.5 * np.exp(-0.5 * q) / np.sqrt(m_eta0)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def wavefront_extrema(k: int, split: DualSplitting, p: MetricParams,
+                      cfg: EscapeConfig, hw: float, n_samples: int, seed: int,
+                      eps: float = 0.4):
+    """Largest |B phi_k| <omega - 2 pi k>^N W / hw, and largest |B phi_k|
+    <eta>^N / hw outside the parabolic vicinity {<omega - 2 pi k> <= r,
+    <|eta|^-alpha_perp xi_s> <= r}, r = max(|eta|, 2)^eps, for N = 2, 4, over
+    covectors whose xi_u, xi_s, omega - 2 pi k are normal * uniform(0, 30)."""
+    om0 = 2.0 * np.pi * k
+    rng = np.random.default_rng(seed)
+    xu, xs, dom = np.array([[rng.normal() * rng.uniform(0, 30) for _ in range(3)]
+                            for _ in range(n_samples)]).reshape(-1, 3).T
+    om = om0 + dom
+    m0 = m_gauss_hermite(np.array([0.0, 0.0, om0]), p, 3)
+    val = wavefront_value(k, xu, xs, om, split, p, m_eta0=m0)
+    w = weight(xu, xs, om, split, cfg, p)
+    eta = np.hypot(np.linalg.norm(split.compose(xu, xs), axis=-1), om)
+    gs = eta ** (-p.alpha_perp) * np.abs(xs)
+    r = np.maximum(eta, 2.0) ** eps
+    outside = ~((jbracket(om - om0) <= r) & (jbracket(gs) <= r))
+    worst = {n_exp: float(np.max(val * jbracket(om - om0) ** n_exp * w / hw,
+                                 initial=0.0)) for n_exp in (2, 4)}
+    worst_out = {n_exp: float(np.max(val * jbracket(eta) ** n_exp / hw,
+                                     where=outside, initial=0.0))
+                 for n_exp in (2, 4)}
+    return worst, worst_out
 
 
 def eigenfunction_hw_norm(k: int, split: DualSplitting, p: MetricParams,

@@ -107,14 +107,11 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int, nodes: int = 32):
     t, w = np.polynomial.hermite.hermgauss(nodes)
     logw = np.log(w) + t**2  # w_i e^{t_i^2}, kept in log for stability
     en = np.linalg.norm(pts, axis=1)
-    dp0 = delta_perp(en, p)
-    dl0 = delta_par(en, p)
-    scales = np.stack([dp0] * (d - 1) + [dl0], axis=1)  # (M, d)
-
-    grids = np.meshgrid(*([t] * d), indexing="ij")
-    logww = sum(np.meshgrid(*([logw] * d), indexing="ij"))
-    offs = np.stack([g.ravel() for g in grids], axis=1)  # (nodes^d, d)
-    logww = logww.ravel()
+    scales = np.stack([delta_perp(en, p)] * (d - 1) + [delta_par(en, p)],
+                      axis=1)  # (M, d)
+    offs = np.stack([g.ravel() for g in np.meshgrid(*([t] * d), indexing="ij")],
+                    axis=1)  # (nodes^d, d)
+    logww = sum(np.meshgrid(*([logw] * d), indexing="ij")).ravel()
 
     out = np.zeros(pts.shape[0])
     # chunk over nodes to bound the (M x nodes^d) temporaries
@@ -122,15 +119,16 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int, nodes: int = 32):
     for start in range(0, offs.shape[0], chunk):
         o = offs[start : start + chunk]
         lw = logww[start : start + chunk]
-        eta = pts[:, None, :] - o[None, :, :] / scales[:, None, :]
-        en_i = np.linalg.norm(eta, axis=2)
-        dp = delta_perp(en_i, p)
-        dl = delta_par(en_i, p)
+        # one (M, chunk) array per axis; adding the squares in axis order is
+        # bitwise what np.linalg.norm(..., axis=-1) gives for d <= 3
+        eta = [pts[:, None, ax] - o[None, :, ax] / scales[:, None, ax]
+               for ax in range(d)]
+        en_i = np.sqrt(sum(e * e for e in eta))
         # |prof0|^2 = exp(-(dp (xi - xi'))^2 - (dl (om - om'))^2)
-        q = np.zeros_like(en_i)
-        for ax in range(d - 1):
-            q += (dp * (eta[..., ax] - pts[:, None, ax])) ** 2
-        q += (dl * (eta[..., -1] - pts[:, None, -1])) ** 2
+        dl = delta_par(en_i, p)  # one power for both deltas when they agree
+        dp = dl if p.alpha_perp == p.alpha_par else delta_perp(en_i, p)
+        q = sum((s * (e - pts[:, None, ax])) ** 2
+                for ax, (s, e) in enumerate(zip([dp] * (d - 1) + [dl], eta)))
         out += np.exp(lw[None, :] - q).sum(axis=1)
     out /= np.prod(scales, axis=1)
     out = out.reshape(eta_primes.shape[:-1])
@@ -191,8 +189,7 @@ def _gaussian_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
     _check_resolution(grid, rho.eta_norm, p)
     y = np.concatenate([rho.x, [rho.z]])
     eta = rho.eta
-    dp = delta_perp(rho.eta_norm, p)
-    dl = delta_par(rho.eta_norm, p)
+    dp, dl = delta_perp(rho.eta_norm, p), delta_par(rho.eta_norm, p)
     sg = grid.space_grids()
     phase = np.zeros(grid.shape)
     q = np.zeros(grid.shape)
@@ -248,8 +245,7 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
     """
     eta_center = np.asarray(eta_center, dtype=float)
     en = float(np.linalg.norm(eta_center))
-    dp = delta_perp(en, p)
-    dl = delta_par(en, p)
+    dp, dl = delta_perp(en, p), delta_par(en, p)
     axes = []
     for ax in range(d):
         scale = dp if ax < d - 1 else dl
@@ -275,26 +271,32 @@ _BATCH_BYTES = 2**20
 def _m_lattice(n: int, points: int, length: float, p: MetricParams):
     """m(eta') as the trapezoid sum of prof0^2 over the full center lattice.
 
+    Each center's Gaussian is summed only over the box where it is at least
+    1e-40, which cannot round a sum holding the center's own term 1.  On the
+    fftshifted (sorted) lattice a box is a slice; the centers are added in
+    lattice order into one accumulator per chunk of 64, as in the dense sum,
+    so the result is bitwise that of the dense sum.
     Cached per grid and metric, so transforms that differ only in their
     window share one build.  The array is shared, hence read-only.
     """
     g = TorusGrid(n, points, length)
-    fg = g.freq_grids()
-    full = np.stack([f.ravel() for f in fg], axis=1)
+    full = np.stack([f.ravel() for f in g.freq_grids()], axis=1)
+    freqs = np.fft.fftshift(g.freqs_1d)
     out = np.zeros(g.shape)
-    chunk = 64
-    for start in range(0, full.shape[0], chunk):
-        cs = full[start : start + chunk]
+    for start in range(0, full.shape[0], 64):
+        cs = full[start : start + 64]
         en = np.linalg.norm(cs, axis=1)
-        dp = delta_perp(en, p)
-        dl = delta_par(en, p)
-        q = np.zeros((cs.shape[0],) + g.shape)
-        for ax in range(g.d):
-            scale = dp if ax < g.n else dl
-            diff = fg[ax][None, ...] - cs[:, ax].reshape((-1,) + (1,) * g.d)
-            q += (scale.reshape((-1,) + (1,) * g.d) * diff) ** 2
-        out += np.exp(-q).sum(axis=0)
-    out = out * g.d_eta**g.d
+        scales = np.stack([delta_perp(en, p)] * g.n + [delta_par(en, p)], axis=1)
+        # box center and half-width in lattice steps
+        ks = np.rint(cs / g.d_eta).astype(int) + points // 2
+        rs = (np.sqrt(np.log(1e40)) / g.d_eta / scales).astype(int) + 1
+        acc = np.zeros(g.shape)
+        for c, sc, k, r in zip(cs, scales, ks, rs):
+            box = [slice(max(a - b, 0), a + b + 1) for a, b in zip(k, r)]
+            acc[tuple(box)] += np.exp(-functools.reduce(np.add.outer, [
+                (s * (freqs[b] - ci)) ** 2 for s, b, ci in zip(sc, box, c)]))
+        out += acc
+    out = np.fft.ifftshift(out) * g.d_eta**g.d
     out.flags.writeable = False
     return out
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisospec import frozen
-from anisospec.bracket_metric import MetricParams, phase_point
+from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
+                                      g_norm, jbracket, phase_point)
 from anisospec.errors import ResolutionError
 from anisospec.fractal_count import (HolderForm, box_count, evaluate,
                                      holder_ratio, lipschitz_unit_scale_test,
@@ -153,3 +154,32 @@ def test_lipschitz_frozen_and_sharpness():
                                         c_frozen=frozen.LIPSCHITZ_C[0.5])
     assert rep_bad.violations > 0
     assert rep_bad.max_ratio > rep.max_ratio
+
+
+def test_lipschitz_matches_scalar_reference():
+    """The array sampler equals a pair-by-pair loop over phase points."""
+    form = synth_holder(0.5, seed=7)
+    p = MetricParams(1.0, 1.0 / 1.5 - 0.1, 0.0)
+    c = frozen.LIPSCHITZ_C[0.5]
+    rep = lipschitz_unit_scale_test(form, p, n_pairs=300, seed=4, c_frozen=c)
+    rng = np.random.default_rng(4)
+    ratios = []
+    for _ in range(300):
+        om = np.exp(rng.uniform(np.log(10.0), np.log(1.0e6)))
+        x = rng.uniform(0.0, 1.0, size=1)
+        xi = rng.normal(size=1) * om * 0.1
+        rho = phase_point(x=x, z=rng.uniform(0, 1), xi=xi, omega=om)
+        dp = delta_perp(rho.eta_norm, p)
+        dl = delta_par(rho.eta_norm, p)
+        dx = rng.normal(size=1)
+        dx *= rng.uniform(0.2, 3.0) / np.linalg.norm(dx) * dp
+        dxi = rng.normal(size=1) * rng.uniform(0.0, 2.0) / dp
+        dz = rng.normal() * dl
+        dom = rng.normal() / dl
+        rho_p = phase_point(x=x + dx, z=rho.z + dz, xi=xi + dxi, omega=om + dom)
+        phi, phi_p = straighten_phi(form, rho), straighten_phi(form, rho_p)
+        ratios.append(jbracket(g_norm(phi, phi_p.coords() - phi.coords(), p))
+                      / jbracket(g_norm(rho, rho_p.coords() - rho.coords(), p)))
+    ratios = np.array(ratios)
+    np.testing.assert_allclose(rep.ratios, ratios, rtol=1e-12, atol=0.0)
+    assert rep.violations == np.count_nonzero(ratios > c) > 0

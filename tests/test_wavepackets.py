@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from anisospec import frozen
-from anisospec.bracket_metric import (MetricParams, delta_par, distortion,
-                                      jbracket, phase_point)
+from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
+                                      distortion, jbracket, phase_point)
 from anisospec.errors import ResolutionError
 from anisospec.wavepackets import (_BATCH_BYTES, TWO_PI, BargmannTransform,
                                    TorusGrid, _m_lattice, chart_decompose,
@@ -86,6 +86,63 @@ def test_m_gauss_hermite_vs_lattice(params_half):
     mask = np.abs(g.freqs_1d) <= 150
     rel = np.max(np.abs(m_gh[mask] - m_lat[mask]) / m_lat[mask])
     assert rel <= 0.05
+
+
+def _m_gauss_hermite_reference(pts, p, d, nodes=32):
+    """m_gauss_hermite as one (M, nodes^d, d) temporary and np.linalg.norm;
+    for M <= 60 m_gauss_hermite takes all nodes in one chunk too."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    logw = np.log(w) + t**2
+    en = np.linalg.norm(pts, axis=1)
+    scales = np.stack([delta_perp(en, p)] * (d - 1) + [delta_par(en, p)],
+                      axis=1)
+    offs = np.stack([g.ravel() for g in np.meshgrid(*([t] * d), indexing="ij")],
+                    axis=1)
+    logww = sum(np.meshgrid(*([logw] * d), indexing="ij")).ravel()
+    eta = pts[:, None, :] - offs[None, :, :] / scales[:, None, :]
+    en_i = np.linalg.norm(eta, axis=2)
+    dp, dl = delta_perp(en_i, p), delta_par(en_i, p)
+    q = np.zeros_like(en_i)
+    for ax in range(d - 1):
+        q += (dp * (eta[..., ax] - pts[:, None, ax])) ** 2
+    q += (dl * (eta[..., -1] - pts[:, None, -1])) ** 2
+    return np.exp(logww[None, :] - q).sum(axis=1) / np.prod(scales, axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_m_gauss_hermite_bitwise_per_axis(d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(20, d)) * rng.uniform(0.0, 300.0, size=(20, 1))
+    for p in (MetricParams(1.0, 0.5, 0.5), MetricParams(1.0, 0.6, 0.2)):
+        ref = _m_gauss_hermite_reference(pts, p, d)
+        assert np.array_equal(m_gauss_hermite(pts, p, d), ref)
+
+
+def _m_lattice_dense(g, p):
+    """Every lattice center's Gaussian summed over every lattice point."""
+    fg = g.freq_grids()
+    full = np.stack([f.ravel() for f in fg], axis=1)
+    col = (-1,) + (1,) * g.d
+    out = np.zeros(g.shape)
+    for start in range(0, full.shape[0], 64):
+        cs = full[start : start + 64]
+        en = np.linalg.norm(cs, axis=1)
+        q = np.zeros((cs.shape[0],) + g.shape)
+        for ax in range(g.d):
+            scale = delta_perp(en, p) if ax < g.n else delta_par(en, p)
+            q += (scale.reshape(col) * (fg[ax][None] - cs[:, ax].reshape(col))) ** 2
+        out += np.exp(-q).sum(axis=0)
+    return out * g.d_eta**g.d
+
+
+@pytest.mark.parametrize("n, points, length, p", [
+    (1, 32, np.pi, MetricParams(1.0, 0.6, 0.2)),
+    (0, 256, TWO_PI, MetricParams(1.0, 0.5, 0.5)),
+])
+def test_m_lattice_window_is_bitwise_dense(n, points, length, p):
+    """Leaving out the terms below 1e-40 changes no bit of m."""
+    ref = _m_lattice_dense(TorusGrid(n, points, length), p)
+    assert np.array_equal(_m_lattice(n, points, length, p), ref)
 
 
 # -- packets -----------------------------------------------------------------
