@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracket_metric import (MetricParams, PhasePoint, delta_par, delta_perp,
-                             g_norm_rows, jbracket, phase_point)
+                             g_norm_rows, jbracket)
 from .errors import ResolutionError
 
 
@@ -192,21 +192,26 @@ def optimal_alpha(form: HolderForm, omega_list, alpha_grid):
 # -- straightening map -------------------------------------------------------
 
 
-def straighten_phi(form: HolderForm, rho: PhasePoint) -> PhasePoint:
-    """Phi(x, z, xi, omega) = (x, z, xi - omega w(x), omega)."""
-    if rho.n != form.n:
+def _shear(form: HolderForm, rho, sign: float):
+    """xi -> xi + sign omega w(x), on a PhasePoint or on flat coordinate rows
+    of shape (..., 2n+2) ordered (x, z, xi, omega)."""
+    n = form.n
+    point = isinstance(rho, PhasePoint)
+    rows = np.array(rho.coords() if point else rho, dtype=float)
+    if rows.shape[-1] != 2 * (n + 1):
         raise ValueError("phase point dimension does not match the form")
-    w = evaluate(form, rho.x[None, :])[0]
-    return phase_point(x=rho.x, z=rho.z, xi=rho.xi - rho.omega * w,
-                       omega=rho.omega)
+    rows[..., n + 1 : 2 * n + 1] += sign * rows[..., -1:] \
+        * evaluate(form, rows[..., :n])
+    return PhasePoint.from_coords(rows, n) if point else rows
 
 
-def straighten_phi_inverse(form: HolderForm, rho: PhasePoint) -> PhasePoint:
-    if rho.n != form.n:
-        raise ValueError("phase point dimension does not match the form")
-    w = evaluate(form, rho.x[None, :])[0]
-    return phase_point(x=rho.x, z=rho.z, xi=rho.xi + rho.omega * w,
-                       omega=rho.omega)
+def straighten_phi(form: HolderForm, rho):
+    """Phi(x, z, xi, omega) = (x, z, xi - omega w(x), omega); see _shear."""
+    return _shear(form, rho, -1.0)
+
+
+def straighten_phi_inverse(form: HolderForm, rho):
+    return _shear(form, rho, 1.0)
 
 
 @dataclass
@@ -246,10 +251,7 @@ def lipschitz_unit_scale_test(form: HolderForm, p: MetricParams,
     dxi = gdxi * sdxi / dp
     rho = np.hstack([x, z, xi, om])
     rho_p = np.hstack([x + dx, z + gdz * dl, xi + dxi, om + gdom / dl])
-    # Phi of both points of every pair, in flat coordinates (x, z, xi, omega)
-    phi = np.vstack([rho, rho_p])
-    phi[:, n + 1 : 2 * n + 1] -= phi[:, -1:] * evaluate(form, phi[:, :n])
-    phi, phi_p = phi[:n_pairs], phi[n_pairs:]
+    phi, phi_p = np.split(straighten_phi(form, np.vstack([rho, rho_p])), 2)
     num = jbracket(g_norm_rows(np.linalg.norm(phi[:, n + 1 :], axis=1),
                                phi_p - phi, p))
     ratios = num / jbracket(g_norm_rows(en[:, 0], rho_p - rho, p))

@@ -336,18 +336,15 @@ def microlocality_probe(rho: PhasePoint, t: float, flow: FlowModel,
 
 def packet_norm_sq_per_center(transform: BargmannTransform) -> np.ndarray:
     """||phi_(y,eta)||^2 for each window center (independent of y)."""
-    g = transform.grid
-    return np.concatenate([np.sum(prof.reshape(prof.shape[0], -1) ** 2, axis=1)
-                           for _, _, prof, _ in transform._analysis(None)]) \
-        * g.d_eta**g.d
+    return transform.packet_norm_sq()
 
 
 def trace_phase_sum(transform: BargmannTransform, sym: Symbol) -> complex:
     """sum over the phase grid of a(rho) ||phi_rho||^2 cell / (2 pi)^d."""
     g = transform.grid
-    total = sum(nsq * complex(np.sum(np.asarray(sym.fn(transform._sg, eta))))
-                * g.h**g.d for nsq, eta
-                in zip(packet_norm_sq_per_center(transform), transform.centers))
+    sg = g.space_grids()
+    total = sum(nsq * complex(np.sum(np.asarray(sym.fn(sg, eta)))) * g.h**g.d
+                for nsq, eta in zip(transform.packet_norm_sq(), transform.centers))
     return total * g.d_eta**g.d / TWO_PI**g.d
 
 

@@ -329,7 +329,7 @@ def weyl_density_exponent(spec: SpectrumResult, omegas, gamma_re: float = -1.0,
 
 
 def wavefront_value(k: int, xi_u, xi_s, omega, split: DualSplitting,
-                    p: MetricParams, m_eta0: float | None = None):
+                    p: MetricParams):
     """|B phi_k| at probe covectors, in closed form (vectorized).
 
     phi_k = exp(i 2 pi k z) has the single frequency eta0 = (0, 0, 2 pi k),
@@ -341,33 +341,29 @@ def wavefront_value(k: int, xi_u, xi_s, omega, split: DualSplitting,
     xi_vec = split.compose(xi_u, xi_s)
     xi_sq = np.sum(xi_vec**2, axis=-1)
     en = np.sqrt(xi_sq + omega**2)
-    dp = delta_perp(en, p)
-    dl = delta_par(en, p)
+    dp, dl = delta_perp(en, p), delta_par(en, p)
     q = dp**2 * xi_sq + dl**2 * (omega - om0) ** 2
-    if m_eta0 is None:
-        m_eta0 = m_gauss_hermite(np.array([0.0, 0.0, om0]), p, 3)
+    m_eta0 = m_gauss_hermite(np.array([0.0, 0.0, om0]), p, 3)
     out = (2.0 * np.pi) ** 1.5 * np.exp(-0.5 * q) / np.sqrt(m_eta0)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def wavefront_extrema(k: int, split: DualSplitting, p: MetricParams,
-                      cfg: EscapeConfig, hw: float, n_samples: int, seed: int,
-                      eps: float = 0.4):
+                      cfg: EscapeConfig, hw: float, n_samples: int, seed: int):
     """Largest |B phi_k| <omega - 2 pi k>^N W / hw, and largest |B phi_k|
     <eta>^N / hw outside the parabolic vicinity {<omega - 2 pi k> <= r,
-    <|eta|^-alpha_perp xi_s> <= r}, r = max(|eta|, 2)^eps, for N = 2, 4, over
+    <|eta|^-alpha_perp xi_s> <= r}, r = max(|eta|, 2)^0.4, for N = 2, 4, over
     covectors whose xi_u, xi_s, omega - 2 pi k are normal * uniform(0, 30)."""
     om0 = 2.0 * np.pi * k
     rng = np.random.default_rng(seed)
     xu, xs, dom = np.array([[rng.normal() * rng.uniform(0, 30) for _ in range(3)]
                             for _ in range(n_samples)]).reshape(-1, 3).T
     om = om0 + dom
-    m0 = m_gauss_hermite(np.array([0.0, 0.0, om0]), p, 3)
-    val = wavefront_value(k, xu, xs, om, split, p, m_eta0=m0)
+    val = wavefront_value(k, xu, xs, om, split, p)
     w = weight(xu, xs, om, split, cfg, p)
     eta = np.hypot(np.linalg.norm(split.compose(xu, xs), axis=-1), om)
     gs = eta ** (-p.alpha_perp) * np.abs(xs)
-    r = np.maximum(eta, 2.0) ** eps
+    r = np.maximum(eta, 2.0) ** 0.4
     outside = ~((jbracket(om - om0) <= r) & (jbracket(gs) <= r))
     worst = {n_exp: float(np.max(val * jbracket(om - om0) ** n_exp * w / hw,
                                  initial=0.0)) for n_exp in (2, 4)}
@@ -387,14 +383,12 @@ def eigenfunction_hw_norm(k: int, split: DualSplitting, p: MetricParams,
     """
     om0 = 2.0 * np.pi * k
     en0 = abs(om0) if om0 != 0.0 else 1.0
-    dp0 = delta_perp(en0, p)
-    dl0 = delta_par(en0, p)
+    dp0, dl0 = delta_perp(en0, p), delta_par(en0, p)
     xu = np.linspace(-half_width / dp0, half_width / dp0, pts)
     xs = np.linspace(-half_width / dp0, half_width / dp0, pts)
     om = om0 + np.linspace(-half_width / dl0, half_width / dl0, pts)
-    m0 = float(m_gauss_hermite(np.array([0.0, 0.0, om0]), p, 3))
     mu, ms, mo = np.meshgrid(xu, xs, om, indexing="ij")
-    vals = wavefront_value(k, mu, ms, mo, split, p, m_eta0=m0)
+    vals = wavefront_value(k, mu, ms, mo, split, p)
     wts = weight(mu, ms, mo, split, cfg, p)
     total = (wts * vals) ** 2
     for axis_vals, ax in ((om, 2), (xs, 1), (xu, 0)):

@@ -434,6 +434,12 @@ class BargmannTransform:
             acc = _add_rows(acc, prof**2)
         return acc * self.grid.d_eta**self.grid.d
 
+    def packet_norm_sq(self):
+        """||phi_(y,eta)||^2 for each window center (independent of y)."""
+        return np.concatenate([np.sum(prof.reshape(prof.shape[0], -1) ** 2, axis=1)
+                               for _, _, prof, _ in self._analysis(None)]) \
+            * self.grid.d_eta**self.grid.d
+
     def sobolev_norm(self, u, weight=None):
         """Weighted-space norm: sqrt(sum W^2 |Bu|^2 cell / (2 pi)^d).
 
