@@ -13,7 +13,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from anisospec.fractal_count import optimal_alpha, regime_slope, synth_holder
+from anisospec.fractal_count import (box_counts, optimal_alpha, regime_slope,
+                                     synth_holder)
 
 
 def run():
@@ -21,7 +22,8 @@ def run():
     alphas = np.arange(0.5, 0.95 + 1e-9, 0.025)
     for b0 in (0.5, 0.8, 1.0):
         form = synth_holder(b0, seed=3)
-        a_star, e_star = optimal_alpha(form, omegas, alphas)
+        a_star, e_star = optimal_alpha(box_counts(form, omegas, alphas),
+                                       omegas, alphas)
         target = 1.0 / (1.0 + b0)
         print(f"beta0={b0}: alpha* = {a_star:.3f} (target {target:.3f}), "
               f"exponent* = {e_star:.3f}")

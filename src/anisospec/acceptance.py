@@ -20,8 +20,8 @@ from .bracket_metric import (MetricParams, delta_par, distortion_from_eta_norm,
 from .escape import (EscapeConfig, decay_rate_fit, lower_bound_report,
                      order_estimate, theoretical_decay_rate,
                      theoretical_orders)
-from .fractal_count import (lipschitz_unit_scale_test, optimal_alpha,
-                            regime_slope, synth_holder)
+from .fractal_count import (box_counts, lipschitz_unit_scale_test,
+                            optimal_alpha, regime_slope, synth_holder)
 from .quantize import FlowModel, microlocality_probe
 from .shift_model import (ShiftModel, apply_L, apply_L_inv, eigen_residual,
                           eigvec_U, eigvec_V, interior_slice,
@@ -279,7 +279,8 @@ def criterion_8() -> CriterionResult:
     ok = True
     for b0 in (0.5, 0.8, 1.0):
         form = synth_holder(b0, seed=3)
-        a_star, e_star = optimal_alpha(form, omegas, alpha_grid)
+        a_star, e_star = optimal_alpha(box_counts(form, omegas, alpha_grid),
+                                       omegas, alpha_grid)
         target = 1.0 / (1.0 + b0)
         ok &= abs(a_star - target) <= 0.05 and abs(e_star - target) <= 0.05
         details.append(f"b0={b0}: a*={a_star:.3f}/{target:.3f} "

@@ -48,6 +48,12 @@ def _parse_list(key, text, cast, valid, sep=","):
     return values
 
 
+def _require(key, value, ok, rule):
+    """Raise a ConfigError naming key when ok, its range check, is false."""
+    if not ok:
+        raise ConfigError(f"key {key!r}: {rule}, got {value!r}")
+
+
 def load_config(path, known_keys):
     """Flat key=value file; unknown keys are rejected."""
     cfg = {}
@@ -127,6 +133,11 @@ def run_toy(cfg):
     from .shift_model import (ShiftModel, eigen_residual, eigvec_U, eigvec_V,
                               finite_section_report, hw_membership)
 
+    for key in ("w0", "w1"):
+        _require(key, cfg[key], cfg[key] != 0, "must be nonzero")
+    _require("window", cfg["window"], cfg["window"] >= 2, "must be >= 2")
+    _require("section_n", cfg["section_n"], cfg["section_n"] >= 10,
+             "must be >= 10")
     half = int(cfg["window"])
     model = ShiftModel(w0=cfg["w0"], w1=cfg["w1"], r=float(cfg["r"]),
                        window=(-half, half))
@@ -328,35 +339,42 @@ WEYL_DEFAULTS = dict(beta0=0.5, n=1, omega_min=64.0, omega_max=16384.0,
 
 
 def run_weyl_boxes(cfg):
-    from .fractal_count import box_count, optimal_alpha, synth_holder
+    from .fractal_count import box_counts, optimal_alpha, synth_holder
 
     lo, hi, step = _parse_list(
         "alpha_grid", cfg["alpha_grid"], float, sep=":",
         valid=lambda g: len(g) == 3 and bool(np.all(np.isfinite(g)))
         and g[0] <= g[1] and g[2] > 0)
     alphas = np.arange(lo, hi + 1e-9, step)
+    _require("alpha_grid", cfg["alpha_grid"],
+             0.5 <= alphas[0] and alphas[-1] < 1.0,
+             "alphas must lie in [0.5, 1)")
+    beta0, om_min, om_max = (float(cfg[k])
+                             for k in ("beta0", "omega_min", "omega_max"))
+    _require("beta0", beta0, 0.0 < beta0 <= 1.0, "must lie in (0, 1]")
+    _require("n", cfg["n"], cfg["n"] >= 1, "must be >= 1")
+    _require("omega_min", om_min, om_min >= 4.0, "must be >= 4")
+    limit = om_max * (1 + 1e-9)
+    # an infinite limit would never end the doubling loop
+    _require("omega_max", om_max, np.isfinite(limit), "must be finite")
     omegas = []
-    om = float(cfg["omega_min"])
-    while om <= float(cfg["omega_max"]) * (1 + 1e-9):
+    om = om_min
+    while om <= limit:
         omegas.append(om)
         om *= 2.0
-    form = synth_holder(float(cfg["beta0"]), seed=int(cfg["seed"]),
-                        n=int(cfg["n"]))
-    lines = ["omega,alpha,count"]
-    for omv in omegas:
-        for al in alphas:
-            try:
-                c = box_count(form, omv, float(al))
-            except ResolutionError:
-                continue
-            lines.append(f"{omv!r},{float(al)!r},{c}")
-    a_star, e_star = optimal_alpha(form, omegas, alphas)
+    _require("omega_max", om_max, len(omegas) >= 6,
+             "must leave at least 6 dyadic omegas from omega_min")
+    form = synth_holder(beta0, seed=int(cfg["seed"]), n=int(cfg["n"]))
+    counts = box_counts(form, omegas, alphas)
+    a_star, e_star = optimal_alpha(counts, omegas, alphas)
     outdir = pathlib.Path(cfg["output_dir"])
     write_manifest(outdir, "weyl-boxes", cfg)
-    (outdir / "counts.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "counts.csv").write_text("\n".join(
+        ["omega,alpha,count"]
+        + [f"{om!r},{al!r},{c}" for (om, al), c in counts.items()]) + "\n")
     write_json(outdir / "summary.json",
                {"alpha_star": a_star, "exponent_star": e_star,
-                "theory": 1.0 / (1.0 + float(cfg["beta0"]))})
+                "theory": 1.0 / (1.0 + beta0)})
     return 0
 
 

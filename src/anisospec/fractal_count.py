@@ -164,26 +164,35 @@ def regime_slope(form: HolderForm, omegas, alpha: float) -> float:
     return float(np.polyfit(np.log(omegas), np.log(counts), 1)[0])
 
 
-def optimal_alpha(form: HolderForm, omega_list, alpha_grid):
-    """(alpha*, exponent*): the grid alpha minimizing the fitted growth slope.
+def box_counts(form: HolderForm, omegas, alphas) -> dict:
+    """{(omega, alpha): box_count} over the grid, omega-major; cells the
+    evaluator cannot resolve (ResolutionError) are left out."""
+    counts = {}
+    for om in map(float, omegas):
+        for al in map(float, alphas):
+            try:
+                counts[om, al] = box_count(form, om, al)
+            except ResolutionError:
+                continue
+    return counts
 
-    Requires at least 6 dyadic omegas and 3 valid counts per alpha.
+
+def optimal_alpha(counts: dict, omega_list, alpha_grid):
+    """(alpha*, exponent*): the grid alpha minimizing the growth slope fitted
+    to a box_counts table over omega_list x alpha_grid.
+
+    Requires at least 6 dyadic omegas and 3 counts per alpha.
     """
     omega_list = np.asarray(omega_list, dtype=float)
     if omega_list.size < 6:
         raise ValueError("need at least 6 omega values")
     slopes = []
     for al in alpha_grid:
-        counts, oms = [], []
-        for om in omega_list:
-            try:
-                counts.append(box_count(form, om, al))
-                oms.append(om)
-            except ResolutionError:
-                continue
-        if len(counts) < 3:
+        oms = [om for om in omega_list if (om, al) in counts]
+        if len(oms) < 3:
             raise ValueError(f"degenerate fit at alpha = {al}")
-        slopes.append(np.polyfit(np.log(oms), np.log(counts), 1)[0])
+        slopes.append(np.polyfit(np.log(oms),
+                                 np.log([counts[om, al] for om in oms]), 1)[0])
     slopes = np.asarray(slopes)
     i = int(np.argmin(slopes))
     return float(np.asarray(alpha_grid)[i]), float(slopes[i])

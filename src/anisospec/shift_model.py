@@ -194,13 +194,18 @@ def weight_vector(model: ShiftModel) -> np.ndarray:
 
 
 def finite_section_report(model: ShiftModel, n_section: int,
-                          radius_offsets=(-0.05, 0.1, 0.2),
-                          n_angles: int = 24) -> dict:
+                          radius_offsets=(), n_angles: int = 24) -> dict:
     """Diagnostics of the N-truncation of the conjugated operator.
 
     Truncated shifts are nilpotent-plus-perturbation and their pseudospectra
     fill disks, so nothing here is used for acceptance; the report documents
     the finite-section gap against the essential circle of radius e^{-r}.
+
+    resolvent_norms maps each radius e^{-r} + offset (offset in
+    radius_offsets, radius > 0) to the largest resolvent norm over n_angles
+    points of that circle, one dense SVD per point. The default names no
+    radius, so the map is empty and no SVD is taken; the eigenvalue fields
+    do not depend on radius_offsets.
     """
     if n_section < 10:
         raise ValueError("need n_section >= 10")

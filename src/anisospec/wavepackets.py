@@ -216,12 +216,19 @@ def _samples_from_profile(grid: TorusGrid, rho: PhasePoint, prof):
 
 def _exact_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
     """Exact packet: inverse lattice Fourier transform of prof0 / sqrt(m),
-    with m by Gauss-Hermite."""
+    with m by Gauss-Hermite.
+
+    m is evaluated only where prof0 >= 1e-40, the cut of the m-lattice; the
+    profile is 0 elsewhere, which moves no sample beyond rounding.
+    """
     _check_resolution(grid, rho.eta_norm, p)
     fg = grid.freq_grids()
-    msqrt = np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1), p, grid.d))
-    return _samples_from_profile(grid, rho,
-                                 _profile0(grid, [rho.eta], p, fg)[0] / msqrt)
+    prof = _profile0(grid, [rho.eta], p, fg)[0]
+    keep = prof >= 1e-40
+    prof[~keep] = 0.0
+    prof[keep] /= np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1)[keep], p,
+                                          grid.d))
+    return _samples_from_profile(grid, rho, prof)
 
 
 def make_packet(rho: PhasePoint, kind: str, p: MetricParams,

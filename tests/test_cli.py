@@ -1,9 +1,12 @@
 """CLI: subcommands, config handling, determinism, exit codes."""
 
+import collections
 import json
 
+import numpy as np
 import pytest
 
+from anisospec import fractal_count
 from anisospec.cli import main
 
 
@@ -48,6 +51,32 @@ def test_weyl_boxes_subcommand(tmp_path):
     assert abs(summary["alpha_star"] - 2.0 / 3.0) <= 0.08
     header = (out / "counts.csv").read_text().splitlines()[0]
     assert header == "omega,alpha,count"
+
+
+def test_weyl_boxes_counts_each_box_once(tmp_path, monkeypatch):
+    """One box_count per (omega, alpha) cell feeds both counts.csv and the
+    fit, and the summary is the fit of that table."""
+    calls = collections.Counter()
+    box_count = fractal_count.box_count
+
+    def counting(form, omega, alpha, *args):
+        calls[omega, alpha] += 1
+        return box_count(form, omega, alpha, *args)
+
+    monkeypatch.setattr(fractal_count, "box_count", counting)
+    out = tmp_path / "weyl"
+    assert run(["weyl-boxes", "--omega-min", "64", "--omega-max", "2048",
+                "--alpha-grid", "0.5:0.9:0.1", "--output-dir", out]) == 0
+    omegas = 64.0 * 2.0 ** np.arange(6)
+    alphas = np.arange(0.5, 0.9 + 1e-9, 0.1)
+    assert len(calls) == 30 and set(calls.values()) == {1}
+    counts = fractal_count.box_counts(
+        fractal_count.synth_holder(0.5, seed=3), omegas, alphas)
+    a_star, e_star = fractal_count.optimal_alpha(counts, omegas, alphas)
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["alpha_star"], summary["exponent_star"]) == (a_star, e_star)
+    rows = (out / "counts.csv").read_text().splitlines()[1:]
+    assert rows == [f"{om!r},{al!r},{c}" for (om, al), c in counts.items()]
 
 
 def test_escape_sweep_subcommand(tmp_path):
@@ -101,8 +130,19 @@ def test_malformed_config_rejected(tmp_path):
     for args in (["verify-all", "--criteria", "0"],
                  ["verify-all", "--criteria", "12"],
                  ["resolution-check", "--windows", "7,,10"],
-                 ["weyl-boxes", "--alpha-grid", "0.5:0.9"]):
+                 ["weyl-boxes", "--alpha-grid", "0.5:0.9"],
+                 ["toy", "--section-n", "5"],
+                 ["toy", "--window", "1"],
+                 ["toy", "--w0", "0"],
+                 ["toy", "--w1", "0"],
+                 ["weyl-boxes", "--omega-min", "2"],
+                 ["weyl-boxes", "--alpha-grid", "0.3:0.9:0.1"],
+                 ["weyl-boxes", "--beta0", "0"],
+                 ["weyl-boxes", "--n", "0"],
+                 ["weyl-boxes", "--omega-max", "100"],
+                 ["weyl-boxes", "--omega-max", "inf"]):
         assert run(args + ["--output-dir", tmp_path / "y"]) == 2
+        assert not (tmp_path / "y").exists()
 
 
 def test_resolution_error_exit_code(tmp_path):

@@ -9,8 +9,9 @@ from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
                                       g_norm, jbracket, phase_point)
 from anisospec.errors import ResolutionError
-from anisospec.fractal_count import (HolderForm, box_count, evaluate,
-                                     holder_ratio, lipschitz_unit_scale_test,
+from anisospec.fractal_count import (HolderForm, box_count, box_counts,
+                                     evaluate, holder_ratio,
+                                     lipschitz_unit_scale_test,
                                      optimal_alpha, regime_slope,
                                      straighten_phi, straighten_phi_inverse,
                                      synth_holder)
@@ -88,7 +89,8 @@ def test_optimal_alpha(b0):
     form = synth_holder(b0, seed=3)
     omegas = 2.0 ** np.arange(6, 15)
     alphas = np.arange(0.5, 0.95 + 1e-9, 0.025)
-    a_star, e_star = optimal_alpha(form, omegas, alphas)
+    a_star, e_star = optimal_alpha(box_counts(form, omegas, alphas), omegas,
+                                   alphas)
     target = 1.0 / (1.0 + b0)
     assert abs(a_star - target) <= 0.05
     assert abs(e_star - target) <= 0.05
@@ -111,8 +113,33 @@ def test_e_alpha_unimodal():
 
 def test_optimal_alpha_needs_omegas():
     form = synth_holder(0.5, seed=3)
-    with pytest.raises(ValueError):
-        optimal_alpha(form, [64.0, 128.0], [0.5, 0.6])
+    omegas, alphas = [64.0, 128.0], [0.5, 0.6]
+    with pytest.raises(ValueError, match="at least 6"):
+        optimal_alpha(box_counts(form, omegas, alphas), omegas, alphas)
+
+
+def test_optimal_alpha_needs_three_counts_per_alpha():
+    """A table with 2 cells left at one alpha (as when the evaluator refuses
+    the rest) has no fit there."""
+    form = synth_holder(0.5, seed=3)
+    omegas, alphas = 2.0 ** np.arange(6, 12), [0.5, 0.6]
+    counts = box_counts(form, omegas, alphas)
+    optimal_alpha(counts, omegas, alphas)
+    for om in omegas[2:]:
+        del counts[om, 0.6]
+    with pytest.raises(ValueError, match="degenerate fit at alpha = 0.6"):
+        optimal_alpha(counts, omegas, alphas)
+
+
+def test_box_counts_table():
+    """Omega-major cells of box_count; refused cells are left out."""
+    form = synth_holder(0.5, seed=3)
+    omegas, alphas = [64.0, 2.0**20], np.array([0.5, 0.9])
+    counts = box_counts(form, omegas, alphas)
+    assert list(counts) == [(64.0, 0.5), (64.0, 0.9), (2.0**20, 0.5)]
+    assert counts[64.0, 0.9] == box_count(form, 64.0, 0.9)
+    with pytest.raises(ResolutionError):
+        box_count(form, 2.0**20, 0.9)
 
 
 def test_straighten_identity_at_zero_frequency():

@@ -8,7 +8,8 @@ from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
                                       distortion, jbracket, phase_point)
 from anisospec.errors import ResolutionError
 from anisospec.wavepackets import (_BATCH_BYTES, TWO_PI, BargmannTransform,
-                                   TorusGrid, _m_lattice, chart_decompose,
+                                   TorusGrid, _m_lattice, _profile0,
+                                   _samples_from_profile, chart_decompose,
                                    chart_recompose, circle_atlas,
                                    m_closed_form_constant, m_gauss_hermite,
                                    make_packet, packet_norm_sq_continuous,
@@ -182,6 +183,27 @@ def test_exact_equals_gaussian_constant_regime():
     ex = make_packet(rho, "exact", p, g).samples
     ga = make_packet(rho, "gaussian", p, g).samples
     assert g.norm(ex - ga) <= 1e-8
+
+
+@pytest.mark.parametrize("n, points, length, xi, omega", [
+    (1, 64, np.pi, [1.0], 2.0),
+    (1, 96, TWO_PI, [-4.0], 6.0),
+    (0, 2048, TWO_PI, [], 128.0),
+])
+def test_exact_samples_match_full_grid_m(params_half, n, points, length, xi,
+                                         omega):
+    """m only where the profile is at least 1e-40 gives the samples of m on
+    the whole grid, up to the rounding of its node chunks."""
+    p = params_half
+    g = TorusGrid(n, points, length)
+    rho = phase_point(x=[1.0] * n, z=2.0, xi=xi, omega=omega)
+    fg = g.freq_grids()
+    assert 0 < np.count_nonzero(_profile0(g, [rho.eta], p, fg) < 1e-40)
+    m = m_gauss_hermite(np.stack(fg, axis=-1), p, g.d)
+    prof = _profile0(g, [rho.eta], p, fg)[0] / np.sqrt(m)
+    ref = _samples_from_profile(g, rho, prof)
+    ex = make_packet(rho, "exact", p, g).samples
+    assert np.max(np.abs(ex - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_exact_gaussian_difference_bounded_by_distortion(params_half):
