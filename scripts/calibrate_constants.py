@@ -118,7 +118,7 @@ def weighted_space_temperate():
 
 
 def composition_constant():
-    from anisospec.quantize import (BandSubspace, Symbol, WeightedSpace,
+    from anisospec.quantize import (BandSubspace, WeightedSpace, bump_symbol,
                                     composition_residual)
     p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(0, 128)
@@ -127,18 +127,10 @@ def composition_constant():
     wfun = lambda sg, eta: jbracket(eta[-1]) ** 1.0 * np.ones_like(sg[0])
     space = WeightedSpace(weight=wfun, transform=tr)
 
-    def bump(z0, om0, wz, wom, hval):
-        def fn(sg, eta):
-            dz2 = 2.0 * (1.0 - np.cos(sg[0] - z0))
-            return np.exp(-dz2 / (2 * wz**2)
-                          - ((eta[-1] - om0) / wom) ** 2 / 2)
-        return Symbol(fn=fn, h=lambda sg, eta: hval * np.ones_like(sg[0]),
-                      n0=1.0)
-
     worst = 0.0
     for za, zb in ((2.0, 3.5), (1.0, 1.5), (4.0, 0.5)):
-        sa = bump(za, 4.0, 2.0, 8.0, 0.2)
-        sb = bump(zb, -2.0, 2.5, 10.0, 0.2)
+        sa = bump_symbol(za, 4.0, 2.0, 8.0, 0.2)
+        sb = bump_symbol(zb, -2.0, 2.5, 10.0, 0.2)
         est, bound = composition_residual(sa, sb, space, band, c_frozen=1.0)
         worst = max(worst, est / bound)
     print(f"composition: C >= {worst:.4f}")

@@ -1,18 +1,19 @@
 """anisospec: desk-scale numerics for anisotropic-Sobolev transfer-operator
 spectra.
 
-Subpackages follow the machinery they implement: bracket_metric (Japanese
-bracket and the phase-space metric), wavepackets (charts, packets, the
-wave-packet transform), quantize (anti-Wick operators and residual probes),
-escape (weight functions over linear hyperbolic models), shift_model (the
-bi-infinite weighted shift), suspension (cat-map mapping torus), and
-fractal_count (Holder graphs and symplectic box covers).
+Modules follow the machinery they implement: bracket_metric (Japanese
+bracket and the phase-space metric), wavepackets (packets and the
+wave-packet transform on periodic grids), quantize (anti-Wick operators,
+weighted norms estimated from below by power iteration, and residual
+probes), escape (weight functions over linear hyperbolic models),
+shift_model (the bi-infinite weighted shift), suspension (cat-map mapping
+torus), and fractal_count (Holder graphs and symplectic box covers).
 """
 
 __version__ = "0.1.0"
 
 from .bracket_metric import MetricParams, PhasePoint, jbracket, phase_point
-from .errors import CertificationError, ResolutionError
+from .errors import ResolutionError
 
 __all__ = [
     "MetricParams",
@@ -20,6 +21,5 @@ __all__ = [
     "jbracket",
     "phase_point",
     "ResolutionError",
-    "CertificationError",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from .shift_model import (ShiftModel, apply_L, apply_L_inv, eigen_residual,
 from .suspension import (MappingTorus, eigenfunction_hw_norm, full_spectrum,
                          generator_residual, wavefront_extrema, weyl_count,
                          weyl_density_exponent, zero_sector_spectrum)
-from .wavepackets import (BargmannTransform, TorusGrid,
+from .wavepackets import (BargmannTransform, TorusGrid, band_limited_field,
                           packet_norm_sq_continuous)
 
 
@@ -99,17 +99,9 @@ def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(1, RESOLUTION_GRID["points"], length=RESOLUTION_GRID["length"])
-    band = RESOLUTION_GRID["band"]
     rng = np.random.default_rng(5)
-    xg, zg = g.space_grids()
-    us = []
-    for _ in range(3):
-        u = np.zeros(g.shape, dtype=complex)
-        for kx in range(-band, band + 1):
-            for kz in range(-band, band + 1):
-                c = rng.normal() + 1j * rng.normal()
-                u += c * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
-        us.append(u)
+    us = [band_limited_field(g, RESOLUTION_GRID["band"], rng)
+          for _ in range(3)]
     residuals = []
     for win in RESOLUTION_GRID["windows"]:
         tr = BargmannTransform(g, p, window=win)

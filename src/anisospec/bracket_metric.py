@@ -44,21 +44,6 @@ class MetricParams:
                 f"alpha_par must lie in [0, alpha_perp], got {self.alpha_par}"
             )
 
-    def to_config(self):
-        return {
-            "delta0": self.delta0,
-            "alpha_perp": self.alpha_perp,
-            "alpha_par": self.alpha_par,
-        }
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(
-            delta0=float(cfg["delta0"]),
-            alpha_perp=float(cfg["alpha_perp"]),
-            alpha_par=float(cfg["alpha_par"]),
-        )
-
 
 def _delta(eta_norm, delta0, alpha):
     """min(delta0, |eta|^-alpha); the power term counts as +inf at eta = 0."""

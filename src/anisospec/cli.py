@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import CertificationError, ResolutionError
+from .errors import ResolutionError
 
 
 class ConfigError(ValueError):
@@ -173,19 +173,13 @@ RESOLUTION_DEFAULTS = dict(points=128, length=float(np.pi), band=2,
 
 def run_resolution_check(cfg):
     from .bracket_metric import MetricParams
-    from .wavepackets import BargmannTransform, TorusGrid
+    from .wavepackets import BargmannTransform, TorusGrid, band_limited_field
 
     p = MetricParams(float(cfg["delta0"]), float(cfg["alpha_perp"]),
                      float(cfg["alpha_par"]))
     g = TorusGrid(1, int(cfg["points"]), length=float(cfg["length"]))
-    band = int(cfg["band"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    xg, zg = g.space_grids()
-    u = np.zeros(g.shape, dtype=complex)
-    for kx in range(-band, band + 1):
-        for kz in range(-band, band + 1):
-            u += (rng.normal() + 1j * rng.normal()) \
-                * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
+    u = band_limited_field(g, int(cfg["band"]),
+                           np.random.default_rng(int(cfg["seed"])))
     windows = _parse_list("windows", cfg["windows"], int,
                           lambda ws: min(ws) >= 0)
     levels = []
@@ -213,11 +207,16 @@ QUANTIZE_DEFAULTS = dict(points=128, window=16, band=4, weight_order=1.0,
 def run_quantize_probes(cfg):
     from . import frozen
     from .bracket_metric import MetricParams, jbracket
-    from .quantize import (BandSubspace, FlowModel, Symbol, WeightedSpace,
+    from .quantize import (BandSubspace, FlowModel, WeightedSpace, bump_symbol,
                            composition_residual, constant_symbol,
                            egorov_residual)
     from .wavepackets import BargmannTransform, TorusGrid
 
+    points = cfg["points"]
+    _require("points", points, points >= 4 and points % 2 == 0,
+             "must be even and >= 4")
+    for key in ("window", "band"):
+        _require(key, cfg[key], cfg[key] >= 0, "must be >= 0")
     p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(0, int(cfg["points"]))
     tr = BargmannTransform(g, p, window=int(cfg["window"]))
@@ -227,18 +226,12 @@ def run_quantize_probes(cfg):
         weight=lambda sg, eta: jbracket(eta[-1]) ** r_ord
         * np.ones_like(sg[0]), transform=tr)
 
-    def bump(z0, om0, wz, wom, hval):
-        return Symbol(
-            fn=lambda sg, eta: np.exp(-2.0 * (1.0 - np.cos(sg[0] - z0))
-                                      / (2 * wz**2)
-                                      - ((eta[-1] - om0) / wom) ** 2 / 2),
-            h=lambda sg, eta: hval * np.ones_like(sg[0]), n0=1.0)
-
     base_params = {"points": int(cfg["points"]), "window": int(cfg["window"]),
                    "band": int(cfg["band"]),
                    "weight_order": float(cfg["weight_order"])}
     records = []
-    sa, sb = bump(2.0, 4.0, 2.0, 8.0, 0.2), bump(3.5, -2.0, 2.5, 10.0, 0.2)
+    sa = bump_symbol(2.0, 4.0, 2.0, 8.0, 0.2)
+    sb = bump_symbol(3.5, -2.0, 2.5, 10.0, 0.2)
     est, bound = composition_residual(sa, constant_symbol(2.0), space, band,
                                       frozen.COMPOSITION_C)
     records.append({"probe": "composition_b_constant", "params": base_params,
@@ -316,6 +309,9 @@ def run_suspension(cfg):
     from .escape import EscapeConfig
     from .suspension import MappingTorus, full_spectrum
 
+    _require("R", cfg["R"], cfg["R"] > 0, "must be > 0")
+    _require("k_max", cfg["k_max"], cfg["k_max"] >= 0, "must be >= 0")
+    _require("nu_max", cfg["nu_max"], cfg["nu_max"] >= 1, "must be >= 1")
     p = MetricParams(float(cfg["delta0"]), float(cfg["alpha_perp"]),
                      float(cfg["alpha_par"]))
     ec = EscapeConfig(r_u=float(cfg["R"]), r_s=float(cfg["R"]),
@@ -452,9 +448,6 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return 3
-    except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

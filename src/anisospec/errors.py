@@ -1,13 +1,6 @@
-"""Shared exception types."""
+"""The shared exception type."""
 
 
 class ResolutionError(RuntimeError):
     """A grid is too coarse (or a window too small) to resolve the requested object."""
 
-
-class CertificationError(RuntimeError):
-    """A spectral certificate failed; carries the offending items."""
-
-    def __init__(self, message, failing=()):
-        super().__init__(message)
-        self.failing = list(failing)

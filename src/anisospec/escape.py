@@ -114,17 +114,6 @@ class EscapeConfig:
         if not self.h0 > 0:
             raise ValueError("h0 must be positive")
 
-    def to_config(self):
-        return {
-            "r_u": self.r_u,
-            "r_s": self.r_s,
-            "gamma": self.gamma,
-            "gamma_prime": self.gamma_prime,
-            "h0": self.h0,
-            "variant": self.variant,
-            "t_avg": self.t_avg,
-        }
-
 
 def _gnorm_quantities(xi_u, xi_s, omega, split: DualSplitting, p: MetricParams):
     """(|Xi_u|_g, |Xi_s|_g, |Xi_*|_g) for covector components.
@@ -179,14 +168,13 @@ def _a0_profile(theta, width):
     return -1.0 + 2.0 * smoothstep((d - lo) / width)
 
 
-def projective_average(xi_u, xi_s, cfg: EscapeConfig, split: DualSplitting,
-                       nodes: int = 64):
+def projective_average(xi_u, xi_s, cfg: EscapeConfig, split: DualSplitting):
     """Time average of the projective profile along the linear flow.
 
-    a(Xi_*) = (1/2T) int_{-T}^{T} a0([phi^t Xi_*]) dt by trapezoid quadrature;
-    the projective flow is explicit: components scale by e^{+-lam t}.
+    a(Xi_*) = (1/2T) int_{-T}^{T} a0([phi^t Xi_*]) dt by the trapezoid rule on
+    65 times; the projective flow is explicit: components scale by e^{+-lam t}.
     """
-    ts = np.linspace(-cfg.t_avg, cfg.t_avg, nodes + 1)
+    ts = np.linspace(-cfg.t_avg, cfg.t_avg, 65)
     xi_u = np.asarray(xi_u, dtype=float)
     xi_s = np.asarray(xi_s, dtype=float)
     vals = np.array([
@@ -237,18 +225,16 @@ def decay_rate_fit(xi_u, xi_s, omega, ts, split, cfg, p):
 
 
 def order_estimate(direction, split: DualSplitting, cfg: EscapeConfig,
-                   p: MetricParams, alphas=None):
+                   p: MetricParams):
     """Least-squares slope of log W(alpha * Xi) vs log alpha.
 
-    direction is a (xi_u, xi_s, omega) component triple; the default dyadic
-    sweep is alpha in {2^4 .. 2^12}.
+    direction is a (xi_u, xi_s, omega) component triple; the sweep is the
+    dyadic alpha in {2^4 .. 2^12}.
     """
     xu, xs, om = (float(c) for c in direction)
     if xu == 0.0 and xs == 0.0 and om == 0.0:
         raise ValueError("direction must be nonzero")
-    if alphas is None:
-        alphas = 2.0 ** np.arange(4, 13)
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = 2.0 ** np.arange(4, 13)
     vals = np.array([
         weight(a * xu, a * xs, a * om, split, cfg, p) for a in alphas
     ])
@@ -346,19 +332,19 @@ def theoretical_orders(cfg: EscapeConfig, p: MetricParams):
     return {"flow": 0.0, "unstable": -cfg.r1, "stable": cfg.r1}
 
 
-def temperate_ratio_samples(split, cfg, p, n_samples=2000, seed=0, scale=50.0):
+def temperate_ratio_samples(split, cfg, p, n_samples=2000, seed=0):
     """Sampled (W(rho')/W(rho), <h_gamma'(rho) |rho'-rho|_g>) pairs in one chart.
 
     Used to fit/regress the temperate property of the weight; components are
-    drawn log-uniformly so both near-trapped and far covectors appear.
+    drawn log-uniformly up to 50 so both near-trapped and far covectors appear.
     """
     rng = np.random.default_rng(seed)
     n = n_samples
 
     def draw():
-        mag = np.exp(rng.uniform(0.0, np.log(scale), size=n))
+        mag = np.exp(rng.uniform(0.0, np.log(50.0), size=n))
         ang = rng.uniform(0.0, 2 * np.pi, size=n)
-        om = rng.uniform(-scale, scale, size=n)
+        om = rng.uniform(-50.0, 50.0, size=n)
         return mag * np.cos(ang), mag * np.sin(ang), om
 
     xu0, xs0, om0 = draw()

@@ -72,7 +72,7 @@ def apply_L_inv(model: ShiftModel, u) -> np.ndarray:
     return out
 
 
-def interior_slice(model: ShiftModel, pad: int = 1) -> slice:
+def interior_slice(model: ShiftModel, pad: int) -> slice:
     """Rows unaffected by the window boundary (pad rows dropped at each end)."""
     return slice(pad, model.size - pad)
 
@@ -123,9 +123,10 @@ def eigvec_V(model: ShiftModel, v1: complex = 1.0) -> TailSequence:
     return TailSequence(values=vals, ratio_pos=0.0, ratio_neg=w1)
 
 
-def eigen_residual(model: ShiftModel, seq: TailSequence, eigenvalue: complex,
-                   pad: int = 1) -> float:
-    """Row-relative residual max_j |(L seq - ev seq)_j| / scale_j, interior rows.
+def eigen_residual(model: ShiftModel, seq: TailSequence,
+                   eigenvalue: complex) -> float:
+    """Row-relative residual max_j |(L seq - ev seq)_j| / scale_j over the
+    interior rows (one boundary row dropped at each end).
 
     scale_j is the largest component magnitude feeding row j (the components
     grow geometrically across the window, so an absolute residual would be
@@ -135,7 +136,7 @@ def eigen_residual(model: ShiftModel, seq: TailSequence, eigenvalue: complex,
     scale = np.abs(vals).copy()
     scale[1:] = np.maximum(scale[1:], np.abs(vals[:-1]))
     scale = np.maximum(scale, np.max(np.abs(vals)) * 1e-30)
-    sl = interior_slice(model, pad)
+    sl = interior_slice(model, 1)
     return float(np.max(np.abs(r[sl]) / scale[sl]))
 
 
@@ -193,19 +194,12 @@ def weight_vector(model: ShiftModel) -> np.ndarray:
     return np.exp(-model.r * model.indices)
 
 
-def finite_section_report(model: ShiftModel, n_section: int,
-                          radius_offsets=(), n_angles: int = 24) -> dict:
+def finite_section_report(model: ShiftModel, n_section: int) -> dict:
     """Diagnostics of the N-truncation of the conjugated operator.
 
     Truncated shifts are nilpotent-plus-perturbation and their pseudospectra
     fill disks, so nothing here is used for acceptance; the report documents
     the finite-section gap against the essential circle of radius e^{-r}.
-
-    resolvent_norms maps each radius e^{-r} + offset (offset in
-    radius_offsets, radius > 0) to the largest resolvent norm over n_angles
-    points of that circle, one dense SVD per point. The default names no
-    radius, so the map is empty and no SVD is taken; the eigenvalue fields
-    do not depend on radius_offsets.
     """
     if n_section < 10:
         raise ValueError("need n_section >= 10")
@@ -215,20 +209,6 @@ def finite_section_report(model: ShiftModel, n_section: int,
     mat = conjugated_LW(sec_model)
     eigs = np.linalg.eigvals(mat)
     er = np.exp(-model.r)
-    resolvent = {}
-    eye = np.eye(sec_model.size)
-    for off in radius_offsets:
-        rad = er + off
-        if rad <= 0:
-            continue
-        worst = 0.0
-        for th in np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False):
-            zz = rad * np.exp(1j * th)
-            s = np.linalg.svd(zz * eye - mat, compute_uv=False)
-            # the smallest singular value can underflow to 0 inside the
-            # pseudospectral disk; report the blow-up as inf
-            worst = max(worst, 1.0 / s[-1] if s[-1] > 0.0 else np.inf)
-        resolvent[rad] = worst
     gap_u = np.min(np.abs(eigs - model.w0))
     isolated_expected = abs(model.w0) > er + 0.1
     return {
@@ -237,5 +217,4 @@ def finite_section_report(model: ShiftModel, n_section: int,
         "dist_to_w0": float(gap_u),
         "w0_isolated_expected": bool(isolated_expected),
         "w0_found": bool(gap_u < 1e-6),
-        "resolvent_norms": resolvent,
     }

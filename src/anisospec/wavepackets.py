@@ -1,4 +1,4 @@
-"""Flow-box charts, wave packets and the wave-packet (Bargmann) transform.
+"""Wave packets and the wave-packet (Bargmann) transform.
 
 Everything lives on periodic grids.  A packet centered at rho = (y, eta) is
 built from the frequency Gaussian
@@ -17,6 +17,7 @@ truncation of the phase window).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,17 @@ class TorusGrid:
             - 0.5 * self.length
 
 
+def band_limited_field(grid: TorusGrid, band: int, rng):
+    """sum_k c_k e^{i k.y} over the lattice modes with |k_i| <= band, with
+    c_k = normal + i normal drawn from rng, modes in row-major order."""
+    sg = grid.space_grids()
+    u = np.zeros(grid.shape, dtype=complex)
+    for ks in itertools.product(range(-band, band + 1), repeat=grid.d):
+        u += (rng.normal() + 1j * rng.normal()) \
+            * np.exp(1j * grid.d_eta * sum(k * s for k, s in zip(ks, sg)))
+    return u
+
+
 def _profile0(grid: TorusGrid, eta_centers, p: MetricParams, fg):
     """Unnormalized frequency Gaussians of the packets centered at the rows of
     eta_centers, shape (c,) + grid.shape; fg is grid.freq_grids()."""
@@ -94,8 +106,9 @@ def _profile0(grid: TorusGrid, eta_centers, p: MetricParams, fg):
     return np.exp(-0.5 * q)
 
 
-def m_gauss_hermite(eta_primes, p: MetricParams, d: int, nodes: int = 32):
-    """m(eta') = int |prof0(eta; eta')|^2 d eta by scaled Gauss-Hermite.
+def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
+    """m(eta') = int |prof0(eta; eta')|^2 d eta by scaled Gauss-Hermite,
+    32 nodes per axis.
 
     The substitution eta = eta' - t / delta(eta') makes the rule exact when
     delta is constant over the node range (closed form pi^{d/2} / prod delta).
@@ -104,7 +117,7 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int, nodes: int = 32):
     eta_primes = np.asarray(eta_primes, dtype=float)
     single = eta_primes.ndim == 1
     pts = eta_primes.reshape(-1, d)
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = np.polynomial.hermite.hermgauss(32)
     logw = np.log(w) + t**2  # w_i e^{t_i^2}, kept in log for stability
     en = np.linalg.norm(pts, axis=1)
     scales = np.stack([delta_perp(en, p)] * (d - 1) + [delta_par(en, p)],
@@ -243,12 +256,11 @@ def make_packet(rho: PhasePoint, kind: str, p: MetricParams,
 
 
 def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
-                              half_width: float = 10.0,
                               points_per_axis: int = 129) -> float:
     """Continuous ||packet||^2 = int prof0^2/m d eta' by local trapezoid.
 
     The integrand is concentrated within ~1/delta of the center per axis;
-    half_width is measured in those units.
+    the trapezoid covers 10 of those units on each side.
     """
     eta_center = np.asarray(eta_center, dtype=float)
     en = float(np.linalg.norm(eta_center))
@@ -256,7 +268,7 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
     axes = []
     for ax in range(d):
         scale = dp if ax < d - 1 else dl
-        axes.append(eta_center[ax] + np.linspace(-half_width, half_width,
+        axes.append(eta_center[ax] + np.linspace(-10.0, 10.0,
                                                  points_per_axis) / scale)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
@@ -460,85 +472,3 @@ class BargmannTransform:
         total = np.cumsum(per_center)[-1]
         return float(np.sqrt(total * self.cell / TWO_PI**self.grid.d))
 
-
-# -- charts ---------------------------------------------------------------
-
-
-@dataclass
-class ChartAtlas:
-    """Charts over a circle grid: shifts kappa_j with quadratic partition.
-
-    chi[j] is sampled on the global grid; offsets[j] is the integer grid
-    shift realizing kappa_j.  det D kappa = 1 for shifts; the array is kept
-    explicit so the recomposition formula stays the general one.
-    """
-
-    points: int
-    chi: np.ndarray          # (J, points)
-    offsets: np.ndarray      # (J,)
-    det: np.ndarray          # (J, points)
-
-    def __post_init__(self):
-        s = np.sum(self.chi**2 * self.det, axis=0)
-        if np.max(np.abs(s - 1.0)) > 1e-12:
-            raise ValueError("quadratic partition of unity is violated")
-
-    @property
-    def n_charts(self):
-        return self.chi.shape[0]
-
-
-def single_chart_atlas(points: int) -> ChartAtlas:
-    """One global chart, chi = 1, det = 1 (torus models)."""
-    return ChartAtlas(points=points,
-                      chi=np.ones((1, points)),
-                      offsets=np.zeros(1, dtype=int),
-                      det=np.ones((1, points)))
-
-
-def circle_atlas(points: int, n_charts: int = 2) -> ChartAtlas:
-    """Overlapping-arc cover of the circle with a quadratic partition.
-
-    Bump profiles are normalized pointwise by sqrt(sum chi0^2) so the
-    partition identity holds exactly on grid points.
-    """
-    if n_charts < 2:
-        raise ValueError("use single_chart_atlas for one chart")
-    t = np.arange(points) / points
-    chi0 = np.zeros((n_charts, points))
-    width = 1.0 / n_charts
-    for j in range(n_charts):
-        center = j * width
-        d = np.abs((t - center + 0.5) % 1.0 - 0.5)
-        s = d / (0.95 * width)
-        with np.errstate(divide="ignore", over="ignore"):
-            a = np.where(s < 1.0, np.exp(-1.0 / np.maximum(1.0 - s**2, 1e-300)), 0.0)
-        chi0[j] = a
-    denom = np.sqrt(np.sum(chi0**2, axis=0))
-    if np.any(denom == 0.0):
-        raise ValueError("charts do not cover the circle")
-    chi = chi0 / denom
-    offsets = (np.arange(n_charts) * points) // n_charts
-    return ChartAtlas(points=points, chi=chi, offsets=offsets,
-                      det=np.ones((n_charts, points)))
-
-
-def chart_decompose(u, atlas: ChartAtlas):
-    """I u: per-chart functions v_j(y) = chi_j(y) (u o kappa_j^{-1})(y)."""
-    u = np.asarray(u)
-    if u.shape != (atlas.points,):
-        raise ValueError("grid function does not match the atlas grid")
-    return [np.roll(atlas.chi[j] * u, -atlas.offsets[j])
-            for j in range(atlas.n_charts)]
-
-
-def chart_recompose(vs, atlas: ChartAtlas):
-    """I* v: u(m) = sum_j chi_j(kappa_j m) v_j(kappa_j m) |det D kappa_j|."""
-    if len(vs) != atlas.n_charts:
-        raise ValueError("wrong number of chart functions")
-    out = np.zeros(atlas.points, dtype=complex)
-    for j, v in enumerate(vs):
-        if np.asarray(v).shape != (atlas.points,):
-            raise ValueError("grid function does not match the atlas grid")
-        out += atlas.chi[j] * atlas.det[j] * np.roll(v, atlas.offsets[j])
-    return out

@@ -153,13 +153,6 @@ def test_fit_power_constant():
     assert fit_power_constant(ratios, brackets, 3.0) == pytest.approx(2.0)
 
 
-def test_metric_params_config_roundtrip():
-    p = MetricParams(0.8, 0.6, 0.25)
-    cfg = p.to_config()
-    assert cfg == {"delta0": 0.8, "alpha_perp": 0.6, "alpha_par": 0.25}
-    assert MetricParams.from_config(cfg) == p
-
-
 class TestInequalityFuzz:
     """The Appendix-C inequality suite at full proof constants (also run as
     acceptance criterion 4; retained here per-inequality for diagnosis)."""

@@ -42,6 +42,13 @@ def test_suspension_subcommand(tmp_path):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_suspension_failing_certificate_exits_1(tmp_path):
+    out = tmp_path / "susp"
+    assert run(["suspension", "--threshold", "0.001", "--output-dir", out]) == 1
+    lines = (out / "certificates.csv").read_text().splitlines()
+    assert any(line.endswith("false") for line in lines[1:])
+
+
 def test_weyl_boxes_subcommand(tmp_path):
     out = tmp_path / "weyl"
     code = run(["weyl-boxes", "--beta0", "0.5", "--omega-min", "64",
@@ -53,15 +60,24 @@ def test_weyl_boxes_subcommand(tmp_path):
     assert header == "omega,alpha,count"
 
 
+def test_weyl_boxes_two_dimensional_base(tmp_path):
+    """n = 2 at the default omegas: the growth exponent n/(1+beta0)."""
+    out = tmp_path / "weyl2"
+    assert run(["weyl-boxes", "--n", "2", "--output-dir", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["alpha_star"] - 2.0 / 3.0) <= 0.05
+    assert abs(summary["exponent_star"] - 2.0 / 1.5) <= 0.05
+
+
 def test_weyl_boxes_counts_each_box_once(tmp_path, monkeypatch):
     """One box_count per (omega, alpha) cell feeds both counts.csv and the
     fit, and the summary is the fit of that table."""
     calls = collections.Counter()
     box_count = fractal_count.box_count
 
-    def counting(form, omega, alpha, *args):
+    def counting(form, omega, alpha):
         calls[omega, alpha] += 1
-        return box_count(form, omega, alpha, *args)
+        return box_count(form, omega, alpha)
 
     monkeypatch.setattr(fractal_count, "box_count", counting)
     out = tmp_path / "weyl"
@@ -140,7 +156,15 @@ def test_malformed_config_rejected(tmp_path):
                  ["weyl-boxes", "--beta0", "0"],
                  ["weyl-boxes", "--n", "0"],
                  ["weyl-boxes", "--omega-max", "100"],
-                 ["weyl-boxes", "--omega-max", "inf"]):
+                 ["weyl-boxes", "--omega-max", "inf"],
+                 ["quantize-probes", "--band", "-1"],
+                 ["quantize-probes", "--window", "-3"],
+                 ["quantize-probes", "--points", "7"],
+                 ["quantize-probes", "--points", "2"],
+                 ["suspension", "--R", "0"],
+                 ["suspension", "--k-max", "-1"],
+                 ["suspension", "--nu-max", "-1"],
+                 ["suspension", "--nu-max", "0"]):
         assert run(args + ["--output-dir", tmp_path / "y"]) == 2
         assert not (tmp_path / "y").exists()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisospec import frozen
+from anisospec import fractal_count, frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
                                       g_norm, jbracket, phase_point)
 from anisospec.errors import ResolutionError
@@ -13,8 +13,7 @@ from anisospec.fractal_count import (HolderForm, box_count, box_counts,
                                      evaluate, holder_ratio,
                                      lipschitz_unit_scale_test,
                                      optimal_alpha, regime_slope,
-                                     straighten_phi, straighten_phi_inverse,
-                                     synth_holder)
+                                     straighten_phi, synth_holder)
 
 
 def test_trivial_smooth_form():
@@ -28,10 +27,12 @@ def test_trivial_smooth_form():
 
 
 def test_amplitude_bound():
+    """|w| stays below the geometric series amplitude * sum_k 2^(-beta0 k)."""
     form = synth_holder(0.5, seed=1, normalize=False)
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, size=(2000, 1))
-    assert np.max(np.abs(evaluate(form, x))) <= form.amplitude_bound
+    bound = form.amplitude * sum(2.0 ** (-0.5 * k) for k in range(18))
+    assert np.max(np.abs(evaluate(form, x))) <= bound
 
 
 def test_form_validation():
@@ -68,6 +69,40 @@ def test_box_count_validation():
         box_count(form, 64.0, 0.3)
     with pytest.raises(ResolutionError):
         box_count(form, 2.0**40, 0.9)
+
+
+def _box_count_per_cell(form, omega, alpha):
+    """box_count as a loop over all ceil(omega^alpha)^n base cells, each
+    sampled on its own 16^n grid."""
+    height = omega**alpha
+    n_cells = int(np.ceil(height))
+    side = 1.0 / n_cells
+    offs = (np.arange(16) + 0.5) / 16 * side
+    grids = np.meshgrid(*([offs] * form.n), indexing="ij")
+    local = np.stack([g.ravel() for g in grids], axis=1)
+    total = 0
+    for idx in np.ndindex(*([n_cells] * form.n)):
+        vals = omega * evaluate(form, np.asarray(idx, dtype=float) * side
+                                + local)
+        count = 1
+        for i in range(form.n):
+            osc = vals[:, i].max() - vals[:, i].min()
+            count *= int(np.ceil(max(osc, height) / height))
+        total += count
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_box_count_matches_per_cell_loop(n, monkeypatch):
+    """The same integers as a per-cell count, whatever the chunk size."""
+    form = synth_holder(0.5, seed=3, n=n)
+    cells = [(om, al) for om in (8.0, 16.0, 32.0) for al in (0.5, 0.7, 0.9)]
+    ref = [_box_count_per_cell(form, om, al) for om, al in cells]
+    # some cell needs more than one box along a fiber
+    assert any(c > int(np.ceil(om**al)) ** n for c, (om, al) in zip(ref, cells))
+    assert [box_count(form, om, al) for om, al in cells] == ref
+    monkeypatch.setattr(fractal_count, "_SIDE_CHUNK", 3)
+    assert [box_count(form, om, al) for om, al in cells] == ref
 
 
 def test_box_count_regimes():
@@ -165,7 +200,10 @@ def test_straighten_maps_graph_to_zero_section():
 def test_straighten_bijection(xi, om, x):
     form = synth_holder(0.5, seed=3)
     rho = phase_point(x=[x], z=0.0, xi=[xi], omega=om)
-    back = straighten_phi_inverse(form, straighten_phi(form, rho))
+    phi = straighten_phi(form, rho)
+    # Phi keeps (x, z, omega) and moves xi by -omega w(x); undo that shear
+    back = phase_point(x=phi.x, z=phi.z, omega=phi.omega,
+                       xi=phi.xi + phi.omega * evaluate(form, phi.x))
     assert np.max(np.abs(back.coords() - rho.coords())) <= 1e-12 \
         * max(1.0, abs(xi), abs(om))
 

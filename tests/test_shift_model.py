@@ -152,31 +152,6 @@ def test_finite_section_no_spurious_outside_circle():
     assert not np.any(np.abs(outside - 0.1) < 1e-6)
 
 
-def test_finite_section_resolvent_blowup():
-    """Resolvent bounded outside the essential circle, growing inside."""
-    offsets = (-0.05, 0.1, 0.2)
-    small = finite_section_report(ShiftModel(0.9, 0.1, 1.0), 100,
-                                  radius_offsets=offsets)
-    big = finite_section_report(ShiftModel(0.9, 0.1, 1.0), 300,
-                                radius_offsets=offsets)
-    er = small["essential_radius"]
-    inside, outside = er - 0.05, er + 0.2
-    assert big["resolvent_norms"][inside] > 1e3 * big["resolvent_norms"][outside]
-    assert big["resolvent_norms"][inside] > 10.0 * small["resolvent_norms"][inside]
-
-
-def test_finite_section_resolvent_only_at_named_radii():
-    """No radius named, no resolvent norm; the eigenvalues do not change."""
-    model = ShiftModel(0.9, 0.1, 1.0)
-    bare = finite_section_report(model, 60)
-    named = finite_section_report(model, 60, radius_offsets=(-0.05, 0.1))
-    assert bare["resolvent_norms"] == {}
-    assert len(named["resolvent_norms"]) == 2
-    assert bare["section_eigs"].tobytes() == named["section_eigs"].tobytes()
-    for key in ("essential_radius", "dist_to_w0", "w0_found"):
-        assert bare[key] == named[key]
-
-
 def test_finite_section_needs_size():
     with pytest.raises(ValueError):
         finite_section_report(ShiftModel(0.5, 0.5, 1.0), 5)

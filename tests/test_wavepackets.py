@@ -1,4 +1,4 @@
-"""Charts, packets, and the wave-packet transform."""
+"""Grids, packets, and the wave-packet transform."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
 from anisospec.errors import ResolutionError
 from anisospec.wavepackets import (_BATCH_BYTES, TWO_PI, BargmannTransform,
                                    TorusGrid, _m_lattice, _profile0,
-                                   _samples_from_profile, chart_decompose,
-                                   chart_recompose, circle_atlas,
+                                   _samples_from_profile, band_limited_field,
                                    m_closed_form_constant, m_gauss_hermite,
-                                   make_packet, packet_norm_sq_continuous,
-                                   single_chart_atlas)
+                                   make_packet, packet_norm_sq_continuous)
 
 
 # -- grids -------------------------------------------------------------------
@@ -32,38 +30,23 @@ def test_fcoef_finv_roundtrip():
     assert np.max(np.abs(c)) < 1e-8
 
 
-# -- charts ------------------------------------------------------------------
-
-
-def test_single_chart_identity():
-    atlas = single_chart_atlas(64)
-    rng = np.random.default_rng(1)
-    u = rng.normal(size=64) + 1j * rng.normal(size=64)
-    vs = chart_decompose(u, atlas)
-    assert len(vs) == 1 and np.allclose(vs[0], u)
-    assert np.allclose(chart_recompose(vs, atlas), u)
-
-
-def test_two_chart_circle_cover():
-    atlas = circle_atlas(128, n_charts=2)
-    # quadratic partition holds on grid points
-    s = np.sum(atlas.chi**2 * atlas.det, axis=0)
-    assert np.max(np.abs(s - 1.0)) <= 1e-12
-    # constant function recomposes to itself
-    ones = np.ones(128)
-    assert np.max(np.abs(chart_recompose(chart_decompose(ones, atlas), atlas)
-                         - 1.0)) <= 1e-12
-    # random u: I* I u = u to 1e-12
-    rng = np.random.default_rng(2)
-    u = rng.normal(size=128) + 1j * rng.normal(size=128)
-    rec = chart_recompose(chart_decompose(u, atlas), atlas)
-    assert np.max(np.abs(rec - u)) <= 1e-12
-
-
-def test_chart_grid_mismatch():
-    atlas = circle_atlas(128, n_charts=2)
-    with pytest.raises(ValueError):
-        chart_decompose(np.ones(64), atlas)
+def test_band_limited_field_draw_order():
+    """The field of resolution-check and criterion 2, bitwise equal to its
+    double loop over (kx, kz) drawing real, then imaginary parts."""
+    g = TorusGrid(1, 32, length=np.pi)
+    rng = np.random.default_rng(5)
+    xg, zg = g.space_grids()
+    ref = []
+    for _ in range(2):
+        u = np.zeros(g.shape, dtype=complex)
+        for kx in range(-2, 3):
+            for kz in range(-2, 3):
+                c = rng.normal() + 1j * rng.normal()
+                u += c * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
+        ref.append(u)
+    rng = np.random.default_rng(5)
+    for u in ref:
+        assert np.array_equal(band_limited_field(g, 2, rng), u)
 
 
 # -- m quadrature ------------------------------------------------------------
@@ -303,13 +286,7 @@ def test_plane_wave_profile(circle_transform):
 def test_resolution_of_identity_bandlimited(torus_transform):
     tr = torus_transform
     g = tr.grid
-    rng = np.random.default_rng(3)
-    xg, zg = g.space_grids()
-    u = np.zeros(g.shape, dtype=complex)
-    for kx in range(-2, 3):
-        for kz in range(-2, 3):
-            u += (rng.normal() + 1j * rng.normal()) \
-                * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
+    u = band_limited_field(g, 2, np.random.default_rng(3))
     rec = tr.op_apply(u)
     assert np.linalg.norm(rec - u) / np.linalg.norm(u) <= 1e-3
 
@@ -384,9 +361,8 @@ def test_mode_count_trace(circle_transform):
     The band sits away from |eta| ~ 0, where the distortion is O(1) and the
     packet norms legitimately deviate from 1.
     """
-    from anisospec.quantize import packet_norm_sq_per_center
     tr = circle_transform
-    norms = packet_norm_sq_per_center(tr)
+    norms = tr.packet_norm_sq()
     band = (np.abs(tr.centers[:, 0]) >= 6.0) & (np.abs(tr.centers[:, 0]) <= 14.0)
     n_modes = int(np.count_nonzero(band))
     # the y-sum contributes L, and cell/(2 pi)^d has L Delta_eta/(2 pi) = 1
