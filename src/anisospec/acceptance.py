@@ -295,7 +295,7 @@ def criterion_9() -> CriterionResult:
     p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(0, 512)
     tr = BargmannTransform(g, p, window=8)
-    flow = FlowModel.circle_rotation()
+    flow = FlowModel(vel=(1.0,))  # rotation of the z-circle
     rho = phase_point(z=2.0, omega=8.0)
     t_flow = 0.7
     center = flow.lift(rho, t_flow)

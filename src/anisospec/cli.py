@@ -54,6 +54,14 @@ def _require(key, value, ok, rule):
         raise ConfigError(f"key {key!r}: {rule}, got {value!r}")
 
 
+def _validated(make, *args, **kwargs):
+    """make(*args, **kwargs), with the ValueError of its checks a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(path, known_keys):
     """Flat key=value file; unknown keys are rejected."""
     cfg = {}
@@ -175,9 +183,11 @@ def run_resolution_check(cfg):
     from .bracket_metric import MetricParams
     from .wavepackets import BargmannTransform, TorusGrid, band_limited_field
 
-    p = MetricParams(float(cfg["delta0"]), float(cfg["alpha_perp"]),
-                     float(cfg["alpha_par"]))
-    g = TorusGrid(1, int(cfg["points"]), length=float(cfg["length"]))
+    _require("band", cfg["band"], cfg["band"] >= 0, "must be >= 0")
+    p = _validated(MetricParams, float(cfg["delta0"]),
+                   float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
+    g = _validated(TorusGrid, 1, int(cfg["points"]),
+                   length=float(cfg["length"]))
     u = band_limited_field(g, int(cfg["band"]),
                            np.random.default_rng(int(cfg["seed"])))
     windows = _parse_list("windows", cfg["windows"], int,
@@ -194,10 +204,10 @@ def run_resolution_check(cfg):
                      for i in range(len(levels) - 1))
     outdir = pathlib.Path(cfg["output_dir"])
     write_manifest(outdir, "resolution-check", cfg)
+    ok = decreasing and levels[0]["residual"] <= 1e-3
     write_json(outdir / "resolution.json",
-               {"levels": levels, "decreasing": decreasing,
-                "pass": decreasing and levels[0]["residual"] <= 1e-3})
-    return 0 if decreasing and levels[0]["residual"] <= 1e-3 else 1
+               {"levels": levels, "decreasing": decreasing, "pass": ok})
+    return 0 if ok else 1
 
 
 QUANTIZE_DEFAULTS = dict(points=128, window=16, band=4, weight_order=1.0,
@@ -212,19 +222,16 @@ def run_quantize_probes(cfg):
                            egorov_residual)
     from .wavepackets import BargmannTransform, TorusGrid
 
-    points = cfg["points"]
-    _require("points", points, points >= 4 and points % 2 == 0,
-             "must be even and >= 4")
     for key in ("window", "band"):
         _require(key, cfg[key], cfg[key] >= 0, "must be >= 0")
     p = MetricParams(1.0, 0.5, 0.5)
-    g = TorusGrid(0, int(cfg["points"]))
+    g = _validated(TorusGrid, 0, int(cfg["points"]))
     tr = BargmannTransform(g, p, window=int(cfg["window"]))
-    band = BandSubspace(g, int(cfg["band"]))
     r_ord = float(cfg["weight_order"])
     space = WeightedSpace(
         weight=lambda sg, eta: jbracket(eta[-1]) ** r_ord
-        * np.ones_like(sg[0]), transform=tr)
+        * np.ones_like(sg[0]), transform=tr,
+        band=BandSubspace(g, int(cfg["band"])))
 
     base_params = {"points": int(cfg["points"]), "window": int(cfg["window"]),
                    "band": int(cfg["band"]),
@@ -232,19 +239,17 @@ def run_quantize_probes(cfg):
     records = []
     sa = bump_symbol(2.0, 4.0, 2.0, 8.0, 0.2)
     sb = bump_symbol(3.5, -2.0, 2.5, 10.0, 0.2)
-    est, bound = composition_residual(sa, constant_symbol(2.0), space, band,
+    est, bound = composition_residual(sa, constant_symbol(2.0), space,
                                       frozen.COMPOSITION_C)
     records.append({"probe": "composition_b_constant", "params": base_params,
                     "residual": est, "bound": frozen.COMPOSITION_FLOOR,
                     "pass": est <= frozen.COMPOSITION_FLOOR})
-    est, bound = composition_residual(sa, sb, space, band,
-                                      frozen.COMPOSITION_C)
+    est, bound = composition_residual(sa, sb, space, frozen.COMPOSITION_C)
     records.append({"probe": "composition_bumps", "params": base_params,
                     "residual": est, "bound": bound, "pass": est <= bound})
-    flow = FlowModel.circle_rotation()
+    flow = FlowModel(vel=(1.0,))  # rotation of the z-circle
     for t in (0.5, 1.0, 2.0):
-        est, bound = egorov_residual(sa, t, flow, space, band,
-                                     frozen.EGOROV_CT[t])
+        est, bound = egorov_residual(sa, t, flow, space, frozen.EGOROV_CT[t])
         records.append({"probe": f"egorov_t{t}",
                         "params": {**base_params, "t": t},
                         "residual": est, "bound": bound,
@@ -269,13 +274,13 @@ def run_escape_sweep(cfg):
                          weight_field_csv)
     from .suspension import MappingTorus
 
-    p = MetricParams(float(cfg["delta0"]), float(cfg["alpha_perp"]),
-                     float(cfg["alpha_par"]))
-    ec = EscapeConfig(r_u=float(cfg["r_u"]), r_s=float(cfg["r_s"]),
-                      gamma=float(cfg["gamma"]),
-                      gamma_prime=float(cfg["gamma_prime"]),
-                      h0=float(cfg["h0"]), variant=str(cfg["variant"]),
-                      t_avg=float(cfg["t_avg"]))
+    p = _validated(MetricParams, float(cfg["delta0"]),
+                   float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
+    ec = _validated(EscapeConfig, r_u=float(cfg["r_u"]),
+                    r_s=float(cfg["r_s"]), gamma=float(cfg["gamma"]),
+                    gamma_prime=float(cfg["gamma_prime"]),
+                    h0=float(cfg["h0"]), variant=str(cfg["variant"]),
+                    t_avg=float(cfg["t_avg"]))
     split = MappingTorus().dual_splitting()
     vals = np.linspace(-float(cfg["grid_max"]), float(cfg["grid_max"]),
                        int(cfg["grid_points"]))
@@ -312,10 +317,10 @@ def run_suspension(cfg):
     _require("R", cfg["R"], cfg["R"] > 0, "must be > 0")
     _require("k_max", cfg["k_max"], cfg["k_max"] >= 0, "must be >= 0")
     _require("nu_max", cfg["nu_max"], cfg["nu_max"] >= 1, "must be >= 1")
-    p = MetricParams(float(cfg["delta0"]), float(cfg["alpha_perp"]),
-                     float(cfg["alpha_par"]))
-    ec = EscapeConfig(r_u=float(cfg["R"]), r_s=float(cfg["R"]),
-                      gamma=float(cfg["gamma"]))
+    p = _validated(MetricParams, float(cfg["delta0"]),
+                   float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
+    ec = _validated(EscapeConfig, r_u=float(cfg["R"]), r_s=float(cfg["R"]),
+                    gamma=float(cfg["gamma"]))
     res = full_spectrum(int(cfg["k_max"]), int(cfg["nu_max"]), ec,
                         float(cfg["threshold"]), MappingTorus(), p)
     outdir = pathlib.Path(cfg["output_dir"])

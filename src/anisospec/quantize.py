@@ -3,9 +3,11 @@
 Operators are realized through a BargmannTransform: Op(a) = B* M_a B on the
 phase grid.  Weighted operator norms are taken on an explicit band-limited
 subspace (plane-wave modes well inside the phase window, where the discrete
-H_W inner product is positive definite) and estimated by power iteration.
-Power iteration approaches the largest singular value from below, so a
-residual estimate is a lower estimate of the residual norm.
+H_W inner product is positive definite).  A WeightedSpace builds the band
+Gram G = L L^H of <u, Op(W^2) v> once; the H_W norm of T is then the
+spectral norm of L^H T L^{-H}, estimated by power iteration.  Power
+iteration approaches the largest singular value from below, so a residual
+estimate is a lower estimate of the residual norm.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import scipy.linalg
 
 from .bracket_metric import (MetricParams, PhasePoint, g_dist_periodic,
                              jbracket, phase_point)
+from .errors import ResolutionError
 from .wavepackets import TWO_PI, BargmannTransform, TorusGrid
 
 
@@ -36,15 +39,13 @@ class Symbol:
 
     def at(self, rho: PhasePoint):
         """Pointwise value at a phase point."""
-        y = np.concatenate([rho.x, [rho.z]])
-        sg = [np.array([c]) for c in y]
+        sg = [np.array([c]) for c in np.concatenate([rho.x, [rho.z]])]
         return complex(np.asarray(self.fn(sg, rho.eta), dtype=complex).ravel()[0])
 
     def h_at(self, rho: PhasePoint):
         if self.h is None:
             raise ValueError("symbol carries no slow-variation certificate")
-        y = np.concatenate([rho.x, [rho.z]])
-        sg = [np.array([c]) for c in y]
+        sg = [np.array([c]) for c in np.concatenate([rho.x, [rho.z]])]
         return float(np.asarray(self.h(sg, rho.eta), dtype=float).ravel()[0])
 
 
@@ -83,41 +84,17 @@ def check_certificate(sym: Symbol, pairs, p: MetricParams, length: float):
     return worst
 
 
-@dataclass
-class WeightedSpace:
-    """Weight function plus the transform (phase grid) it is realized on."""
-
-    weight: Callable
-    transform: BargmannTransform
-
-    def weight_sq_symbol(self) -> Symbol:
-        return Symbol(fn=lambda sg, eta: np.asarray(self.weight(sg, eta)) ** 2)
-
-
 @dataclass(frozen=True)
 class FlowModel:
-    """Translation probe flows in flow-box coordinates.
+    """Translation probe flow in flow-box coordinates.
 
-    kind "circle_rotation" lives on the z-circle (n = 0); "linear_torus"
-    translates both axes of the 2-torus.  vel is the velocity of -X, so the
-    transfer operator e^{-tX} pulls back by y -> y + t * vel and the lifted
-    flow moves packet centers to y - t * vel with frozen frequency.
+    vel is the velocity of -X, so the transfer operator e^{-tX} pulls back
+    by y -> y + t * vel and the lifted flow moves packet centers to
+    y - t * vel with frozen frequency.  vel = (1.0,) is the rotation of the
+    z-circle (n = 0).
     """
 
-    kind: str
     vel: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("circle_rotation", "linear_torus"):
-            raise ValueError(f"unsupported flow model {self.kind!r}")
-
-    @classmethod
-    def circle_rotation(cls):
-        return cls(kind="circle_rotation", vel=(1.0,))
-
-    @classmethod
-    def linear_torus(cls, slope: float = 0.5):
-        return cls(kind="linear_torus", vel=(slope, 1.0))
 
     def transfer(self, u, grid: TorusGrid, t: float):
         """e^{-tX} u by spectral interpolation (exact on grid functions)."""
@@ -145,10 +122,6 @@ class FlowModel:
 # -- operator machinery ----------------------------------------------------
 
 
-def op_apply(transform: BargmannTransform, sym: Optional[Symbol], u):
-    return transform.op_apply(u, None if sym is None else sym.fn)
-
-
 class BandSubspace:
     """Orthonormal plane-wave modes |k|_inf <= kmax (lattice units).
 
@@ -158,8 +131,9 @@ class BandSubspace:
     """
 
     def __init__(self, grid: TorusGrid, kmax: int):
+        if 2 * kmax + 1 > grid.points:
+            raise ResolutionError("band exceeds the grid's DFT lattice")
         self.grid = grid
-        self.kmax = int(kmax)
         ks = [np.arange(-kmax, kmax + 1)] * grid.d
         mesh = np.meshgrid(*ks, indexing="ij")
         self.modes = np.stack([m.ravel() for m in mesh], axis=1)
@@ -170,9 +144,6 @@ class BandSubspace:
         for i, k in enumerate(self.modes):
             phase = sum(k[ax] * grid.d_eta * sg[ax] for ax in range(grid.d))
             self._basis[i] = np.exp(1j * phase) / norm
-
-    def to_grid(self, coeffs):
-        return np.tensordot(np.asarray(coeffs, dtype=complex), self._basis, axes=1)
 
     def from_grid(self, u):
         h = self.grid.h ** self.grid.d
@@ -186,11 +157,19 @@ class BandSubspace:
         return out
 
 
-def hw_gram(space: WeightedSpace, band: BandSubspace) -> np.ndarray:
-    """Gram of the H_W inner product <u, Op(W^2) v> on the band modes."""
-    tr = space.transform
-    g = band.matrix(lambda u: op_apply(tr, space.weight_sq_symbol(), u))
-    return 0.5 * (g + g.conj().T)
+class WeightedSpace:
+    """H_W on a band: the weight, the transform (phase grid) it is realized
+    on, and the Cholesky factor chol = L of the band Gram G = L L^H of
+    <u, Op(W^2) v>, built once."""
+
+    def __init__(self, weight: Callable, transform: BargmannTransform,
+                 band: BandSubspace):
+        self.weight = weight
+        self.transform = transform
+        self.band = band
+        gram = band.matrix(lambda u: transform.op_apply(
+            u, lambda sg, eta: np.asarray(weight(sg, eta)) ** 2))
+        self.chol = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
 
 
 def power_largest_sv(a: np.ndarray) -> float:
@@ -209,30 +188,23 @@ def power_largest_sv(a: np.ndarray) -> float:
     return float(np.sqrt(np.real(np.vdot(v, ah @ (a @ v)))))
 
 
-def hw_operator_norm(apply_fn, space: WeightedSpace,
-                     band: BandSubspace) -> float:
+def hw_operator_norm(apply_fn, space: WeightedSpace) -> float:
     """H_W norm of the band compression of apply_fn, by power_largest_sv.
 
     ||T||_{H_W} = ||L^H T_band L^{-H}||_2 with G = L L^H the band Gram.
     """
-    gram = hw_gram(space, band)
-    low = np.linalg.cholesky(gram)
-    tmat = band.matrix(apply_fn)
-    right = scipy.linalg.solve_triangular(low, tmat.conj().T, lower=True,
-                                          trans="C").conj().T
-    return power_largest_sv(low.conj().T @ right)
-
-
-def sobolev_norm(u, space: WeightedSpace) -> float:
-    """||u||_{H_W} on the space's phase grid."""
-    return space.transform.sobolev_norm(u, weight=space.weight)
+    tmat = space.band.matrix(apply_fn)
+    # T L^{-H} = (L^{-1} T^H)^H
+    right = scipy.linalg.solve_triangular(space.chol, tmat.conj().T,
+                                          lower=True).conj().T
+    return power_largest_sv(space.chol.conj().T @ right)
 
 
 # -- residual probes -------------------------------------------------------
 
 
 def composition_residual(a: Symbol, b: Symbol, space: WeightedSpace,
-                         band: BandSubspace, c_frozen: float):
+                         c_frozen: float):
     """(estimate of ||Op(a)Op(b) - Op(ab)||_{H_W},  bound C ||a h_b||_inf).
 
     b must carry a slow-variation certificate; the sup of |a h_b| is taken
@@ -241,22 +213,21 @@ def composition_residual(a: Symbol, b: Symbol, space: WeightedSpace,
     if b.h is None:
         raise ValueError("b must carry a slow-variation certificate")
     tr = space.transform
+    ab = product_symbol(a, b)
 
     def t_apply(u):
-        return op_apply(tr, a, op_apply(tr, b, u)) \
-            - op_apply(tr, product_symbol(a, b), u)
+        return tr.op_apply(tr.op_apply(u, b.fn), a.fn) - tr.op_apply(u, ab.fn)
 
-    est = hw_operator_norm(t_apply, space, band)
+    est = hw_operator_norm(t_apply, space)
     sg = tr.grid.space_grids()
-    sup = 0.0
-    for eta in tr.centers:
-        sup = max(sup, float(np.max(np.abs(np.asarray(a.fn(sg, eta))
-                                           * np.asarray(b.h(sg, eta))))))
+    sup = max(float(np.max(np.abs(np.asarray(a.fn(sg, eta))
+                                  * np.asarray(b.h(sg, eta)))))
+              for eta in tr.centers)
     return est, c_frozen * sup
 
 
 def egorov_residual(a: Symbol, t: float, flow: FlowModel, space: WeightedSpace,
-                    band: BandSubspace, c_frozen: float):
+                    c_frozen: float):
     """(estimate of ||e^{-tX} Op(a o phi^t) - Op(a) e^{-tX}||_{H_W},
     bound C_t ||(W o phi^t / W) h||_inf)."""
     if a.h is None:
@@ -265,18 +236,16 @@ def egorov_residual(a: Symbol, t: float, flow: FlowModel, space: WeightedSpace,
     at = flow.compose_symbol(a, t)
 
     def t_apply(u):
-        return flow.transfer(op_apply(tr, at, u), tr.grid, t) \
-            - op_apply(tr, a, flow.transfer(u, tr.grid, t))
+        return flow.transfer(tr.op_apply(u, at.fn), tr.grid, t) \
+            - tr.op_apply(flow.transfer(u, tr.grid, t), a.fn)
 
-    est = hw_operator_norm(t_apply, space, band)
+    est = hw_operator_norm(t_apply, space)
     sg = tr.grid.space_grids()
     sgt = [sg[ax] - t * flow.vel[ax] for ax in range(tr.grid.d)]
-    sup = 0.0
-    for eta in tr.centers:
-        w_now = np.asarray(space.weight(sg, eta), dtype=float)
-        w_fwd = np.asarray(space.weight(sgt, eta), dtype=float)
-        sup = max(sup, float(np.max(w_fwd / w_now
-                                    * np.abs(a.h(sg, eta)))))
+    sup = max(float(np.max(np.asarray(space.weight(sgt, eta), dtype=float)
+                           / np.asarray(space.weight(sg, eta), dtype=float)
+                           * np.abs(a.h(sg, eta))))
+              for eta in tr.centers)
     return est, c_frozen * sup
 
 

@@ -38,6 +38,8 @@ class TorusGrid:
     def __init__(self, n_transverse: int, points: int, length: float = TWO_PI):
         if points < 4 or points % 2:
             raise ValueError("points must be even and >= 4")
+        if not length > 0:
+            raise ValueError(f"length must be positive, got {length}")
         self.n = int(n_transverse)
         self.d = self.n + 1
         self.points = int(points)

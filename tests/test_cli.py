@@ -164,7 +164,15 @@ def test_malformed_config_rejected(tmp_path):
                  ["suspension", "--R", "0"],
                  ["suspension", "--k-max", "-1"],
                  ["suspension", "--nu-max", "-1"],
-                 ["suspension", "--nu-max", "0"]):
+                 ["suspension", "--nu-max", "0"],
+                 ["suspension", "--delta0", "0"],
+                 ["resolution-check", "--points", "7"],
+                 ["resolution-check", "--delta0", "0"],
+                 ["resolution-check", "--length", "0"],
+                 ["resolution-check", "--band", "-1"],
+                 ["escape-sweep", "--variant", "bogus"],
+                 ["escape-sweep", "--r-u", "0"],
+                 ["escape-sweep", "--delta0", "-1"]):
         assert run(args + ["--output-dir", tmp_path / "y"]) == 2
         assert not (tmp_path / "y").exists()
 
@@ -172,6 +180,10 @@ def test_malformed_config_rejected(tmp_path):
 def test_resolution_error_exit_code(tmp_path):
     code = run(["resolution-check", "--points", "32", "--windows", "14",
                 "--output-dir", tmp_path / "r"])
+    assert code == 3
+    # 129 band modes alias on a 128-point lattice
+    code = run(["quantize-probes", "--band", "64", "--output-dir",
+                tmp_path / "q"])
     assert code == 3
 
 

@@ -8,8 +8,8 @@ from anisospec.bracket_metric import jbracket, phase_point
 from anisospec.quantize import (BandSubspace, FlowModel, Symbol,
                                 WeightedSpace, bump_symbol, check_certificate,
                                 composition_residual, constant_symbol,
-                                egorov_residual, hw_gram, hw_operator_norm,
-                                microlocality_probe, op_apply, product_symbol,
+                                egorov_residual, hw_operator_norm,
+                                microlocality_probe, product_symbol,
                                 trace_phase_sum)
 from anisospec.wavepackets import BargmannTransform, TorusGrid
 
@@ -17,29 +17,36 @@ from anisospec.wavepackets import BargmannTransform, TorusGrid
 PROBE_A = (2.0, 4.0, 2.0, 8.0, 0.2)
 PROBE_B = (3.5, -2.0, 2.5, 10.0, 0.2)
 
+# <omega>, the weight of quantize-probes, and a z-dependent weight whose
+# band Gram is not diagonal
+BRACKET = lambda sg, eta: jbracket(eta[-1]) * np.ones_like(sg[0])
+COS_Z = lambda sg, eta: (1.5 + np.cos(sg[0])) * jbracket(eta[-1])
+
 
 @pytest.fixture(scope="module")
 def setup(circle_transform):
     tr = circle_transform
     band = BandSubspace(tr.grid, 4)
-    wfun = lambda sg, eta: jbracket(eta[-1]) * np.ones_like(sg[0])
-    space = WeightedSpace(weight=wfun, transform=tr)
+    space = WeightedSpace(weight=BRACKET, transform=tr, band=band)
     return tr, band, space
 
 
 def band_random(band, seed):
-    """A random unit-coefficient combination of the band modes."""
+    """A random unit-norm combination of the band modes."""
     rng = np.random.default_rng(seed)
     c = rng.normal(size=band.size) + 1j * rng.normal(size=band.size)
-    return band.to_grid(c / np.linalg.norm(c))
+    g = band.grid
+    phase = np.tensordot(band.modes * g.d_eta, g.space_grids(), axes=1)
+    u = np.tensordot(c, np.exp(1j * phase), axes=1)
+    return u / g.norm(u)
 
 
 def test_op_identity_and_constant(setup):
     tr, band, _ = setup
     u = band_random(band, 1)
-    rec = op_apply(tr, None, u)
+    rec = tr.op_apply(u)
     assert np.linalg.norm(rec - u) / np.linalg.norm(u) <= 1e-3
-    rec_c = op_apply(tr, constant_symbol(2.5), u)
+    rec_c = tr.op_apply(u, constant_symbol(2.5).fn)
     assert np.linalg.norm(rec_c - 2.5 * u) / np.linalg.norm(u) <= 2.5e-3
 
 
@@ -48,7 +55,7 @@ def test_op_norm_bounded_by_sup(setup):
     a = Symbol(fn=lambda sg, eta: (0.3 + 0.2 * np.cos(sg[0]))
                * np.ones_like(sg[0]) + 0.1 * np.cos(eta[-1] / 4.0))
     # the exact norm: a power estimate is a lower one and could hide a failure
-    tmat = band.matrix(lambda u: op_apply(tr, a, u))
+    tmat = band.matrix(lambda u: tr.op_apply(u, a.fn))
     assert np.linalg.svd(tmat, compute_uv=False)[0] <= 0.6 + 1e-3
 
 
@@ -57,9 +64,8 @@ def test_op_linear_in_symbol(setup):
     a = bump_symbol(2.0, 3.0, 2.0, 6.0, 0.2)
     b = bump_symbol(4.0, -1.0, 1.5, 8.0, 0.2)
     u = band_random(band, 2)
-    lhs = op_apply(tr, Symbol(fn=lambda sg, eta: a.fn(sg, eta)
-                              + 2.0 * b.fn(sg, eta)), u)
-    rhs = op_apply(tr, a, u) + 2.0 * op_apply(tr, b, u)
+    lhs = tr.op_apply(u, lambda sg, eta: a.fn(sg, eta) + 2.0 * b.fn(sg, eta))
+    rhs = tr.op_apply(u, a.fn) + 2.0 * tr.op_apply(u, b.fn)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(u))
 
 
@@ -67,8 +73,8 @@ def test_op_adjoint_is_conjugate_symbol(setup):
     tr, band, _ = setup
     a = bump_symbol(2.0, 3.0, 2.0, 6.0, 0.2)
     ca = Symbol(fn=lambda sg, eta: np.conj(a.fn(sg, eta)))
-    m1 = band.matrix(lambda u: op_apply(tr, a, u))
-    m2 = band.matrix(lambda u: op_apply(tr, ca, u))
+    m1 = band.matrix(lambda u: tr.op_apply(u, a.fn))
+    m2 = band.matrix(lambda u: tr.op_apply(u, ca.fn))
     assert np.max(np.abs(m1.conj().T - m2)) <= 1e-12
 
 
@@ -77,7 +83,7 @@ def test_trace_formula(setup):
     tr, _, _ = setup
     a = bump_symbol(np.pi, 0.0, 1.0, 2.0, 0.2)
     wide = BandSubspace(tr.grid, 12)
-    dense_trace = complex(np.trace(wide.matrix(lambda u: op_apply(tr, a, u))))
+    dense_trace = complex(np.trace(wide.matrix(lambda u: tr.op_apply(u, a.fn))))
     phase_sum = trace_phase_sum(tr, a)
     assert abs(dense_trace - phase_sum) <= 0.01 * abs(phase_sum)
 
@@ -88,14 +94,6 @@ def test_sobolev_norm_weight_one_is_l2(setup):
     sn = tr.sobolev_norm(u)
     assert sn == pytest.approx(tr.grid.norm(u), rel=2e-3)
     assert tr.sobolev_norm(np.zeros(tr.grid.shape)) == 0.0
-
-
-def test_sobolev_norm_convenience(setup):
-    from anisospec.quantize import sobolev_norm
-    tr, band, space = setup
-    u = band_random(band, 7)
-    assert sobolev_norm(u, space) \
-        == pytest.approx(tr.sobolev_norm(u, weight=space.weight))
 
 
 def test_sobolev_norm_plane_wave_slope(params_half):
@@ -127,18 +125,26 @@ def test_weighted_space_temperate_frozen(setup):
 
 
 def test_hw_gram_positive(setup):
-    _, band, space = setup
-    ev = np.linalg.eigvalsh(hw_gram(space, band))
-    assert ev.min() > 0
-
-
-def test_power_iteration_close_to_dense(setup):
-    """The power estimate against the exact SVD of L^H T L^{-H}, G = L L^H."""
+    """The space's factor is that of the band Gram of Op(W^2), which is
+    positive definite."""
     tr, band, space = setup
+    gram = band.matrix(lambda u: tr.op_apply(
+        u, lambda sg, eta: BRACKET(sg, eta) ** 2))
+    gram = 0.5 * (gram + gram.conj().T)
+    assert np.linalg.eigvalsh(gram).min() > 0
+    assert np.allclose(space.chol @ space.chol.conj().T, gram,
+                       rtol=0, atol=1e-12 * np.max(np.abs(gram)))
+
+
+@pytest.mark.parametrize("weight", [BRACKET, COS_Z], ids=["bracket", "cos_z"])
+def test_power_iteration_close_to_dense(setup, weight):
+    """The power estimate against the exact SVD of L^H T L^{-H}, G = L L^H."""
+    tr, band, _ = setup
+    space = WeightedSpace(weight=weight, transform=tr, band=band)
     a = bump_symbol(2.0, 3.0, 2.0, 6.0, 0.2)
-    est = hw_operator_norm(lambda u: op_apply(tr, a, u), space, band)
-    low_h = np.linalg.cholesky(hw_gram(space, band)).conj().T
-    tmat = band.matrix(lambda u: op_apply(tr, a, u))
+    est = hw_operator_norm(lambda u: tr.op_apply(u, a.fn), space)
+    low_h = space.chol.conj().T
+    tmat = band.matrix(lambda u: tr.op_apply(u, a.fn))
     exact = np.linalg.svd(low_h @ tmat @ np.linalg.inv(low_h),
                           compute_uv=False)[0]
     assert est <= exact * (1 + 1e-12)
@@ -161,28 +167,28 @@ def test_symbol_certificate_sampling(params_half):
 
 
 def test_composition_constant_b_hits_floor(setup):
-    tr, band, space = setup
+    _, _, space = setup
     a = bump_symbol(*PROBE_A)
-    est, bound = composition_residual(a, constant_symbol(2.0), space, band,
+    est, bound = composition_residual(a, constant_symbol(2.0), space,
                                       frozen.COMPOSITION_C)
     assert bound == 0.0
     assert est <= frozen.COMPOSITION_FLOOR
 
 
 def test_composition_bumps_bound_and_smallness(setup):
-    tr, band, space = setup
+    tr, _, space = setup
     a, b = bump_symbol(*PROBE_A), bump_symbol(*PROBE_B)
-    est, bound = composition_residual(a, b, space, band, frozen.COMPOSITION_C)
+    est, bound = composition_residual(a, b, space, frozen.COMPOSITION_C)
     assert est <= bound
-    na = hw_operator_norm(lambda u: op_apply(tr, a, u), space, band)
-    nb = hw_operator_norm(lambda u: op_apply(tr, b, u), space, band)
+    na = hw_operator_norm(lambda u: tr.op_apply(u, a.fn), space)
+    nb = hw_operator_norm(lambda u: tr.op_apply(u, b.fn), space)
     assert est * 10.0 <= na * nb
 
 
 def test_composition_corollary_sweep(setup):
     """Indicator + locally constant symbol: residual decreasing in C and
     below the frozen C_N C^-N envelope."""
-    tr, band, space = setup
+    tr, _, space = setup
     z0, om0, rad = np.pi, 0.0, 1.0
 
     def dist(sg, eta):
@@ -196,23 +202,23 @@ def test_composition_corollary_sweep(setup):
                    1.0 + np.maximum(dist(sg, eta) - rad - c, 0.0))
 
         def t_apply(u):
-            return op_apply(tr, a, op_apply(tr, b, u)) \
-                - op_apply(tr, product_symbol(a, b), u)
+            return tr.op_apply(tr.op_apply(u, b.fn), a.fn) \
+                - tr.op_apply(u, product_symbol(a, b).fn)
 
-        est = hw_operator_norm(t_apply, space, band)
+        est = hw_operator_norm(t_apply, space)
         assert est <= frozen.COROLLARY_CN * c_neigh ** (-frozen.COROLLARY_N)
         assert est < prev
         prev = est
 
 
 def test_egorov_trivial_cases(setup):
-    tr, band, space = setup
-    flow = FlowModel.circle_rotation()
+    _, _, space = setup
+    flow = FlowModel(vel=(1.0,))
     a = bump_symbol(*PROBE_A)
-    est0, _ = egorov_residual(a, 0.0, flow, space, band, 1.0)
+    est0, _ = egorov_residual(a, 0.0, flow, space, 1.0)
     assert est0 <= 1e-10
     c = constant_symbol(3.0)
-    estc, _ = egorov_residual(c, 1.0, flow, space, band, 1.0)
+    estc, _ = egorov_residual(c, 1.0, flow, space, 1.0)
     assert estc <= 1e-10
 
 
@@ -220,20 +226,18 @@ def test_egorov_trivial_cases(setup):
 def test_egorov_bounded(setup, t):
     """Bump in omega on the circle rotation: residual below C_t ||h||_inf
     (translation flows make the commutator vanish to round-off)."""
-    tr, band, space = setup
-    flow = FlowModel.circle_rotation()
+    _, _, space = setup
+    flow = FlowModel(vel=(1.0,))
     a = Symbol(fn=lambda sg, eta: np.exp(-((eta[-1] - 4.0) / 6.0) ** 2 / 2)
                * np.ones_like(sg[0]),
                h=lambda sg, eta: 0.2 * np.ones_like(sg[0]), n0=1.0)
-    est, bound = egorov_residual(a, t, flow, space, band, frozen.EGOROV_CT[t])
+    est, bound = egorov_residual(a, t, flow, space, frozen.EGOROV_CT[t])
     assert est <= bound
     assert est <= 1e-10
 
 
 def test_flow_models():
-    with pytest.raises(ValueError):
-        FlowModel(kind="bogus", vel=(1.0,))
-    flow = FlowModel.linear_torus(0.5)
+    flow = FlowModel(vel=(0.5, 1.0))
     g = TorusGrid(1, 32)
     xg, zg = g.space_grids()
     u = np.exp(1j * (xg + 2 * zg))
@@ -250,7 +254,7 @@ def test_flow_models():
 
 def test_microlocality_t0_peak(circle_transform):
     tr = circle_transform
-    flow = FlowModel.circle_rotation()
+    flow = FlowModel(vel=(1.0,))
     rho = phase_point(z=2.0, omega=6.0)
     probes = [phase_point(z=2.0 + s, omega=6.0 + w)
               for s, w in [(1.0, 0.0), (1.5, 2.0), (2.0, 8.0), (0.0, 12.0)]]
@@ -260,7 +264,7 @@ def test_microlocality_t0_peak(circle_transform):
 
 def test_microlocality_illposed_probe_grid(circle_transform):
     tr = circle_transform
-    flow = FlowModel.circle_rotation()
+    flow = FlowModel(vel=(1.0,))
     rho = phase_point(z=2.0, omega=6.0)
     near = [phase_point(z=2.0 + 0.01 * k, omega=6.0) for k in range(4)]
     with pytest.raises(ValueError):
