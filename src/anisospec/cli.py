@@ -224,6 +224,8 @@ def run_quantize_probes(cfg):
 
     for key in ("window", "band"):
         _require(key, cfg[key], cfg[key] >= 0, "must be >= 0")
+    _require("weight_order", cfg["weight_order"],
+             np.isfinite(cfg["weight_order"]), "must be finite")
     p = MetricParams(1.0, 0.5, 0.5)
     g = _validated(TorusGrid, 0, int(cfg["points"]))
     tr = BargmannTransform(g, p, window=int(cfg["window"]))
@@ -281,6 +283,10 @@ def run_escape_sweep(cfg):
                     gamma_prime=float(cfg["gamma_prime"]),
                     h0=float(cfg["h0"]), variant=str(cfg["variant"]),
                     t_avg=float(cfg["t_avg"]))
+    _require("grid_points", cfg["grid_points"], cfg["grid_points"] >= 1,
+             "must be >= 1")
+    for key in ("grid_max", "omega"):
+        _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
     split = MappingTorus().dual_splitting()
     vals = np.linspace(-float(cfg["grid_max"]), float(cfg["grid_max"]),
                        int(cfg["grid_points"]))

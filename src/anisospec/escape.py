@@ -6,16 +6,20 @@ h = h0 <|Xi_*|_g>^{-gamma}, and the projective-average weight
 W2(rho) = <|Xi_*|_g>^{(r1/(1-alpha_perp)) a(Xi_*)}.  Covectors are handled
 through their components along fixed unit stable/unstable dual directions,
 which is exact for linear models (constant splitting, Holder exponents 1).
+`weight` takes whole arrays of covector components, and its callers pass
+them so.
 """
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket_metric import MetricParams, delta_par, delta_perp, jbracket
+from .bracket_metric import MetricParams, delta_perp, g_norm_rows, jbracket
+
+A0_WIDTH = 0.2  # radians; transition width of the projective profile
 
 
 @dataclass(frozen=True)
@@ -24,27 +28,24 @@ class DualSplitting:
 
     e_u_dual / e_s_dual are unit covectors spanning the transverse plane,
     the Anosov one-form is the flow covector dz (A(X) = 1, kernel the
-    transverse plane), and lam / lam_max are the hyperbolicity exponents.
+    transverse plane), and lam is the hyperbolicity exponent.
     """
 
     e_u_dual: np.ndarray
     e_s_dual: np.ndarray
     lam: float
-    lam_max: float
 
     def __post_init__(self):
         eu = np.asarray(self.e_u_dual, dtype=float)
         es = np.asarray(self.e_s_dual, dtype=float)
         if eu.shape != es.shape or eu.ndim != 1:
             raise ValueError("dual directions must be 1-d vectors of equal length")
-        object.__setattr__(self, "e_u_dual", eu / np.linalg.norm(eu))
-        object.__setattr__(self, "e_s_dual", es / np.linalg.norm(es))
-        if not (self.lam > 0 and self.lam_max >= self.lam):
-            raise ValueError("need 0 < lam <= lam_max")
-
-    @property
-    def n(self) -> int:
-        return self.e_u_dual.size
+        for name, e in (("e_u_dual", eu), ("e_s_dual", es)):
+            e = e / np.linalg.norm(e)
+            e.setflags(write=False)  # one splitting is shared by many callers
+            object.__setattr__(self, name, e)
+        if not self.lam > 0:
+            raise ValueError("need lam > 0")
 
     @classmethod
     def from_matrix(cls, m) -> "DualSplitting":
@@ -68,19 +69,21 @@ class DualSplitting:
             if e[0] < 0 or (e[0] == 0 and e[1] < 0):
                 e = -e
             vecs.append(e / np.linalg.norm(e))
-        lam = float(np.log(np.abs(w[iu])))
-        return cls(e_u_dual=vecs[0], e_s_dual=vecs[1], lam=lam, lam_max=lam)
+        return cls(e_u_dual=vecs[0], e_s_dual=vecs[1],
+                   lam=float(np.log(np.abs(w[iu]))))
 
     def compose(self, xi_u, xi_s) -> np.ndarray:
-        """Transverse covector xi_u * e_u + xi_s * e_s."""
+        """Transverse covectors xi_u * e_u + xi_s * e_s, shape (..., n)."""
         return np.multiply.outer(np.asarray(xi_u, float), self.e_u_dual) + \
             np.multiply.outer(np.asarray(xi_s, float), self.e_s_dual)
 
     def decompose(self, xi_vec):
-        """Components (xi_u, xi_s) of a transverse covector in the dual basis."""
+        """Components (xi_u, xi_s) of transverse covectors xi_vec, shape
+        (..., 2), in the dual basis."""
         basis = np.stack([self.e_u_dual, self.e_s_dual], axis=1)
-        c = np.linalg.solve(basis, np.asarray(xi_vec, dtype=float))
-        return float(c[0]), float(c[1])
+        xi_vec = np.asarray(xi_vec, dtype=float)
+        c = np.linalg.solve(basis, xi_vec.reshape(-1, 2).T)
+        return c[0].reshape(xi_vec.shape[:-1]), c[1].reshape(xi_vec.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -100,11 +103,13 @@ class EscapeConfig:
     variant: str = "W_lemma42"
     r1: float = 1.0
     t_avg: float = 4.0
-    a0_width: float = 0.2  # radians; transition width of the projective profile
 
     def __post_init__(self):
         if self.variant not in ("W_lemma42", "W2"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if not all(math.isfinite(v)
+                   for v in (self.r_u, self.r_s, self.h0, self.t_avg)):
+            raise ValueError("r_u, r_s, h0 and t_avg must be finite")
         if not (self.r_u > 0 and self.r_s > 0):
             raise ValueError("r_u and r_s must be positive")
         if not 0.0 <= self.gamma < 1.0:
@@ -113,6 +118,8 @@ class EscapeConfig:
             raise ValueError("gamma_prime must lie in [0, gamma]")
         if not self.h0 > 0:
             raise ValueError("h0 must be positive")
+        if not self.t_avg > 0:
+            raise ValueError("t_avg must be positive")
 
 
 def _gnorm_quantities(xi_u, xi_s, omega, split: DualSplitting, p: MetricParams):
@@ -131,25 +138,17 @@ def _gnorm_quantities(xi_u, xi_s, omega, split: DualSplitting, p: MetricParams):
     return dp * np.abs(xi_u), dp * np.abs(xi_s), dp * xi_star
 
 
-def h_gamma_perp(xi_u, xi_s, omega, split: DualSplitting, cfg: EscapeConfig,
-                 p: MetricParams, gamma=None):
-    """Scaling factor h0 <|Xi_*|_g>^(-gamma)."""
+def h_gamma_perp(star, cfg: EscapeConfig, gamma=None):
+    """Scaling factor h0 <|Xi_*|_g>^(-gamma) at star = |Xi_*|_g."""
     g = cfg.gamma if gamma is None else gamma
-    _, _, star = _gnorm_quantities(xi_u, xi_s, omega, split, p)
-    out = cfg.h0 * jbracket(star) ** (-g)
-    return float(out) if np.ndim(out) == 0 else out
+    return cfg.h0 * jbracket(star) ** (-g)
 
 
-def _projective_angle(xi_u, xi_s):
-    """Angle of the covector class in the (u, s)-coefficient plane, in [0, pi)."""
-    return np.mod(np.arctan2(xi_s, xi_u), np.pi)
-
-
-def _a0_profile(theta, width):
+def _a0_profile(theta):
     """Smoothed step on the projective circle: -1 near [E_u*], +1 near [E_s*].
 
     [E_u*] sits at angles {0, pi}, [E_s*] at pi/2.  Two smooth transition
-    bands of the given width are centered at pi/4 and 3pi/4.
+    bands of width A0_WIDTH are centered at pi/4 and 3pi/4.
     """
     theta = np.asarray(theta, dtype=float)
     d = np.minimum(theta, np.pi - theta)  # distance to [E_u*] along the circle
@@ -164,8 +163,8 @@ def _a0_profile(theta, width):
         out[t >= 1] = 1.0
         return out
 
-    lo = np.pi / 4 - width / 2
-    return -1.0 + 2.0 * smoothstep((d - lo) / width)
+    lo = np.pi / 4 - A0_WIDTH / 2
+    return -1.0 + 2.0 * smoothstep((d - lo) / A0_WIDTH)
 
 
 def projective_average(xi_u, xi_s, cfg: EscapeConfig, split: DualSplitting):
@@ -173,28 +172,25 @@ def projective_average(xi_u, xi_s, cfg: EscapeConfig, split: DualSplitting):
 
     a(Xi_*) = (1/2T) int_{-T}^{T} a0([phi^t Xi_*]) dt by the trapezoid rule on
     65 times; the projective flow is explicit: components scale by e^{+-lam t}.
+    The angle of the covector class in the (u, s)-coefficient plane is taken
+    in [0, pi).
     """
     ts = np.linspace(-cfg.t_avg, cfg.t_avg, 65)
-    xi_u = np.asarray(xi_u, dtype=float)
-    xi_s = np.asarray(xi_s, dtype=float)
-    vals = np.array([
-        _a0_profile(
-            _projective_angle(xi_u * np.exp(split.lam * t),
-                              xi_s * np.exp(-split.lam * t)),
-            cfg.a0_width,
-        )
-        for t in ts
-    ])
-    out = np.trapezoid(vals, ts, axis=0) / (2.0 * cfg.t_avg)
+    xi_u, xi_s = np.broadcast_arrays(np.asarray(xi_u, float),
+                                     np.asarray(xi_s, float))
+    xu, xs, _ = lifted_flow(xi_u, xi_s, None,
+                            ts.reshape((-1,) + (1,) * xi_u.ndim), split)
+    theta = np.mod(np.arctan2(xs, xu), np.pi)
+    out = np.trapezoid(_a0_profile(theta), ts, axis=0) / (2.0 * cfg.t_avg)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def weight(xi_u, xi_s, omega, split: DualSplitting, cfg: EscapeConfig,
            p: MetricParams):
-    """Escape weight at the covector with the given components."""
+    """Escape weight at the covectors with the given (broadcast) components."""
     nu, ns, star = _gnorm_quantities(xi_u, xi_s, omega, split, p)
     if cfg.variant == "W_lemma42":
-        h = cfg.h0 * jbracket(star) ** (-cfg.gamma)
+        h = h_gamma_perp(star, cfg)
         out = jbracket(h * ns) ** cfg.r_s / jbracket(h * nu) ** cfg.r_u
     else:
         a = projective_average(xi_u, xi_s, cfg, split)
@@ -204,24 +200,16 @@ def weight(xi_u, xi_s, omega, split: DualSplitting, cfg: EscapeConfig,
 
 def lifted_flow(xi_u, xi_s, omega, t, split: DualSplitting):
     """Linear-model lifted flow: Xi_u grows, Xi_s shrinks, omega is frozen."""
-    e = np.exp(split.lam * t)
+    e = np.exp(split.lam * np.asarray(t, float))
     return np.asarray(xi_u, float) * e, np.asarray(xi_s, float) / e, omega
-
-
-def decay_ratio(xi_u, xi_s, omega, t, split: DualSplitting, cfg: EscapeConfig,
-                p: MetricParams):
-    """W(phi^t rho) / W(rho) along the lifted linear flow."""
-    xu, xs, om = lifted_flow(xi_u, xi_s, omega, t, split)
-    return weight(xu, xs, om, split, cfg, p) / weight(xi_u, xi_s, omega, split, cfg, p)
 
 
 def decay_rate_fit(xi_u, xi_s, omega, ts, split, cfg, p):
     """OLS slope of log W(phi^t rho)/W(rho) against t (the measured -Lambda)."""
     ts = np.asarray(ts, dtype=float)
-    logs = np.array([
-        np.log(decay_ratio(xi_u, xi_s, omega, t, split, cfg, p)) for t in ts
-    ])
-    return float(np.polyfit(ts, logs, 1)[0])
+    w = weight(*lifted_flow(xi_u, xi_s, omega, np.append(0.0, ts), split),
+               split, cfg, p)
+    return float(np.polyfit(ts, np.log(w[1:] / w[0]), 1)[0])
 
 
 def order_estimate(direction, split: DualSplitting, cfg: EscapeConfig,
@@ -235,9 +223,7 @@ def order_estimate(direction, split: DualSplitting, cfg: EscapeConfig,
     if xu == 0.0 and xs == 0.0 and om == 0.0:
         raise ValueError("direction must be nonzero")
     alphas = 2.0 ** np.arange(4, 13)
-    vals = np.array([
-        weight(a * xu, a * xs, a * om, split, cfg, p) for a in alphas
-    ])
+    vals = weight(alphas * xu, alphas * xs, alphas * om, split, cfg, p)
     return float(np.polyfit(np.log(alphas), np.log(vals), 1)[0])
 
 
@@ -251,8 +237,8 @@ def theoretical_decay_rate(split: DualSplitting, cfg: EscapeConfig,
 
 def theoretical_lower_rate(split: DualSplitting, cfg: EscapeConfig,
                            p: MetricParams) -> float:
-    """Lambda' = lam_max (1-gamma)(1-alpha_perp)(R_s + R_u)."""
-    return split.lam_max * (1 - cfg.gamma) * (1 - p.alpha_perp) * (cfg.r_s + cfg.r_u)
+    """Lambda' = lam (1-gamma)(1-alpha_perp)(R_s + R_u)."""
+    return split.lam * (1 - cfg.gamma) * (1 - p.alpha_perp) * (cfg.r_s + cfg.r_u)
 
 
 def lower_bound_report(split: DualSplitting, cfg: EscapeConfig, p: MetricParams,
@@ -271,52 +257,42 @@ def lower_bound_report(split: DualSplitting, cfg: EscapeConfig, p: MetricParams,
     lam_p = theoretical_lower_rate(split, cfg, p)
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, t_max, 13)
-    uniform_viol = 0
-    pure_points = []
-    for _ in range(n_samples):
+    # rows (xi_u, xi_s, omega): n pure-stable, pure-unstable or trapped-set
+    # covectors, then n mixed ones, drawn one covector at a time: the draw
+    # order fixes the samples of a seed
+    rho = np.empty((2 * n_samples, 3))
+    for i in range(n_samples):
         mag = np.exp(rng.uniform(0.0, np.log(1e4)))
         om = rng.uniform(-50.0, 50.0)
         kind = rng.integers(0, 3)
-        if kind == 0:
-            pure_points.append((mag, 0.0, om))
-        elif kind == 1:
-            pure_points.append((0.0, mag, om))
-        else:
-            pure_points.append((0.0, 0.0, om))
-    for xu, xs, om in pure_points:
-        for t in ts[1:]:
-            r = decay_ratio(xu, xs, om, t, split, cfg, p)
-            if r * np.exp(lam_p * t) < 1.0 / c_frozen:
-                uniform_viol += 1
-    rate_viol = 0
-    n_rate = 0
-    for _ in range(n_samples):
+        rho[i] = (mag if kind == 0 else 0.0, mag if kind == 1 else 0.0, om)
+    for i in range(n_samples, 2 * n_samples):
         mag_u = np.exp(rng.uniform(0.0, np.log(1e4)))
         mag_s = np.exp(rng.uniform(0.0, np.log(1e4)))
-        om = rng.uniform(-50.0, 50.0)
-        # transient end: the stable bracket has saturated (margin 0.3, so its
-        # residual drop rate is small) and the transverse part dominates the
-        # frequency (so dperp attenuates the unstable growth at its full
-        # power); past this point the decay rate is ~ lam (1-g)(1-a) R_u.
-        t0 = None
-        for t in ts:
-            xu_t, xs_t, om_t = lifted_flow(mag_u, mag_s, om, t, split)
-            _, ns, star = _gnorm_quantities(xu_t, xs_t, om_t, split, p)
-            h = h_gamma_perp(xu_t, xs_t, om_t, split, cfg, p)
-            xi_vec = split.compose(xu_t, xs_t)
-            if h * ns <= 0.3 and np.linalg.norm(xi_vec) >= 3.0 * abs(om_t):
-                t0 = t
-                break
-        if t0 is None or t0 >= ts[-2]:
-            continue
-        r0 = decay_ratio(mag_u, mag_s, om, t0, split, cfg, p)
-        for t in ts[ts > t0 + 1e-12]:
-            rt = decay_ratio(mag_u, mag_s, om, t, split, cfg, p)
-            n_rate += 1
-            slope = (np.log(rt) - np.log(r0)) / (t - t0)
-            if slope < -lam_p * (1.0 + 1e-9) - 1e-9:
-                rate_viol += 1
-    return uniform_viol, rate_viol, n_rate
+        rho[i] = (mag_u, mag_s, rng.uniform(-50.0, 50.0))
+    xu, xs, om = lifted_flow(rho[:, :1], rho[:, 1:2], rho[:, 2:], ts, split)
+    w = weight(xu, xs, om, split, cfg, p)
+    ratio = w / w[:, :1]
+    uniform_viol = int(np.count_nonzero(
+        ratio[:n_samples, 1:] * np.exp(lam_p * ts[1:]) < 1.0 / c_frozen))
+    # transient end: the stable bracket has saturated (margin 0.3, so its
+    # residual drop rate is small) and the transverse part dominates the
+    # frequency (so dperp attenuates the unstable growth at its full
+    # power); past this point the decay rate is ~ lam (1-g)(1-a) R_u.
+    xu, xs, om = xu[n_samples:], xs[n_samples:], om[n_samples:]
+    _, ns, star = _gnorm_quantities(xu, xs, om, split, p)
+    xi_norm = np.linalg.norm(split.compose(xu, xs), axis=-1)
+    sat = (h_gamma_perp(star, cfg) * ns <= 0.3) & (xi_norm >= 3.0 * np.abs(om))
+    i0 = np.argmax(sat, axis=1)[:, None]
+    rows = sat.any(axis=1) & (ts[i0[:, 0]] < ts[-2])
+    i0, logs = i0[rows], np.log(ratio[n_samples:][rows])
+    t0 = ts[i0]
+    later = ts > t0 + 1e-12
+    slope = (logs - np.take_along_axis(logs, i0, axis=1)) \
+        / np.where(later, ts - t0, 1.0)
+    rate_viol = int(np.count_nonzero(
+        later & (slope < -lam_p * (1.0 + 1e-9) - 1e-9)))
+    return uniform_viol, rate_viol, int(np.count_nonzero(later))
 
 
 def theoretical_orders(cfg: EscapeConfig, p: MetricParams):
@@ -337,6 +313,8 @@ def temperate_ratio_samples(split, cfg, p, n_samples=2000, seed=0):
 
     Used to fit/regress the temperate property of the weight; components are
     drawn log-uniformly up to 50 so both near-trapped and far covectors appear.
+    The distance is measured in the metric at rho; base-point displacement is
+    zero (single fiber), so only frequency components enter.
     """
     rng = np.random.default_rng(seed)
     n = n_samples
@@ -347,36 +325,24 @@ def temperate_ratio_samples(split, cfg, p, n_samples=2000, seed=0):
         om = rng.uniform(-50.0, 50.0, size=n)
         return mag * np.cos(ang), mag * np.sin(ang), om
 
-    xu0, xs0, om0 = draw()
-    xu1, xs1, om1 = draw()
-    ratios = np.empty(n)
-    brackets = np.empty(n)
-    for i in range(n):
-        w0 = weight(xu0[i], xs0[i], om0[i], split, cfg, p)
-        w1 = weight(xu1[i], xs1[i], om1[i], split, cfg, p)
-        ratios[i] = w1 / w0
-        # distance in the metric at rho0; base-point displacement is zero
-        # (single fiber), so only frequency components enter.
-        xi0 = split.compose(xu0[i], xs0[i])
-        xi1 = split.compose(xu1[i], xs1[i])
-        eta0 = np.sqrt(np.dot(xi0, xi0) + om0[i] ** 2)
-        dp = delta_perp(eta0, p)
-        dl = delta_par(eta0, p)
-        dist = np.sqrt(dp**2 * np.dot(xi1 - xi0, xi1 - xi0)
-                       + dl**2 * (om1[i] - om0[i]) ** 2)
-        h = h_gamma_perp(xu0[i], xs0[i], om0[i], split, cfg, p,
-                         gamma=cfg.gamma_prime)
-        brackets[i] = jbracket(h * dist)
-    return ratios, brackets
+    (xu0, xs0, om0), (xu1, xs1, om1) = draw(), draw()
+    ratios = weight(xu1, xs1, om1, split, cfg, p) \
+        / weight(xu0, xs0, om0, split, cfg, p)
+    xi0, xi1 = split.compose(xu0, xs0), split.compose(xu1, xs1)
+    eta0 = np.sqrt(np.sum(xi0**2, axis=-1) + om0**2)
+    disp = np.concatenate([np.zeros((n, xi0.shape[-1] + 1)), xi1 - xi0,
+                           (om1 - om0)[:, None]], axis=1)
+    _, _, star0 = _gnorm_quantities(xu0, xs0, om0, split, p)
+    h = h_gamma_perp(star0, cfg, gamma=cfg.gamma_prime)
+    return ratios, jbracket(h * g_norm_rows(eta0, disp, p))
 
 
 def weight_field_csv(split, cfg, p, xi_u_values, xi_s_values, omega_values):
     """CSV export of the weight field: columns (xi_u, xi_s, omega, W)."""
-    buf = io.StringIO()
-    buf.write("xi_u,xi_s,omega,W\n")
-    for xu in xi_u_values:
-        for xs in xi_s_values:
-            for om in omega_values:
-                w = weight(xu, xs, om, split, cfg, p)
-                buf.write(f"{float(xu)!r},{float(xs)!r},{float(om)!r},{w!r}\n")
-    return buf.getvalue()
+    mesh = np.meshgrid(np.asarray(xi_u_values, float),
+                       np.asarray(xi_s_values, float),
+                       np.asarray(omega_values, float), indexing="ij")
+    w = np.ravel(weight(*mesh, split, cfg, p))
+    rows = zip(*(m.ravel().tolist() for m in mesh), w.tolist())
+    return "xi_u,xi_s,omega,W\n" + "".join(",".join(map(repr, row)) + "\n"
+                                           for row in rows)

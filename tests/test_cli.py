@@ -172,7 +172,18 @@ def test_malformed_config_rejected(tmp_path):
                  ["resolution-check", "--band", "-1"],
                  ["escape-sweep", "--variant", "bogus"],
                  ["escape-sweep", "--r-u", "0"],
-                 ["escape-sweep", "--delta0", "-1"]):
+                 ["escape-sweep", "--delta0", "-1"],
+                 ["escape-sweep", "--variant", "W2", "--t-avg", "0"],
+                 ["escape-sweep", "--t-avg", "nan"],
+                 ["escape-sweep", "--r-u", "inf"],
+                 ["escape-sweep", "--r-s", "nan"],
+                 ["escape-sweep", "--h0", "inf"],
+                 ["escape-sweep", "--grid-points", "0"],
+                 ["escape-sweep", "--grid-points", "-1"],
+                 ["escape-sweep", "--grid-max", "inf"],
+                 ["escape-sweep", "--omega", "nan"],
+                 ["quantize-probes", "--weight-order", "nan"],
+                 ["quantize-probes", "--weight-order", "inf"]):
         assert run(args + ["--output-dir", tmp_path / "y"]) == 2
         assert not (tmp_path / "y").exists()
 

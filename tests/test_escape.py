@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from anisospec import frozen
-from anisospec.bracket_metric import MetricParams, fit_power_constant
+from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
+                                      fit_power_constant, jbracket)
 from anisospec.escape import (DualSplitting, EscapeConfig, decay_rate_fit,
-                              decay_ratio, h_gamma_perp, lifted_flow,
-                              lower_bound_report, order_estimate,
-                              projective_average, temperate_ratio_samples,
-                              theoretical_decay_rate, theoretical_lower_rate,
-                              theoretical_orders, weight, weight_field_csv)
-from anisospec.suspension import MappingTorus
+                              h_gamma_perp, lifted_flow, lower_bound_report,
+                              order_estimate, projective_average,
+                              temperate_ratio_samples, theoretical_decay_rate,
+                              theoretical_lower_rate, theoretical_orders,
+                              weight, weight_field_csv)
+from anisospec.suspension import (MappingTorus, fourier_orbit, full_spectrum,
+                                  orbit_representatives, orbit_sector_operator)
 
 
 @pytest.fixture(scope="module")
@@ -51,28 +53,35 @@ def test_escape_config_validation():
         EscapeConfig(gamma=0.3, gamma_prime=0.5)
     with pytest.raises(ValueError):
         EscapeConfig(r_u=0.0)
+    for bad in (dict(t_avg=0.0), dict(t_avg=np.nan), dict(r_u=np.inf),
+                dict(r_s=np.nan), dict(h0=np.inf)):
+        with pytest.raises(ValueError):
+            EscapeConfig(**bad)
 
 
 def test_h_gamma_examples(split, p_metric):
     cfg0 = EscapeConfig(r_u=2.0, r_s=2.0, gamma=0.5, gamma_prime=0.5, h0=1.0)
     # Xi_* = 0 -> h0
-    assert h_gamma_perp(0.0, 0.0, 5.0, split, cfg0, p_metric) \
-        == pytest.approx(1.0)
+    assert h_gamma_perp(0.0, cfg0) == pytest.approx(1.0)
     # gamma = 0 -> h0 everywhere
     cfgz = EscapeConfig(r_u=2.0, r_s=2.0, gamma=0.0, h0=0.7)
-    assert h_gamma_perp(3.0, -4.0, 1.0, split, cfgz, p_metric) \
-        == pytest.approx(0.7)
+    assert h_gamma_perp(5.0, cfgz) == pytest.approx(0.7)
     # hand oracle: |Xi_*|_g = sqrt(3) -> <sqrt 3> = 2 -> 2^{-1/2}
+    assert h_gamma_perp(np.sqrt(3.0), cfg0) == pytest.approx(2.0 ** (-0.5))
     # arrange |Xi_*|_g = dperp * |Xi_*| = sqrt(3): with xi_s = 0, omega = 0,
-    # need |xi_u|^{1/2} = sqrt(3) -> xi_u = 3
-    got = h_gamma_perp(3.0, 0.0, 0.0, split, cfg0, p_metric)
-    assert got == pytest.approx(2.0 ** (-0.5))
+    # need |xi_u|^{1/2} = sqrt(3) -> xi_u = 3; then h |Xi_u|_g = sqrt(3/2)
+    # and W = <sqrt(3/2)>^{-2} = 2/5
+    assert weight(3.0, 0.0, 0.0, split, cfg0, p_metric) == pytest.approx(0.4)
 
 
 def test_weight_on_trapped_set(split, p_metric):
     cfg = EscapeConfig(r_u=3.0, r_s=2.0, gamma=0.0)
     for om in (0.0, 1.0, 100.0):
         assert weight(0.0, 0.0, om, split, cfg, p_metric) == pytest.approx(1.0)
+    # the lifted flow keeps the trapped set, so the decay ratio there is 1
+    xu, xs, om = lifted_flow(0.0, 0.0, 5.0, np.array([0.5, 1.0, 3.0]), split)
+    assert weight(xu, xs, om, split, cfg, p_metric) \
+        / weight(0.0, 0.0, 5.0, split, cfg, p_metric) == pytest.approx(1.0)
 
 
 def test_weight_monotone_in_unstable(split, p_metric):
@@ -96,13 +105,6 @@ def test_lifted_flow_freezes_omega(split):
     assert om == 7.0
     assert xu == pytest.approx(2.0 * np.exp(split.lam * 1.5))
     assert xs == pytest.approx(3.0 * np.exp(-split.lam * 1.5))
-
-
-def test_decay_ratio_trapped_is_one(split, p_metric):
-    cfg = EscapeConfig(r_u=2.0, r_s=2.0, gamma=0.0)
-    for t in (0.5, 1.0, 3.0):
-        assert decay_ratio(0.0, 0.0, 5.0, t, split, cfg, p_metric) \
-            == pytest.approx(1.0)
 
 
 def test_decay_rate_within_ten_percent(split):
@@ -180,3 +182,112 @@ def test_weight_field_csv(split, p_metric):
     assert lines[0] == "xi_u,xi_s,omega,W"
     assert len(lines) == 3
     assert float(lines[1].split(",")[3]) == pytest.approx(1.0)
+
+
+def _lower_bound_loop(split, cfg, p, n_samples, seed, t_max, c_frozen):
+    """lower_bound_report one covector and one time at a time."""
+    lam_p = theoretical_lower_rate(split, cfg, p)
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, t_max, 13)
+
+    def ratio(xu, xs, om, t):
+        e = np.exp(split.lam * t)
+        return weight(xu * e, xs / e, om, split, cfg, p) \
+            / weight(xu, xs, om, split, cfg, p)
+
+    pure = []
+    for _ in range(n_samples):
+        mag = np.exp(rng.uniform(0.0, np.log(1e4)))
+        om = rng.uniform(-50.0, 50.0)
+        kind = rng.integers(0, 3)
+        pure.append(((mag, 0.0), (0.0, mag), (0.0, 0.0))[kind] + (om,))
+    uniform = sum(int(ratio(*rho, t) * np.exp(lam_p * t) < 1.0 / c_frozen)
+                  for rho in pure for t in ts[1:])
+    rate = n_rate = 0
+    for _ in range(n_samples):
+        xu = np.exp(rng.uniform(0.0, np.log(1e4)))
+        xs = np.exp(rng.uniform(0.0, np.log(1e4)))
+        om = rng.uniform(-50.0, 50.0)
+        t0 = None
+        for t in ts:
+            e = np.exp(split.lam * t)
+            xi = np.linalg.norm(split.compose(xu * e, xs / e))
+            dp = delta_perp(np.hypot(xi, om), p)
+            h = cfg.h0 * jbracket(dp * xi) ** -cfg.gamma
+            if h * dp * xs / e <= 0.3 and xi >= 3.0 * abs(om):
+                t0 = t
+                break
+        if t0 is None or t0 >= ts[-2]:
+            continue
+        r0 = ratio(xu, xs, om, t0)
+        for t in ts[ts > t0 + 1e-12]:
+            n_rate += 1
+            slope = (np.log(ratio(xu, xs, om, t)) - np.log(r0)) / (t - t0)
+            rate += int(slope < -lam_p * (1.0 + 1e-9) - 1e-9)
+    return uniform, rate, n_rate
+
+
+def test_array_paths_match_per_covector_loops(split, p_metric):
+    # lower_bound_report at one criterion-5 configuration and its seed, and
+    # at another seed where the uniform bound is set tight enough to fail
+    for gam, ap, big_r, seed, t_max, c_frozen in (
+            (0.5, 0.67, 8.0, 3, 4.0, frozen.DECAY_LOWER_C),
+            (0.0, 0.5, 2.0, 11, 3.0, 0.3)):
+        p = MetricParams(1.0, ap, 0.0)
+        cfg = EscapeConfig(r_u=big_r, r_s=big_r, gamma=gam)
+        n = 120 if seed == 3 else 60
+        assert lower_bound_report(split, cfg, p, n, seed, t_max, c_frozen) \
+            == _lower_bound_loop(split, cfg, p, n, seed, t_max, c_frozen)
+
+    # temperate_ratio_samples, the distance in the metric at rho written out
+    cfg = EscapeConfig(r_u=2.0, r_s=3.0, gamma=0.5, gamma_prime=0.3)
+    p = MetricParams(1.0, 0.67, 0.25)
+    ratios, brackets = temperate_ratio_samples(split, cfg, p, 300, seed=5)
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(2):
+        mag = np.exp(rng.uniform(0.0, np.log(50.0), size=300))
+        ang = rng.uniform(0.0, 2 * np.pi, size=300)
+        draws.append((mag * np.cos(ang), mag * np.sin(ang),
+                      rng.uniform(-50.0, 50.0, size=300)))
+    (u0, s0, o0), (u1, s1, o1) = draws
+    for i in range(300):
+        assert ratios[i] == pytest.approx(
+            weight(u1[i], s1[i], o1[i], split, cfg, p)
+            / weight(u0[i], s0[i], o0[i], split, cfg, p), rel=1e-12)
+        xi0, xi1 = split.compose(u0[i], s0[i]), split.compose(u1[i], s1[i])
+        eta0 = np.hypot(np.linalg.norm(xi0), o0[i])
+        dp, dl = delta_perp(eta0, p), delta_par(eta0, p)
+        dist = np.sqrt(dp**2 * np.sum((xi1 - xi0) ** 2)
+                       + dl**2 * (o1[i] - o0[i]) ** 2)
+        h = cfg.h0 * jbracket(dp * np.linalg.norm(xi0)) ** -cfg.gamma_prime
+        assert brackets[i] == pytest.approx(jbracket(h * dist), rel=1e-12)
+
+    # orbit_sector_operator, and the certificates full_spectrum draws from
+    # all its orbit windows at once
+    torus, cfg = MappingTorus(), EscapeConfig(r_u=8.0, r_s=8.0, gamma=0.0)
+    orb = fourier_orbit(torus, (2, 1), p_metric)
+    ws = [weight(*split.decompose(2.0 * np.pi * nu), 0.0, split, cfg, p_metric)
+          for nu in orb.points]
+    np.testing.assert_allclose(
+        orbit_sector_operator(orb, cfg, p_metric).entries,
+        [b / a for a, b in zip(ws, ws[1:])], rtol=1e-12)
+    res = full_spectrum(0, 4, cfg, 0.1, torus, p_metric)
+    assert len(res.certificates) == len(orbit_representatives(torus, 4))
+    for cert in res.certificates:
+        orb = fourier_orbit(torus, cert["nu"], p_metric)
+        entries = orbit_sector_operator(orb, cfg, p_metric).entries
+        assert cert["norm_bound"] == pytest.approx(max(entries), rel=1e-12)
+
+    # weight_field_csv: rows in loop order, every field a plain float repr
+    vals = [-2.0, 0.0, 3.5]
+    rows = weight_field_csv(split, cfg, p_metric, vals, vals[:2],
+                            [1.0, -4.0]).splitlines()
+    assert rows[0] == "xi_u,xi_s,omega,W"
+    want = [(xu, xs, om, weight(xu, xs, om, split, cfg, p_metric))
+            for xu in vals for xs in vals[:2] for om in (1.0, -4.0)]
+    assert len(rows) == 1 + len(want)
+    for row, (xu, xs, om, w) in zip(rows[1:], want):
+        fields = row.split(",")
+        assert fields[:3] == [repr(xu), repr(xs), repr(om)]
+        assert float(fields[3]) == pytest.approx(w, rel=1e-12)
