@@ -143,6 +143,8 @@ def run_toy(cfg):
 
     for key in ("w0", "w1"):
         _require(key, cfg[key], cfg[key] != 0, "must be nonzero")
+    for key in ("w0", "w1", "r"):
+        _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
     _require("window", cfg["window"], cfg["window"] >= 2, "must be >= 2")
     _require("section_n", cfg["section_n"], cfg["section_n"] >= 10,
              "must be >= 10")
@@ -184,6 +186,7 @@ def run_resolution_check(cfg):
     from .wavepackets import BargmannTransform, TorusGrid, band_limited_field
 
     _require("band", cfg["band"], cfg["band"] >= 0, "must be >= 0")
+    _require("seed", cfg["seed"], cfg["seed"] >= 0, "must be >= 0")
     p = _validated(MetricParams, float(cfg["delta0"]),
                    float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
     g = _validated(TorusGrid, 1, int(cfg["points"]),
@@ -360,6 +363,7 @@ def run_weyl_boxes(cfg):
                              for k in ("beta0", "omega_min", "omega_max"))
     _require("beta0", beta0, 0.0 < beta0 <= 1.0, "must lie in (0, 1]")
     _require("n", cfg["n"], cfg["n"] >= 1, "must be >= 1")
+    _require("seed", cfg["seed"], cfg["seed"] >= 0, "must be >= 0")
     _require("omega_min", om_min, om_min >= 4.0, "must be >= 4")
     limit = om_max * (1 + 1e-9)
     # an infinite limit would never end the doubling loop

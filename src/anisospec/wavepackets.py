@@ -26,6 +26,9 @@ from .bracket_metric import MetricParams, PhasePoint, delta_par, delta_perp
 from .errors import ResolutionError
 
 TWO_PI = 2.0 * np.pi
+# Byte budget of one batch array: a complex (c,) + grid array of the
+# transform kernel, a float (block, nodes^d) array of m_gauss_hermite.
+_BATCH_BYTES = 2**20
 
 
 class TorusGrid:
@@ -115,6 +118,8 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     The substitution eta = eta' - t / delta(eta') makes the rule exact when
     delta is constant over the node range (closed form pi^{d/2} / prod delta).
     eta_primes has shape (..., d); the last axis is the flow frequency.
+    Each value is the row sum of its own point's node terms, so it is
+    bitwise independent of the other points in the call.
     """
     eta_primes = np.asarray(eta_primes, dtype=float)
     single = eta_primes.ndim == 1
@@ -128,23 +133,23 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
                     axis=1)  # (nodes^d, d)
     logww = sum(np.meshgrid(*([logw] * d), indexing="ij")).ravel()
 
-    out = np.zeros(pts.shape[0])
-    # chunk over nodes to bound the (M x nodes^d) temporaries
-    chunk = max(1, int(2e6 // max(pts.shape[0], 1)))
-    for start in range(0, offs.shape[0], chunk):
-        o = offs[start : start + chunk]
-        lw = logww[start : start + chunk]
-        # one (M, chunk) array per axis; adding the squares in axis order is
-        # bitwise what np.linalg.norm(..., axis=-1) gives for d <= 3
-        eta = [pts[:, None, ax] - o[None, :, ax] / scales[:, None, ax]
-               for ax in range(d)]
+    out = np.empty(pts.shape[0])
+    # blocks of points with every node: one (block, nodes^d) float array
+    # holds at most _BATCH_BYTES, so the temporaries stay in cache
+    block = max(1, _BATCH_BYTES // (8 * offs.shape[0]))
+    for start in range(0, pts.shape[0], block):
+        sl = slice(start, start + block)
+        c, s = pts[sl, :, None], scales[sl, :, None]  # (block, d, 1)
+        # one (block, nodes^d) array per axis; adding the squares in axis
+        # order is bitwise what np.linalg.norm(..., axis=-1) gives for d <= 3
+        eta = [c[:, ax] - offs[:, ax] / s[:, ax] for ax in range(d)]
         en_i = np.sqrt(sum(e * e for e in eta))
         # |prof0|^2 = exp(-(dp (xi - xi'))^2 - (dl (om - om'))^2)
         dl = delta_par(en_i, p)  # one power for both deltas when they agree
         dp = dl if p.alpha_perp == p.alpha_par else delta_perp(en_i, p)
-        q = sum((s * (e - pts[:, None, ax])) ** 2
-                for ax, (s, e) in enumerate(zip([dp] * (d - 1) + [dl], eta)))
-        out += np.exp(lw[None, :] - q).sum(axis=1)
+        q = sum((dk * (eta[ax] - c[:, ax])) ** 2
+                for ax, dk in enumerate([dp] * (d - 1) + [dl]))
+        out[sl] = np.exp(logww - q).sum(axis=1)
     out /= np.prod(scales, axis=1)
     out = out.reshape(eta_primes.shape[:-1])
     return float(out) if single else out
@@ -262,7 +267,9 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
     """Continuous ||packet||^2 = int prof0^2/m d eta' by local trapezoid.
 
     The integrand is concentrated within ~1/delta of the center per axis;
-    the trapezoid covers 10 of those units on each side.
+    the trapezoid covers 10 of those units on each side.  As for the exact
+    packet, m is evaluated only where prof0^2 >= 1e-40; the integrand is 0
+    elsewhere.
     """
     eta_center = np.asarray(eta_center, dtype=float)
     en = float(np.linalg.norm(eta_center))
@@ -278,14 +285,13 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
     for ax in range(d - 1):
         q += (dp * (mesh[ax] - eta_center[ax])) ** 2
     q += (dl * (mesh[-1] - eta_center[-1])) ** 2
-    vals = np.exp(-q) / m_gauss_hermite(pts, p, d)
+    vals = np.exp(-q)
+    keep = vals >= 1e-40
+    vals[~keep] = 0.0
+    vals[keep] /= m_gauss_hermite(pts[keep], p, d)
     for ax in reversed(range(d)):
         vals = np.trapezoid(vals, axes[ax], axis=ax)
     return float(vals)
-
-
-# Byte budget of one complex (c,) + grid array of a kernel batch.
-_BATCH_BYTES = 2**20
 
 
 @functools.lru_cache(maxsize=8)
@@ -448,8 +454,10 @@ class BargmannTransform:
                                in self._analysis(u, fn=symbol))
 
     def identity_symbol_sum(self):
-        """sum_eta prof(eta; .)^2 d_eta^d on the lattice; equals 1 where the
-        window fully covers the packet mass (diagnostic for B*B - Id)."""
+        """sum_eta prof(eta; .)^2 d_eta^d on the lattice: the Fourier
+        multiplier that B*B is with the identity symbol, so
+        op_apply(u) = finv(identity_symbol_sum() * fcoef(u)).  It equals 1
+        where the window fully covers the packet mass."""
         acc = np.zeros(self.grid.shape)
         for _, _, prof, _ in self._analysis(None):
             acc = _add_rows(acc, prof**2)

@@ -151,6 +151,12 @@ def test_malformed_config_rejected(tmp_path):
                  ["toy", "--window", "1"],
                  ["toy", "--w0", "0"],
                  ["toy", "--w1", "0"],
+                 ["toy", "--w0", "nan"],
+                 ["toy", "--w1", "inf"],
+                 ["toy", "--r", "nan"],
+                 ["toy", "--r", "inf"],
+                 ["resolution-check", "--seed", "-1"],
+                 ["weyl-boxes", "--seed", "-1"],
                  ["weyl-boxes", "--omega-min", "2"],
                  ["weyl-boxes", "--alpha-grid", "0.3:0.9:0.1"],
                  ["weyl-boxes", "--beta0", "0"],

@@ -73,8 +73,8 @@ def test_m_gauss_hermite_vs_lattice(params_half):
 
 
 def _m_gauss_hermite_reference(pts, p, d, nodes=32):
-    """m_gauss_hermite as one (M, nodes^d, d) temporary and np.linalg.norm;
-    for M <= 60 m_gauss_hermite takes all nodes in one chunk too."""
+    """m_gauss_hermite as one (M, nodes^d, d) temporary and np.linalg.norm,
+    every point's node terms summed in one row."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
     logw = np.log(w) + t**2
     en = np.linalg.norm(pts, axis=1)
@@ -93,13 +93,19 @@ def _m_gauss_hermite_reference(pts, p, d, nodes=32):
     return np.exp(logww[None, :] - q).sum(axis=1) / np.prod(scales, axis=1)
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_m_gauss_hermite_bitwise_per_axis(d):
+@pytest.mark.parametrize("d, count", [(2, 520), (3, 42)])
+def test_m_gauss_hermite_bitwise_per_axis(d, count):
+    """Bitwise the one-temporary reference across several point blocks, and
+    each point's value is independent of the other points in the call."""
+    assert count > _BATCH_BYTES // (8 * 32**d)  # more than one block
     rng = np.random.default_rng(d)
-    pts = rng.normal(size=(20, d)) * rng.uniform(0.0, 300.0, size=(20, 1))
+    pts = rng.normal(size=(count, d)) * rng.uniform(0.0, 300.0,
+                                                    size=(count, 1))
+    mask = rng.uniform(size=count) < 0.6
     for p in (MetricParams(1.0, 0.5, 0.5), MetricParams(1.0, 0.6, 0.2)):
-        ref = _m_gauss_hermite_reference(pts, p, d)
-        assert np.array_equal(m_gauss_hermite(pts, p, d), ref)
+        got = m_gauss_hermite(pts, p, d)
+        assert np.array_equal(got, _m_gauss_hermite_reference(pts, p, d))
+        assert np.array_equal(m_gauss_hermite(pts[mask], p, d), got[mask])
 
 
 def _m_lattice_dense(g, p):
@@ -176,7 +182,8 @@ def test_exact_equals_gaussian_constant_regime():
 def test_exact_samples_match_full_grid_m(params_half, n, points, length, xi,
                                          omega):
     """m only where the profile is at least 1e-40 gives the samples of m on
-    the whole grid, up to the rounding of its node chunks."""
+    the whole grid: each m value is independent of the other points, and
+    the dropped tail is below rounding."""
     p = params_half
     g = TorusGrid(n, points, length)
     rho = phase_point(x=[1.0] * n, z=2.0, xi=xi, omega=omega)
@@ -210,6 +217,23 @@ def test_packet_norm_defect_scaling(params_half):
                                         points_per_axis=97)
         assert abs(nsq - 1.0) <= frozen.PACKET_NORM_DEFECT_C \
             * distortion_from_eta(e, params_half)
+
+
+@pytest.mark.parametrize("e", [1.0, 64.0, 1024.0])
+def test_packet_norm_mask_matches_full_evaluation(params_half, e):
+    """Leaving out m where prof0^2 < 1e-40 moves ||packet||^2 by rounding
+    only, against the integrand evaluated at every trapezoid node."""
+    p, center = params_half, np.array([e, 0.0])
+    dp, dl = delta_perp(e, p), delta_par(e, p)
+    axes = [center[0] + np.linspace(-10.0, 10.0, 97) / dp,
+            center[1] + np.linspace(-10.0, 10.0, 97) / dl]
+    xi, om = np.meshgrid(*axes, indexing="ij")
+    g2 = np.exp(-(dp * (xi - center[0])) ** 2 - (dl * (om - center[1])) ** 2)
+    assert np.count_nonzero(g2 < 1e-40) > 0.2 * g2.size
+    vals = g2 / m_gauss_hermite(np.stack([xi, om], axis=-1), p, 2)
+    full = np.trapezoid(np.trapezoid(vals, axes[1], axis=1), axes[0])
+    got = packet_norm_sq_continuous(center, p, 2, points_per_axis=97)
+    assert got == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
 def distortion_from_eta(e, p):
@@ -346,6 +370,18 @@ def test_kernel_batches_do_not_change_results(torus_transform):
         acc += prof * g.fcoef(v)
     ref = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0) * g.finv(acc)
     assert np.array_equal(tr.op_apply(u, symbol), ref)
+
+
+@pytest.mark.parametrize("fixture", ["torus_transform", "circle_transform"])
+def test_identity_op_apply_is_fourier_multiplier(fixture, request):
+    """With the identity symbol, the batched kernel B*B is the Fourier
+    multiplier identity_symbol_sum, which criterion 2 uses in its place."""
+    tr = request.getfixturevalue(fixture)
+    g = tr.grid
+    rng = np.random.default_rng(9)
+    u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    ref = g.finv(tr.identity_symbol_sum() * g.fcoef(u))
+    assert np.linalg.norm(tr.op_apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_identity_symbol_sum_near_one_on_band(torus_transform):
