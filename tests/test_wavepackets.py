@@ -93,10 +93,11 @@ def _m_gauss_hermite_reference(pts, p, d, nodes=32):
     return np.exp(logww[None, :] - q).sum(axis=1) / np.prod(scales, axis=1)
 
 
-@pytest.mark.parametrize("d, count", [(2, 520), (3, 42)])
-def test_m_gauss_hermite_bitwise_per_axis(d, count):
+@pytest.mark.parametrize("d", [2, 3])
+def test_m_gauss_hermite_bitwise_per_axis(d):
     """Bitwise the one-temporary reference across several point blocks, and
     each point's value is independent of the other points in the call."""
+    count = {2: 520, 3: 42}[d]
     assert count > _BATCH_BYTES // (8 * 32**d)  # more than one block
     rng = np.random.default_rng(d)
     pts = rng.normal(size=(count, d)) * rng.uniform(0.0, 300.0,
