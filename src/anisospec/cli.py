@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -149,6 +150,17 @@ def run_toy(cfg):
     _require("section_n", cfg["section_n"], cfg["section_n"] >= 10,
              "must be >= 10")
     half = int(cfg["window"])
+    # the eigenvector tails c / w0^j (2 <= j <= window) and c w1^(|j|+1)
+    # (1 <= |j| <= window), c = 1 - w0/w1, and their powers of w0 and w1
+    # must stay inside the normal float64 range; their log-magnitudes are
+    # linear in j, so the ends of the window decide
+    logs = [-j * math.log(abs(cfg["w0"])) for j in (2, half)] \
+        + [j * math.log(abs(cfg["w1"])) for j in (2, half + 1)]
+    c = abs(1.0 - cfg["w0"] / cfg["w1"])
+    logs += [v + math.log(c) for v in logs] if c else []
+    lo, hi = (math.log(v) for v in (np.finfo(float).tiny, np.finfo(float).max))
+    _require("window", half, all(lo <= v <= hi for v in logs),
+             "must keep the eigenvector entries inside the float64 range")
     model = ShiftModel(w0=cfg["w0"], w1=cfg["w1"], r=float(cfg["r"]),
                        window=(-half, half))
     seq_u, seq_v = eigvec_U(model), eigvec_V(model)
@@ -326,6 +338,9 @@ def run_suspension(cfg):
     _require("R", cfg["R"], cfg["R"] > 0, "must be > 0")
     _require("k_max", cfg["k_max"], cfg["k_max"] >= 0, "must be >= 0")
     _require("nu_max", cfg["nu_max"], cfg["nu_max"] >= 1, "must be >= 1")
+    _require("threshold", cfg["threshold"],
+             np.isfinite(cfg["threshold"]) and cfg["threshold"] > 0,
+             "must be finite and > 0")
     p = _validated(MetricParams, float(cfg["delta0"]),
                    float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
     ec = _validated(EscapeConfig, r_u=float(cfg["R"]), r_s=float(cfg["R"]),

@@ -18,6 +18,8 @@ from .bracket_metric import (MetricParams, PhasePoint, delta_par, delta_perp,
                              g_norm_rows, jbracket)
 from .errors import ResolutionError
 
+BASE_FREQ = 2  # the base frequency a of the Weierstrass series
+
 
 @dataclass(frozen=True)
 class HolderForm:
@@ -30,7 +32,6 @@ class HolderForm:
 
     beta0: float
     seed: int
-    base_freq: int = 2
     n_terms: int = 18
     n: int = 1
     amplitude: float = 1.0
@@ -39,8 +40,6 @@ class HolderForm:
     def __post_init__(self):
         if not 0.0 < self.beta0 <= 1.0:
             raise ValueError("beta0 must lie in (0, 1]")
-        if self.base_freq < 2:
-            raise ValueError("base_freq must be >= 2")
         if not self.phases:
             rng = np.random.default_rng(self.seed)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=(self.n, self.n_terms))
@@ -54,7 +53,7 @@ class HolderForm:
         """
         if self.beta0 >= 1.0:
             return 0.0
-        return self.base_freq ** (-(self.n_terms - 1))
+        return BASE_FREQ ** (-(self.n_terms - 1))
 
 
 def synth_holder(beta0: float, seed: int, n: int = 1,
@@ -81,7 +80,7 @@ def evaluate(form: HolderForm, x):
     if x.shape[-1] != form.n:
         raise ValueError("point dimension does not match the form")
     out = np.zeros_like(x)
-    a = float(form.base_freq)
+    a = float(BASE_FREQ)
     for i in range(form.n):
         acc = np.zeros(x.shape[:-1])
         for k in range(form.n_terms):

@@ -92,34 +92,34 @@ class TailSequence:
     ratio_neg: complex
 
 
-def eigvec_U(model: ShiftModel, u0: complex = 1.0) -> TailSequence:
+def eigvec_U(model: ShiftModel) -> TailSequence:
     """Eigenvector LU = w0 U: supported on j >= 0 with tail ratio 1/w0.
 
-    U_0 = u0, U_1 = u0/w0, U_j = (1 - w0/w1) u0 / w0^j for j >= 2.
+    U_0 = 1, U_1 = 1/w0, U_j = (1 - w0/w1) / w0^j for j >= 2.
     """
     w0, w1 = model.w0, model.w1
     vals = np.zeros(model.size, dtype=complex)
     js = model.indices
     pos = js >= 2
-    vals[model.idx(0)] = u0
-    vals[model.idx(1)] = u0 / w0
-    vals[pos] = (1.0 - w0 / w1) * u0 / w0 ** js[pos]
+    vals[model.idx(0)] = 1.0
+    vals[model.idx(1)] = 1.0 / w0
+    vals[pos] = (1.0 - w0 / w1) / w0 ** js[pos]
     return TailSequence(values=vals, ratio_pos=1.0 / w0, ratio_neg=0.0)
 
 
-def eigvec_V(model: ShiftModel, v1: complex = 1.0) -> TailSequence:
+def eigvec_V(model: ShiftModel) -> TailSequence:
     """Eigenvector LV = w1 V: supported on j <= 1 with tail ratio w1.
 
-    V_1 = v1, V_0 = w1 v1, V_j = (1 - w0/w1) w1^{|j|} V_0 for j <= -1.
+    V_1 = 1, V_0 = w1, V_j = (1 - w0/w1) w1^{|j|} V_0 for j <= -1.
     (The tail is pinned to V_0, which is what LV = w1 V forces at row 0.)
     """
     w0, w1 = model.w0, model.w1
     vals = np.zeros(model.size, dtype=complex)
     js = model.indices
     neg = js <= -1
-    vals[model.idx(1)] = v1
-    vals[model.idx(0)] = w1 * v1
-    vals[neg] = (1.0 - w0 / w1) * w1 ** np.abs(js[neg]) * (w1 * v1)
+    vals[model.idx(1)] = 1.0
+    vals[model.idx(0)] = w1
+    vals[neg] = (1.0 - w0 / w1) * w1 ** np.abs(js[neg]) * w1
     return TailSequence(values=vals, ratio_pos=0.0, ratio_neg=w1)
 
 

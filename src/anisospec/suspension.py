@@ -16,17 +16,15 @@ import numpy as np
 
 from .bracket_metric import MetricParams, delta_par, delta_perp, jbracket
 from .errors import ResolutionError
-from .escape import DualSplitting, EscapeConfig, weight
+from .escape import DualSplitting, EscapeConfig, lifted_flow, weight
 from .wavepackets import m_gauss_hermite
 
 
 @dataclass(frozen=True)
 class MappingTorus:
-    """Suspension data: hyperbolic integer matrix, constant roof, potential."""
+    """Suspension data: a hyperbolic integer matrix (roof 1, no potential)."""
 
     f: tuple = ((2, 1), (1, 1))
-    roof: float = 1.0
-    potential: complex = 0.0
 
     def __post_init__(self):
         m = np.asarray(self.f, dtype=np.int64)
@@ -36,10 +34,6 @@ class MappingTorus:
             raise ValueError("f must have determinant 1")
         if abs(int(m[0, 0] + m[1, 1])) <= 2:
             raise ValueError("f must be hyperbolic (|trace| > 2)")
-        if self.roof != 1.0:
-            raise ValueError("only the constant roof 1 is supported")
-        if self.potential != 0.0:
-            raise ValueError("only zero potential is supported")
         object.__setattr__(self, "f", tuple(tuple(int(v) for v in row)
                                             for row in m))
         # derived once per torus, so its orbits share one eigendecomposition
@@ -48,15 +42,6 @@ class MappingTorus:
     @property
     def matrix(self) -> np.ndarray:
         return np.asarray(self.f, dtype=np.int64)
-
-    @property
-    def matrix_t(self) -> np.ndarray:
-        return self.matrix.T
-
-    @property
-    def lam(self) -> float:
-        tr = float(self.matrix[0, 0] + self.matrix[1, 1])
-        return float(np.log((abs(tr) + np.sqrt(tr**2 - 4.0)) / 2.0))
 
     def dual_splitting(self) -> DualSplitting:
         """Stable/unstable dual directions from the transpose eigenbasis."""
@@ -140,96 +125,37 @@ def transfer_time1_grid(u, torus: MappingTorus):
     return u[j1, j2]
 
 
-def _xi_star_gnorm(nu, split: DualSplitting, p: MetricParams) -> float:
-    """|Xi_*|_g for the covector 2 pi nu (omega = 0)."""
-    xi = 2.0 * np.pi * np.asarray(nu, dtype=float)
-    en = float(np.linalg.norm(xi))
-    return float(delta_perp(en, p) * en)
+def orbit_representatives(torus: MappingTorus, nu_max: int) -> np.ndarray:
+    """Canonical representatives of the (f^T)-orbits meeting the box
+    |nu|_inf <= nu_max, as an (R, 2) integer array in increasing
+    (|nu|^2, nu) order.
 
-
-@dataclass
-class FourierOrbit:
-    """A window of the frequency orbit nu_j = (f^T)^j nu; dual components
-    are taken in the splitting of f^T."""
-
-    points: np.ndarray  # (len, 2) integer frequency lattice points
-    split: DualSplitting
-
-    def components(self):
-        """(xi_u, xi_s) coefficient arrays of 2 pi nu_j over the orbit points."""
-        return self.split.decompose(2.0 * np.pi * self.points)
-
-
-def fourier_orbit(torus: MappingTorus, nu, p: MetricParams,
-                  gnorm_threshold: float = 10.0,
-                  max_steps: int = 200) -> FourierOrbit:
-    """Extend the orbit of nu until |Xi_*|_g exceeds the threshold both ways."""
-    nu = tuple(int(v) for v in nu)
-    if nu == (0, 0):
-        raise ValueError("nu must be nonzero")
-    split = torus.dual_splitting()
-    ft = torus.matrix_t
-    ft_inv = np.round(np.linalg.inv(ft)).astype(np.int64)
-    fwd = [np.asarray(nu, dtype=np.int64)]
-    while _xi_star_gnorm(fwd[-1], split, p) <= gnorm_threshold:
-        fwd.append(ft @ fwd[-1])
-        if len(fwd) > max_steps:
-            raise ResolutionError("orbit window failed to reach the decay regime")
-    bwd = [ft_inv @ np.asarray(nu, dtype=np.int64)]
-    while _xi_star_gnorm(bwd[-1], split, p) <= gnorm_threshold:
-        bwd.append(ft_inv @ bwd[-1])
-        if len(bwd) > max_steps:
-            raise ResolutionError("orbit window failed to reach the decay regime")
-    pts = np.array(list(reversed(bwd)) + fwd, dtype=np.int64)
-    seen = {tuple(q) for q in pts}
-    if len(seen) != len(pts):
-        raise ValueError("orbit points are not pairwise distinct")
-    return FourierOrbit(points=pts, split=split)
-
-
-@dataclass
-class OrbitOperator:
-    """Weighted shift on an orbit window: subdiagonal entries
-    W(nu_{j+1}) / W(nu_j); its norm is bounded by the largest entry."""
-
-    orbit: FourierOrbit
-    entries: np.ndarray
-
-
-def orbit_sector_operator(orbit: FourierOrbit, cfg: EscapeConfig,
-                          p: MetricParams) -> OrbitOperator:
-    """Weighted time-1 shift on the orbit window (flow frequency omega = 0)."""
-    ws = weight(*orbit.components(), 0.0, orbit.split, cfg, p)
-    return OrbitOperator(orbit=orbit, entries=ws[1:] / ws[:-1])
-
-
-def orbit_representatives(torus: MappingTorus, nu_max: int):
-    """Canonical representatives of the (f^T)-orbits meeting |nu|_inf <= nu_max.
-
-    The representative is the orbit point of minimal (|nu|_2, nu) among those
-    inside the box; orbits are infinite so each is listed once.
+    The representative is the orbit point of minimal (|nu|^2, nu) inside the
+    box.  All box points are walked at once, forward and backward, each while
+    it stays in the box (its in-box orbit segment is an interval, by
+    hyperbolicity); f^T has no periodic lattice points, so each orbit is
+    listed once.
     """
-    ft = torus.matrix_t
-    ft_inv = np.round(np.linalg.inv(ft)).astype(np.int64)
-    seen = set()
-    reps = set()
-    for a in range(-nu_max, nu_max + 1):
-        for b in range(-nu_max, nu_max + 1):
-            if (a, b) == (0, 0) or (a, b) in seen:
-                continue
-            # walk the in-box orbit segment (an interval, by hyperbolicity)
-            box = []
-            for step_m in (ft, ft_inv):
-                cur = np.array([a, b], dtype=np.int64)
-                while np.max(np.abs(cur)) <= nu_max:
-                    box.append(tuple(int(v) for v in cur))
-                    cur = step_m @ cur
-                    if len(box) > 100000:
-                        raise RuntimeError("orbit walk runaway")
-            box = sorted(set(box), key=lambda q: (q[0] ** 2 + q[1] ** 2, q))
-            seen.update(box)
-            reps.add(box[0])
-    return sorted(reps, key=lambda q: (q[0] ** 2 + q[1] ** 2, q))
+    side = 2 * nu_max + 1
+    box = np.mgrid[-nu_max:nu_max + 1, -nu_max:nu_max + 1].reshape(2, -1).T
+    box = box[np.any(box != 0, axis=1)]
+
+    def key(q):  # (|q|^2, q) in lexicographic order, as one exact integer
+        return (np.sum(q * q, axis=1) * side + q[:, 0] + nu_max) * side \
+            + q[:, 1] + nu_max
+
+    best = key(box)
+    f = torus.matrix
+    f_inv = np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]])  # det f = 1
+    for step in (f, f_inv):  # row nu -> row f^T nu is nu @ f
+        idx, cur = np.arange(len(box)), box
+        while idx.size:
+            cur = cur @ step
+            inside = np.max(np.abs(cur), axis=1) <= nu_max
+            idx, cur = idx[inside], cur[inside]
+            best[idx] = np.minimum(best[idx], key(cur))
+    keys = np.unique(best)
+    return np.stack([keys // side % side, keys % side], axis=1) - nu_max
 
 
 def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
@@ -237,26 +163,42 @@ def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
                   p: MetricParams = MetricParams()) -> SpectrumResult:
     """Zero-sector eigenvalues plus per-orbit no-resonance certificates.
 
-    Each certificate asserts that the weighted time-1 shift on the orbit has
-    norm bound (max entry) at most `threshold`, i.e. the sector contributes
-    no eigenvalue with Re z > log(threshold) at this truncation.
+    On the dual components of 2 pi nu, the orbit nu_j = (f^T)^j nu is the
+    lifted flow at the integer times j (omega = 0).  The window of an orbit
+    runs from the first j <= -1 to the first j >= 0 at which |Xi_*|_g > 10;
+    the weighted time-1 shift on it has the entries W(nu_{j+1}) / W(nu_j),
+    and its norm is bounded by the largest entry.  Each certificate asserts
+    that bound is at most `threshold`, i.e. the sector contributes no
+    eigenvalue with Re z > log(threshold) at this truncation.
     """
     res = zero_sector_spectrum(k_max)
-    reps = orbit_representatives(torus, nu_max) if nu_max > 0 else []
-    if not reps:
+    reps = orbit_representatives(torus, nu_max)
+    if not len(reps):
         return res
-    windows = [fourier_orbit(torus, nu, p).points for nu in reps]
-    # one weighted shift over the windows laid end to end; after each window
-    # comes one entry that joins it to the next (or a NaN), which is dropped
-    joined = orbit_sector_operator(
-        FourierOrbit(np.concatenate(windows), torus.dual_splitting()), cfg, p)
-    parts = np.split(np.append(joined.entries, np.nan),
-                     np.cumsum([len(w) for w in windows])[:-1])
-    for nu, part in zip(reps, parts):
-        bound = float(np.max(part[:-1]))
-        res.certificates.append({"nu": tuple(int(v) for v in nu),
-                                 "norm_bound": bound,
-                                 "pass": bool(bound <= threshold)})
+    split = torus.dual_splitting()
+    xi_u, xi_s = split.decompose(2.0 * np.pi * reps)
+    # rows: the forward and the backward window end of each orbit
+    ends = np.zeros((2, len(reps)), dtype=int)
+    found = np.zeros((2, len(reps)), dtype=bool)
+    for k in range(200):
+        js = np.array([[k], [-1 - k]])
+        xu, xs, _ = lifted_flow(xi_u, xi_s, 0.0, js, split)
+        star = np.linalg.norm(split.compose(xu, xs), axis=-1)
+        hit = ~found & (delta_perp(star, p) * star > 10.0)
+        ends, found = np.where(hit, js, ends), found | hit
+        if found.all():
+            break
+    else:
+        raise ResolutionError("orbit window failed to reach the decay regime")
+    fwd, bwd = ends[:, :, None]
+    js = np.arange(bwd.min(), fwd.max() + 1)
+    ws = weight(*lifted_flow(xi_u[:, None], xi_s[:, None], 0.0, js, split),
+                split, cfg, p)
+    bounds = np.max(ws[:, 1:] / ws[:, :-1], axis=1, initial=-np.inf,
+                    where=(js[:-1] >= bwd) & (js[:-1] < fwd))
+    for nu, bound in zip(reps.tolist(), bounds.tolist()):
+        res.certificates.append({"nu": tuple(nu), "norm_bound": bound,
+                                 "pass": bound <= threshold})
     return res
 
 

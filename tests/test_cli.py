@@ -172,6 +172,11 @@ def test_malformed_config_rejected(tmp_path):
                  ["suspension", "--nu-max", "-1"],
                  ["suspension", "--nu-max", "0"],
                  ["suspension", "--delta0", "0"],
+                 ["suspension", "--threshold", "nan"],
+                 ["suspension", "--threshold", "-1"],
+                 ["toy", "--window", "1100"],
+                 ["toy", "--w1", "0.001", "--window", "1023"],
+                 ["toy", "--window", "100000000"],
                  ["resolution-check", "--points", "7"],
                  ["resolution-check", "--delta0", "0"],
                  ["resolution-check", "--length", "0"],
@@ -192,6 +197,16 @@ def test_malformed_config_rejected(tmp_path):
                  ["quantize-probes", "--weight-order", "inf"]):
         assert run(args + ["--output-dir", tmp_path / "y"]) == 2
         assert not (tmp_path / "y").exists()
+
+
+def test_toy_window_at_the_float64_limit(tmp_path):
+    """At the default weights the eigenvector tails 2^j reach 2^1000 at
+    window 1000, and would leave float64 at window 1100."""
+    out = tmp_path / "toy"
+    assert run(["toy", "--window", "1000", "--output-dir", out]) == 0
+    residuals = json.loads((out / "toy.json").read_text())[
+        "eigencheck_residuals"]
+    assert all(np.isfinite(v) for v in residuals.values())
 
 
 def test_resolution_error_exit_code(tmp_path):

@@ -40,8 +40,6 @@ def test_form_validation():
         synth_holder(0.0, seed=0)
     with pytest.raises(ValueError):
         synth_holder(1.2, seed=0)
-    with pytest.raises(ValueError):
-        HolderForm(beta0=0.5, seed=0, base_freq=1)
 
 
 def test_holder_exponent_empirical():

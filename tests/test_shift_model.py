@@ -53,7 +53,7 @@ def test_L_Linv_identity_interior():
 def test_eigvec_U_hand_values():
     """Hand evaluation of the tail formulas, then the LU = w0 U oracle."""
     m = ShiftModel(0.5, 0.25, 1.0, window=(-50, 50))
-    u = eigvec_U(m, u0=1.0)
+    u = eigvec_U(m)
     assert u.values[m.idx(1)] == pytest.approx(2.0)     # 1/w0
     assert u.values[m.idx(2)] == pytest.approx(-4.0)    # 4 (1 - 2)
     assert u.values[m.idx(3)] == pytest.approx(-8.0)
@@ -63,8 +63,8 @@ def test_eigvec_U_hand_values():
 
 def test_eigvec_V_satisfies_eigenequation():
     m = ShiftModel(0.5, 0.25, 1.0, window=(-50, 50))
-    v = eigvec_V(m, v1=1.0)
-    assert v.values[m.idx(0)] == pytest.approx(0.25)    # w1 v1
+    v = eigvec_V(m)
+    assert v.values[m.idx(0)] == pytest.approx(0.25)    # w1
     assert np.all(v.values[m.idx(2):] == 0.0)           # V_j = 0 for j >= 2
     assert eigen_residual(m, v, m.w1) <= 1e-12
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from anisospec import frozen
-from anisospec.bracket_metric import MetricParams, jbracket
-from anisospec.escape import EscapeConfig, weight
+from anisospec.bracket_metric import MetricParams, delta_perp, jbracket
+from anisospec.cli import main
+from anisospec.errors import ResolutionError
+from anisospec.escape import EscapeConfig, lifted_flow, weight
 from anisospec.suspension import (MappingTorus, SpectrumResult,
-                                  eigenfunction_hw_norm, fourier_orbit,
-                                  full_spectrum, generator_residual,
-                                  orbit_representatives, orbit_sector_operator,
+                                  eigenfunction_hw_norm, full_spectrum,
+                                  generator_residual, orbit_representatives,
                                   transfer_time1_grid, transfer_zero_sector,
                                   wavefront_extrema,
                                   wavefront_value, weyl_count,
@@ -19,6 +20,104 @@ from anisospec.suspension import (MappingTorus, SpectrumResult,
 
 P = MetricParams(1.0, 0.5, 0.0)
 CFG = EscapeConfig(r_u=8.0, r_s=8.0, gamma=0.0)
+MATRICES = {"2,1,1,1": ((2, 1), (1, 1)), "-2,-1,-1,-1": ((-2, -1), (-1, -1)),
+            "2,1,3,2": ((2, 1), (3, 2)), "3,1,2,1": ((3, 1), (2, 1))}
+
+
+# -- integer orbit walks in Python ints, one weight call per orbit point -----
+
+
+def _step(torus, nu, sign):
+    """f^T nu (sign +1) or (f^T)^{-1} nu (sign -1), exactly; det f = 1."""
+    (a, b), (c, d) = torus.f
+    if sign > 0:
+        return (a * nu[0] + c * nu[1], b * nu[0] + d * nu[1])
+    return (d * nu[0] - c * nu[1], -b * nu[0] + a * nu[1])
+
+
+def _key(nu):
+    return (nu[0] ** 2 + nu[1] ** 2, nu)
+
+
+def _in_box_segment(torus, nu, nu_max):
+    """The orbit points of nu inside |.|_inf <= nu_max, walked both ways."""
+    seg = []
+    for sign in (1, -1):
+        cur = nu
+        while max(abs(cur[0]), abs(cur[1])) <= nu_max:
+            seg.append(cur)
+            cur = _step(torus, cur, sign)
+    return set(seg)
+
+
+def _walk_representatives(torus, nu_max):
+    seen, reps = set(), set()
+    for a in range(-nu_max, nu_max + 1):
+        for b in range(-nu_max, nu_max + 1):
+            if (a, b) != (0, 0) and (a, b) not in seen:
+                seg = _in_box_segment(torus, (a, b), nu_max)
+                seen |= seg
+                reps.add(min(seg, key=_key))
+    return sorted(reps, key=_key)
+
+
+def _walk_window(torus, nu, p):
+    """Orbit points of nu from the first j <= -1 to the first j >= 0 with
+    |Xi_*|_g > 10, at most 200 each way."""
+    def past_threshold(q):
+        en = float(np.linalg.norm(2.0 * np.pi * np.asarray(q, dtype=float)))
+        return delta_perp(en, p) * en > 10.0
+
+    ends = []
+    for sign, start in ((1, nu), (-1, _step(torus, nu, -1))):
+        pts = [start]
+        while not past_threshold(pts[-1]):
+            assert len(pts) < 200
+            pts.append(_step(torus, pts[-1], sign))
+        ends.append(pts)
+    return ends[1][::-1] + ends[0]
+
+
+def _walk_bound(torus, nu, p):
+    split = torus.dual_splitting()
+    ws = [weight(*split.decompose(2.0 * np.pi * np.asarray(q, dtype=float)),
+                 0.0, split, CFG, p) for q in _walk_window(torus, nu, p)]
+    return max(b / a for a, b in zip(ws, ws[1:]))
+
+
+def _assert_match_walks(torus, nu_max, p):
+    res = full_spectrum(0, nu_max, CFG, float(np.exp(-3.0)), torus, p)
+    reps = _walk_representatives(torus, nu_max)
+    assert [c["nu"] for c in res.certificates] == reps
+    assert orbit_representatives(torus, nu_max).tolist() == \
+        [list(nu) for nu in reps]
+    for c in res.certificates:
+        assert c["norm_bound"] == pytest.approx(
+            _walk_bound(torus, c["nu"], p), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha_perp", [0.5, 0.67, 0.9])
+@pytest.mark.parametrize("f", MATRICES.values(), ids=MATRICES.keys())
+def test_certificates_match_integer_walks(f, alpha_perp):
+    _assert_match_walks(MappingTorus(f), 6, MetricParams(1.0, alpha_perp, 0.0))
+
+
+def test_certificates_match_walks_past_int64():
+    """At alpha_perp 0.95 the windows leave the int64 range."""
+    torus, p = MappingTorus(), MetricParams(1.0, 0.95, 0.0)
+    assert max(abs(v) for q in _walk_window(torus, (1, 0), p) for v in q) \
+        > 2 ** 63
+    _assert_match_walks(torus, 3, p)
+
+
+def test_orbit_window_past_200_steps_is_a_resolution_error(tmp_path):
+    with pytest.raises(ResolutionError):
+        full_spectrum(0, 2, CFG, 0.1, MappingTorus(),
+                      MetricParams(1.0, 0.99, 0.0))
+    out = tmp_path / "s"
+    assert main(["suspension", "--alpha-perp", "0.99",
+                 "--output-dir", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_mapping_torus_validation():
@@ -27,13 +126,15 @@ def test_mapping_torus_validation():
     with pytest.raises(ValueError):
         MappingTorus(f=((2, 1), (1, 2)))       # det 3
     with pytest.raises(ValueError):
-        MappingTorus(roof=2.0)
+        MappingTorus(f=((2, 1), (1, 1), (0, 0)))   # not 2x2
 
 
 def test_lambda_value():
-    # eigenvalue of [[2,1],[1,1]] by hand: (3 + sqrt 5)/2
-    assert MappingTorus().lam == pytest.approx(np.log((3 + np.sqrt(5)) / 2),
-                                               abs=1e-14)
+    # eigenvalue of [[2,1],[1,1]] by hand: (3 + sqrt 5)/2, and -(3 + sqrt 5)/2
+    # for its negative
+    for f in (((2, 1), (1, 1)), ((-2, -1), (-1, -1))):
+        assert MappingTorus(f).dual_splitting().lam == pytest.approx(
+            np.log((3 + np.sqrt(5)) / 2), abs=1e-14)
 
 
 def test_zero_sector_k0():
@@ -69,11 +170,10 @@ def test_sector_decomposition_exact():
     torus = MappingTorus()
     npts = 64
     rng = np.random.default_rng(0)
-    nu_a, nu_b = (1, 0), (0, 1)   # (0,1) maps to (1,1): same orbit family?
-    orbit_a = {tuple(v) for v in fourier_orbit(torus, nu_a, P).points}
-    # pick nu_b genuinely off orbit_a
+    nu_a = (1, 0)
+    # pick nu_b genuinely off the orbit of nu_a
     nu_b = (2, 0)
-    assert nu_b not in orbit_a
+    assert nu_b not in _walk_window(torus, nu_a, P)
     x1, x2 = np.meshgrid(np.arange(npts) / npts, np.arange(npts) / npts,
                          indexing="ij")
     ca, cb = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
@@ -81,7 +181,7 @@ def test_sector_decomposition_exact():
         + cb * np.exp(2j * np.pi * (nu_b[0] * x1 + nu_b[1] * x2))
     moved = transfer_time1_grid(u, torus)
     coef = np.fft.fft2(moved) / npts**2
-    ft = torus.matrix_t
+    ft = torus.matrix.T
     ia = tuple((ft @ np.array(nu_a)) % npts)
     ib = tuple((ft @ np.array(nu_b)) % npts)
     assert abs(coef[ia] - ca) <= 1e-12
@@ -90,62 +190,44 @@ def test_sector_decomposition_exact():
     assert np.max(np.abs(coef)) <= 1e-12
 
 
-def test_fourier_orbit_window():
-    torus = MappingTorus()
-    orb = fourier_orbit(torus, (1, 0), P)
-    pts = [tuple(v) for v in orb.points]
-    assert (1, 0) in pts
-    assert len(set(pts)) == len(pts)
-    # both ends past the decay threshold, growth ~ e^{lam |j|}
-    norms = np.linalg.norm(orb.points, axis=1)
-    assert norms[0] > 3.0 and norms[-1] > 3.0
-    with pytest.raises(ValueError):
-        fourier_orbit(torus, (0, 0), P)
-
-
-def test_fourier_orbit_window_too_small():
-    from anisospec.errors import ResolutionError
-    with pytest.raises(ResolutionError):
-        fourier_orbit(MappingTorus(), (1, 0), P, gnorm_threshold=1e6,
-                      max_steps=3)
-
-
 def test_orbit_entries_asymptotic_rate():
     """Far unstable end: entry ratio -> e^{-lam (1-gamma)(1-alpha) R_u}."""
-    torus = MappingTorus()
-    orb = fourier_orbit(torus, (1, 0), P, gnorm_threshold=40.0)
-    op = orbit_sector_operator(orb, CFG, P)
-    lam = torus.lam
-    target = np.exp(-lam * (1 - 0.0) * (1 - 0.5) * 8.0)
-    assert op.entries[-1] == pytest.approx(target, rel=0.05)
-    bound = np.max(op.entries)
+    split = MappingTorus().dual_splitting()
+    xi_u, xi_s = split.decompose(2.0 * np.pi * np.array([1.0, 0.0]))
+    xu, xs, _ = lifted_flow(xi_u, xi_s, 0.0, np.arange(40), split)
+    star = np.linalg.norm(split.compose(xu, xs), axis=-1)
+    end = int(np.argmax(delta_perp(star, P) * star > 40.0))
+    ws = weight(xu[:end + 1], xs[:end + 1], 0.0, split, CFG, P)
+    target = np.exp(-split.lam * (1 - 0.0) * (1 - 0.5) * 8.0)
+    assert ws[-1] / ws[-2] == pytest.approx(target, rel=0.05)
+    res = full_spectrum(0, 1, CFG, 0.1)
+    bound = next(c["norm_bound"] for c in res.certificates
+                 if c["nu"] == (1, 0))
     assert bound <= target + 2e-3 or bound <= np.exp(-3.0)
 
 
 def test_orbit_operator_unweighted_is_isometry():
     """R = 0 limit (no weight): all entries 1.  EscapeConfig requires
     positive exponents, so emulate with equal tiny R against W ~ 1."""
-    torus = MappingTorus()
-    orb = fourier_orbit(torus, (1, 0), P)
     cfg = EscapeConfig(r_u=1e-9, r_s=1e-9, gamma=0.0)
-    op = orbit_sector_operator(orb, cfg, P)
-    assert np.max(np.abs(op.entries - 1.0)) <= 1e-6
+    res = full_spectrum(0, 6, cfg, 2.0, MappingTorus(), P)
+    assert max(abs(c["norm_bound"] - 1.0) for c in res.certificates) <= 1e-6
 
 
 def test_orbit_representatives_partition():
+    """Each orbit meeting the box is listed once, by its least point there."""
     torus = MappingTorus()
     reps = orbit_representatives(torus, 6)
+    assert reps.shape[1] == 2
     seen = set()
-    for rep in reps:
-        orb = {tuple(v) for v in fourier_orbit(torus, rep, P).points}
-        assert not (orb & seen)
-        seen |= orb
+    for rep in map(tuple, reps.tolist()):
+        seg = _in_box_segment(torus, rep, 6)
+        assert min(seg, key=_key) == rep
+        assert not (seg & seen)
+        seen |= seg
     box = {(a, b) for a in range(-6, 7) for b in range(-6, 7)} - {(0, 0)}
-    covered = set()
-    for rep in reps:
-        npts = fourier_orbit(torus, rep, P, gnorm_threshold=1e4).points
-        covered |= {tuple(v) for v in npts}
-    assert box <= covered
+    assert seen == box
+    assert orbit_representatives(torus, 0).shape == (0, 2)
 
 
 def test_full_spectrum_counts_and_certificates():
@@ -158,7 +240,7 @@ def test_full_spectrum_counts_and_certificates():
 
 def test_full_spectrum_tight_threshold_fails():
     """Below e^{-Lambda} some orbit fails its certificate, and says so."""
-    lam = MappingTorus().lam
+    lam = MappingTorus().dual_splitting().lam
     tight = 0.5 * np.exp(-lam * 0.5 * 8.0)   # below e^{-Lambda}
     res = full_spectrum(1, 4, CFG, float(tight))
     assert not all(c["pass"] for c in res.certificates)
