@@ -21,8 +21,8 @@ from anisospec.escape import EscapeConfig, temperate_ratio_samples
 from anisospec.fractal_count import lipschitz_unit_scale_test, synth_holder
 from anisospec.suspension import (MappingTorus, eigenfunction_hw_norm,
                                   wavefront_extrema)
-from anisospec.wavepackets import (BargmannTransform, TorusGrid, make_packet,
-                                   packet_norm_sq_continuous)
+from anisospec.wavepackets import (BargmannTransform, TorusGrid, exact_packet,
+                                   gaussian_packet, packet_norm_sq_continuous)
 
 
 def metric_temperate():
@@ -81,8 +81,8 @@ def packet_constants():
     worst_g = 0.0
     for om in (8.0, 32.0, 128.0, 512.0):
         rho = phase_point(z=3.0, omega=om)
-        ex = make_packet(rho, "exact", p, g1).samples
-        ga = make_packet(rho, "gaussian", p, g1).samples
+        ex = exact_packet(rho, p, g1)
+        ga = gaussian_packet(rho, p, g1)
         worst_g = max(worst_g, g1.norm(ex - ga)
                       / distortion_from_eta_norm(om, p))
     print(f"gaussian-vs-exact: C >= {worst_g:.4f}")

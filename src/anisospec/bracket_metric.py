@@ -20,6 +20,19 @@ def jbracket(s):
     return float(out) if out.ndim == 0 else out
 
 
+def smoothstep(t):
+    """C-infinity step in t: 0 for t <= 0, 1 for t >= 1, and
+    e^{-1/t} / (e^{-1/t} + e^{-1/(1-t)}) between."""
+    t = np.clip(t, 0.0, 1.0)
+    out = np.zeros_like(t)
+    inner = (t > 0) & (t < 1)
+    a = np.exp(-1.0 / np.maximum(t, 1e-300))
+    b = np.exp(-1.0 / np.maximum(1.0 - t, 1e-300))
+    out[inner] = (a / (a + b))[inner]
+    out[t >= 1] = 1.0
+    return out
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Admissible metric parameters (delta0, alpha_perp, alpha_par).
@@ -125,11 +138,6 @@ def phase_point(x=(), z=0.0, xi=(), omega=0.0) -> PhasePoint:
     """Convenience constructor; empty x/xi give the n = 0 (circle) case."""
     return PhasePoint(x=np.asarray(x, dtype=float).reshape(-1), z=z,
                       xi=np.asarray(xi, dtype=float).reshape(-1), omega=omega)
-
-
-def distortion(rho: PhasePoint, p: MetricParams) -> float:
-    """Distortion Delta(rho); tends to 0 as |eta| grows."""
-    return float(distortion_from_eta_norm(rho.eta_norm, p))
 
 
 def g_norm_rows(eta_norm, v, p: MetricParams):

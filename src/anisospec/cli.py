@@ -2,8 +2,10 @@
 
 Subcommands: toy, resolution-check, quantize-probes, escape-sweep,
 suspension, weyl-boxes, verify-all.  Configuration is a flat key=value file
-plus command-line overrides; unknown keys are rejected.  Every run writes a
-manifest echoing the resolved config and the library version.  Exit codes:
+plus command-line overrides; unknown keys are rejected, and every value is
+cast to the type of its key's default.  Each runner returns its verdict and
+its artifacts; `main` writes them with a manifest echoing the resolved
+config and the library version.  Exit codes:
 0 success, 1 assertion/certification failure, 2 config parse error,
 3 resolution error.  RUELLE_THREADS caps the parallelism of verify-all.
 """
@@ -26,15 +28,6 @@ from .errors import ResolutionError
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse_scalar(text):
-    for cast in (int, float, complex):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
 
 
 def _parse_list(key, text, cast, valid, sep=","):
@@ -63,8 +56,9 @@ def _validated(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path, known_keys):
-    """Flat key=value file; unknown keys are rejected."""
+def load_config(path, defaults):
+    """Flat key=value file; unknown keys are rejected, and each value is cast
+    to the type of its key's default, as a command-line flag is."""
     cfg = {}
     for line_no, raw in enumerate(pathlib.Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -73,31 +67,29 @@ def load_config(path, known_keys):
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known_keys:
+        if key not in defaults:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        cfg[key] = _parse_scalar(value)
+        try:
+            cfg[key] = type(defaults[key])(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: key {key!r}: {exc}") \
+                from exc
     return cfg
 
 
 def resolve_config(args, defaults):
     """defaults <- config file <- explicit CLI flags.
 
-    Values are coerced to the default's type so the manifest is identical
-    whether a value arrived via file or flag.
+    File and flag values alike are cast once, to the default's type, so the
+    manifest is identical whether a value arrived via file or flag.
     """
     cfg = dict(defaults)
     if args.config:
-        cfg.update(load_config(args.config, set(defaults)))
+        cfg.update(load_config(args.config, defaults))
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    for key, default in defaults.items():
-        cast = _CASTS.get(key, type(default))
-        try:
-            cfg[key] = cast(cfg[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
     return cfg
 
 
@@ -109,17 +101,6 @@ def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"unserializable {type(o)}")
-
-
-def write_json(path, obj):
-    path.write_text(json.dumps(obj, indent=1, sort_keys=True,
-                               default=_json_default) + "\n")
-
-
-def write_manifest(outdir, command, cfg):
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_json(outdir / "manifest.json",
-               {"command": command, "config": cfg, "version": __version__})
 
 
 def thread_cap() -> int:
@@ -149,7 +130,7 @@ def run_toy(cfg):
     _require("window", cfg["window"], cfg["window"] >= 2, "must be >= 2")
     _require("section_n", cfg["section_n"], cfg["section_n"] >= 10,
              "must be >= 10")
-    half = int(cfg["window"])
+    half = cfg["window"]
     # the eigenvector tails c / w0^j (2 <= j <= window) and c w1^(|j|+1)
     # (1 <= |j| <= window), c = 1 - w0/w1, and their powers of w0 and w1
     # must stay inside the normal float64 range; their log-magnitudes are
@@ -161,10 +142,10 @@ def run_toy(cfg):
     lo, hi = (math.log(v) for v in (np.finfo(float).tiny, np.finfo(float).max))
     _require("window", half, all(lo <= v <= hi for v in logs),
              "must keep the eigenvector entries inside the float64 range")
-    model = ShiftModel(w0=cfg["w0"], w1=cfg["w1"], r=float(cfg["r"]),
+    model = ShiftModel(w0=cfg["w0"], w1=cfg["w1"], r=cfg["r"],
                        window=(-half, half))
     seq_u, seq_v = eigvec_U(model), eigvec_V(model)
-    report = finite_section_report(model, int(cfg["section_n"]))
+    report = finite_section_report(model, cfg["section_n"])
     out = {
         "memberships": {
             "U": hw_membership(seq_u, model.r),
@@ -179,12 +160,9 @@ def run_toy(cfg):
         "essential_radius": report["essential_radius"],
         "w0_found_in_section": report["w0_found"],
     }
-    outdir = pathlib.Path(cfg["output_dir"])
-    write_manifest(outdir, "toy", cfg)
-    write_json(outdir / "toy.json", out)
     ok = out["eigencheck_residuals"]["U"] <= 1e-12 \
         and out["eigencheck_residuals"]["V"] <= 1e-12
-    return 0 if ok else 1
+    return ok, {"toy.json": out}
 
 
 RESOLUTION_DEFAULTS = dict(points=128, length=float(np.pi), band=2,
@@ -199,12 +177,10 @@ def run_resolution_check(cfg):
 
     _require("band", cfg["band"], cfg["band"] >= 0, "must be >= 0")
     _require("seed", cfg["seed"], cfg["seed"] >= 0, "must be >= 0")
-    p = _validated(MetricParams, float(cfg["delta0"]),
-                   float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
-    g = _validated(TorusGrid, 1, int(cfg["points"]),
-                   length=float(cfg["length"]))
-    u = band_limited_field(g, int(cfg["band"]),
-                           np.random.default_rng(int(cfg["seed"])))
+    p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
+                   cfg["alpha_par"])
+    g = _validated(TorusGrid, 1, cfg["points"], length=cfg["length"])
+    u = band_limited_field(g, cfg["band"], np.random.default_rng(cfg["seed"]))
     windows = _parse_list("windows", cfg["windows"], int,
                           lambda ws: min(ws) >= 0)
     levels = []
@@ -217,12 +193,9 @@ def run_resolution_check(cfg):
         })
     decreasing = all(levels[i + 1]["residual"] < levels[i]["residual"]
                      for i in range(len(levels) - 1))
-    outdir = pathlib.Path(cfg["output_dir"])
-    write_manifest(outdir, "resolution-check", cfg)
     ok = decreasing and levels[0]["residual"] <= 1e-3
-    write_json(outdir / "resolution.json",
-               {"levels": levels, "decreasing": decreasing, "pass": ok})
-    return 0 if ok else 1
+    return ok, {"resolution.json": {"levels": levels,
+                                    "decreasing": decreasing, "pass": ok}}
 
 
 QUANTIZE_DEFAULTS = dict(points=128, window=16, band=4, weight_order=1.0,
@@ -242,17 +215,16 @@ def run_quantize_probes(cfg):
     _require("weight_order", cfg["weight_order"],
              np.isfinite(cfg["weight_order"]), "must be finite")
     p = MetricParams(1.0, 0.5, 0.5)
-    g = _validated(TorusGrid, 0, int(cfg["points"]))
-    tr = BargmannTransform(g, p, window=int(cfg["window"]))
-    r_ord = float(cfg["weight_order"])
+    g = _validated(TorusGrid, 0, cfg["points"])
+    tr = BargmannTransform(g, p, window=cfg["window"])
+    r_ord = cfg["weight_order"]
     space = WeightedSpace(
         weight=lambda sg, eta: jbracket(eta[-1]) ** r_ord
         * np.ones_like(sg[0]), transform=tr,
-        band=BandSubspace(g, int(cfg["band"])))
+        band=BandSubspace(g, cfg["band"]))
 
-    base_params = {"points": int(cfg["points"]), "window": int(cfg["window"]),
-                   "band": int(cfg["band"]),
-                   "weight_order": float(cfg["weight_order"])}
+    base_params = {"points": cfg["points"], "window": cfg["window"],
+                   "band": cfg["band"], "weight_order": cfg["weight_order"]}
     records = []
     sa = bump_symbol(2.0, 4.0, 2.0, 8.0, 0.2)
     sb = bump_symbol(3.5, -2.0, 2.5, 10.0, 0.2)
@@ -271,10 +243,8 @@ def run_quantize_probes(cfg):
                         "params": {**base_params, "t": t},
                         "residual": est, "bound": bound,
                         "pass": est <= bound})
-    outdir = pathlib.Path(cfg["output_dir"])
-    write_manifest(outdir, "quantize-probes", cfg)
-    write_json(outdir / "probes.json", {"records": records})
-    return 0 if all(r["pass"] for r in records) else 1
+    ok = all(r["pass"] for r in records)
+    return ok, {"probes.json": {"records": records}}
 
 
 ESCAPE_DEFAULTS = dict(r_u=8.0, r_s=8.0, gamma=0.0, gamma_prime=0.0, h0=1.0,
@@ -291,25 +261,18 @@ def run_escape_sweep(cfg):
                          weight_field_csv)
     from .suspension import MappingTorus
 
-    p = _validated(MetricParams, float(cfg["delta0"]),
-                   float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
-    ec = _validated(EscapeConfig, r_u=float(cfg["r_u"]),
-                    r_s=float(cfg["r_s"]), gamma=float(cfg["gamma"]),
-                    gamma_prime=float(cfg["gamma_prime"]),
-                    h0=float(cfg["h0"]), variant=str(cfg["variant"]),
-                    t_avg=float(cfg["t_avg"]))
+    p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
+                   cfg["alpha_par"])
+    ec = _validated(EscapeConfig, r_u=cfg["r_u"], r_s=cfg["r_s"],
+                    gamma=cfg["gamma"], gamma_prime=cfg["gamma_prime"],
+                    h0=cfg["h0"], variant=cfg["variant"], t_avg=cfg["t_avg"])
     _require("grid_points", cfg["grid_points"], cfg["grid_points"] >= 1,
              "must be >= 1")
     for key in ("grid_max", "omega"):
         _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
     split = MappingTorus().dual_splitting()
-    vals = np.linspace(-float(cfg["grid_max"]), float(cfg["grid_max"]),
-                       int(cfg["grid_points"]))
-    csv_text = weight_field_csv(split, ec, p, vals, vals,
-                                [float(cfg["omega"])])
-    outdir = pathlib.Path(cfg["output_dir"])
-    write_manifest(outdir, "escape-sweep", cfg)
-    (outdir / "weight_field.csv").write_text(csv_text)
+    vals = np.linspace(-cfg["grid_max"], cfg["grid_max"], cfg["grid_points"])
+    csv_text = weight_field_csv(split, ec, p, vals, vals, [cfg["omega"]])
     summary = {
         "decay_rate_fit": -decay_rate_fit(1.0e5, 0.0, 1.0,
                                           np.linspace(0, 3, 13),
@@ -320,8 +283,7 @@ def run_escape_sweep(cfg):
                                 ("stable", (0.0, 1.0, 0.0)))},
         "orders_theory": theoretical_orders(ec, p),
     }
-    write_json(outdir / "summary.json", summary)
-    return 0
+    return True, {"weight_field.csv": csv_text, "summary.json": summary}
 
 
 SUSPENSION_DEFAULTS = dict(k_max=5, nu_max=20, R=8.0, threshold=float(np.exp(-3.0)),
@@ -337,25 +299,25 @@ def run_suspension(cfg):
 
     _require("R", cfg["R"], cfg["R"] > 0, "must be > 0")
     _require("k_max", cfg["k_max"], cfg["k_max"] >= 0, "must be >= 0")
-    _require("nu_max", cfg["nu_max"], cfg["nu_max"] >= 1, "must be >= 1")
+    # peak memory grows like nu_max^2: about 300 MB at the bound
+    _require("nu_max", cfg["nu_max"], 1 <= cfg["nu_max"] <= 400,
+             "must lie in [1, 400]")
     _require("threshold", cfg["threshold"],
              np.isfinite(cfg["threshold"]) and cfg["threshold"] > 0,
              "must be finite and > 0")
-    p = _validated(MetricParams, float(cfg["delta0"]),
-                   float(cfg["alpha_perp"]), float(cfg["alpha_par"]))
-    ec = _validated(EscapeConfig, r_u=float(cfg["R"]), r_s=float(cfg["R"]),
-                    gamma=float(cfg["gamma"]))
-    res = full_spectrum(int(cfg["k_max"]), int(cfg["nu_max"]), ec,
-                        float(cfg["threshold"]), MappingTorus(), p)
-    outdir = pathlib.Path(cfg["output_dir"])
-    write_manifest(outdir, "suspension", cfg)
-    write_json(outdir / "spectrum.json", res.to_json_records())
+    p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
+                   cfg["alpha_par"])
+    ec = _validated(EscapeConfig, r_u=cfg["R"], r_s=cfg["R"],
+                    gamma=cfg["gamma"])
+    res = full_spectrum(cfg["k_max"], cfg["nu_max"], ec, cfg["threshold"],
+                        MappingTorus(), p)
     lines = ["nu1,nu2,norm_bound,pass"]
     for c in res.certificates:
         lines.append(f"{c['nu'][0]},{c['nu'][1]},{c['norm_bound']!r},"
                      f"{str(c['pass']).lower()}")
-    (outdir / "certificates.csv").write_text("\n".join(lines) + "\n")
-    return 0 if all(c["pass"] for c in res.certificates) else 1
+    return all(c["pass"] for c in res.certificates), {
+        "spectrum.json": res.to_json_records(),
+        "certificates.csv": "\n".join(lines) + "\n"}
 
 
 WEYL_DEFAULTS = dict(beta0=0.5, n=1, omega_min=64.0, omega_max=16384.0,
@@ -374,8 +336,7 @@ def run_weyl_boxes(cfg):
     _require("alpha_grid", cfg["alpha_grid"],
              0.5 <= alphas[0] and alphas[-1] < 1.0,
              "alphas must lie in [0.5, 1)")
-    beta0, om_min, om_max = (float(cfg[k])
-                             for k in ("beta0", "omega_min", "omega_max"))
+    beta0, om_min, om_max = cfg["beta0"], cfg["omega_min"], cfg["omega_max"]
     _require("beta0", beta0, 0.0 < beta0 <= 1.0, "must lie in (0, 1]")
     _require("n", cfg["n"], cfg["n"] >= 1, "must be >= 1")
     _require("seed", cfg["seed"], cfg["seed"] >= 0, "must be >= 0")
@@ -390,18 +351,15 @@ def run_weyl_boxes(cfg):
         om *= 2.0
     _require("omega_max", om_max, len(omegas) >= 6,
              "must leave at least 6 dyadic omegas from omega_min")
-    form = synth_holder(beta0, seed=int(cfg["seed"]), n=int(cfg["n"]))
+    form = synth_holder(beta0, seed=cfg["seed"], n=cfg["n"])
     counts = box_counts(form, omegas, alphas)
     a_star, e_star = optimal_alpha(counts, omegas, alphas)
-    outdir = pathlib.Path(cfg["output_dir"])
-    write_manifest(outdir, "weyl-boxes", cfg)
-    (outdir / "counts.csv").write_text("\n".join(
-        ["omega,alpha,count"]
-        + [f"{om!r},{al!r},{c}" for (om, al), c in counts.items()]) + "\n")
-    write_json(outdir / "summary.json",
-               {"alpha_star": a_star, "exponent_star": e_star,
-                "theory": 1.0 / (1.0 + beta0)})
-    return 0
+    return True, {
+        "counts.csv": "\n".join(
+            ["omega,alpha,count"]
+            + [f"{om!r},{al!r},{c}" for (om, al), c in counts.items()]) + "\n",
+        "summary.json": {"alpha_star": a_star, "exponent_star": e_star,
+                         "theory": 1.0 / (1.0 + beta0)}}
 
 
 VERIFY_DEFAULTS = dict(criteria="all", seed=0, output_dir="out/verify",
@@ -411,7 +369,7 @@ VERIFY_DEFAULTS = dict(criteria="all", seed=0, output_dir="out/verify",
 def run_verify_all(cfg):
     from .acceptance import ALL_CRITERIA
 
-    wanted = str(cfg["criteria"])
+    wanted = cfg["criteria"]
     fns = ALL_CRITERIA if wanted == "all" else [
         ALL_CRITERIA[i - 1] for i in _parse_list(
             "criteria", wanted, int,
@@ -421,12 +379,10 @@ def run_verify_all(cfg):
     results.sort(key=lambda r: r.index)
     for r in results:
         print(r.line())
-    outdir = pathlib.Path(cfg["output_dir"])
-    write_manifest(outdir, "verify-all", cfg)
-    write_json(outdir / "results.json",
-               [{"index": r.index, "name": r.name, "passed": r.passed,
-                 "detail": r.detail} for r in results])
-    return 0 if all(r.passed for r in results) else 1
+    return all(r.passed for r in results), {
+        "results.json": [{"index": r.index, "name": r.name,
+                          "passed": r.passed, "detail": r.detail}
+                         for r in results]}
 
 
 SUBCOMMANDS = {
@@ -438,8 +394,6 @@ SUBCOMMANDS = {
     "weyl-boxes": (WEYL_DEFAULTS, run_weyl_boxes),
     "verify-all": (VERIFY_DEFAULTS, run_verify_all),
 }
-
-_CASTS = {"w0": complex, "w1": complex}
 
 
 def build_parser():
@@ -454,30 +408,40 @@ def build_parser():
         sp.add_argument("--config", default=None,
                         help="flat key=value config file")
         for key, default in defaults.items():
-            cast = _CASTS.get(key, type(default))
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            type=cast if cast is not bool else str,
-                            default=None,
+                            type=type(default), default=None,
                             help=f"default: {default}")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only writer of its output directory.
+
+    A runner returns (ok, artifacts), artifacts mapping each file name to a
+    JSON object or to CSV text.  Nothing is written when the config or the
+    run fails before the runner returns.
+    """
     args = build_parser().parse_args(argv)
     defaults, runner = SUBCOMMANDS[args.command]
     try:
         cfg = resolve_config(args, defaults)
+        ok, artifacts = runner(cfg)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return runner(cfg)
-    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return 3
+    outdir = pathlib.Path(cfg["output_dir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest = {"command": args.command, "config": cfg,
+                "version": __version__}
+    for name, body in {"manifest.json": manifest, **artifacts}.items():
+        if not isinstance(body, str):
+            body = json.dumps(body, indent=1, sort_keys=True,
+                              default=_json_default) + "\n"
+        (outdir / name).write_text(body)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket_metric import MetricParams, delta_perp, g_norm_rows, jbracket
+from .bracket_metric import (MetricParams, delta_perp, g_norm_rows, jbracket,
+                             smoothstep)
 
 A0_WIDTH = 0.2  # radians; transition width of the projective profile
 
@@ -152,17 +153,6 @@ def _a0_profile(theta):
     """
     theta = np.asarray(theta, dtype=float)
     d = np.minimum(theta, np.pi - theta)  # distance to [E_u*] along the circle
-
-    def smoothstep(t):
-        t = np.clip(t, 0.0, 1.0)
-        out = np.zeros_like(t)
-        inner = (t > 0) & (t < 1)
-        a = np.exp(-1.0 / np.maximum(t, 1e-300))
-        b = np.exp(-1.0 / np.maximum(1.0 - t, 1e-300))
-        out[inner] = (a / (a + b))[inner]
-        out[t >= 1] = 1.0
-        return out
-
     lo = np.pi / 4 - A0_WIDTH / 2
     return -1.0 + 2.0 * smoothstep((d - lo) / A0_WIDTH)
 

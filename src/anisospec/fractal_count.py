@@ -56,18 +56,15 @@ class HolderForm:
         return BASE_FREQ ** (-(self.n_terms - 1))
 
 
-def synth_holder(beta0: float, seed: int, n: int = 1,
-                 normalize: bool = True) -> HolderForm:
+def synth_holder(beta0: float, seed: int, n: int = 1) -> HolderForm:
     """Build the form with base frequency 2 and 18 terms; beta0 = 1 uses a
     short (smooth) series of 3 terms.
 
-    normalize=True rescales so the empirical Holder-beta0 constant at a
-    reference scale is 1 (deterministic given the seed).
+    The amplitude makes the empirical Holder-beta0 constant at a reference
+    scale 1 (deterministic given the seed).
     """
     n_terms = 3 if beta0 >= 1.0 else 18
     form = HolderForm(beta0=beta0, seed=seed, n_terms=n_terms, n=n)
-    if not normalize:
-        return form
     ref_scale = 1e-3 if beta0 >= 1.0 else 3e-5
     c = holder_ratio(form, ref_scale, 512, beta0, seed=0)
     return HolderForm(beta0=beta0, seed=seed, n_terms=n_terms, n=n,

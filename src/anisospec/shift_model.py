@@ -140,18 +140,17 @@ def eigen_residual(model: ShiftModel, seq: TailSequence,
     return float(np.max(np.abs(r[sl]) / scale[sl]))
 
 
-def hw_membership(seq: TailSequence, r: float, boundary_tol: float = 0.0) -> str:
+def hw_membership(seq: TailSequence, r: float) -> str:
     """Membership of a geometric-tail sequence in the weighted space.
 
     The squared norm is sum |e^{-r j} u_j|^2; the weighted tail ratios are
     e^{-r} |ratio_pos| toward +inf and e^{+r} |ratio_neg| toward -inf.
-    Returns "member", "not_member", or "boundary" when a ratio is exactly 1
-    (within boundary_tol).
+    Returns "member", "not_member", or "boundary" when a ratio is exactly 1.
     """
     rp = np.exp(-r) * abs(seq.ratio_pos)
     rn = np.exp(r) * abs(seq.ratio_neg)
     worst = max(rp, rn)
-    if abs(worst - 1.0) <= boundary_tol:
+    if worst == 1.0:
         return "boundary"
     return "member" if worst < 1.0 else "not_member"
 
@@ -188,10 +187,6 @@ def conjugated_LW(model: ShiftModel) -> np.ndarray:
     m[model.idx(0), model.idx(0)] = model.w0
     m[model.idx(2), model.idx(0)] = -np.exp(-2.0 * model.r) / model.w1
     return m
-
-
-def weight_vector(model: ShiftModel) -> np.ndarray:
-    return np.exp(-model.r * model.indices)
 
 
 def finite_section_report(model: ShiftModel, n_section: int) -> dict:

@@ -100,14 +100,6 @@ def generator_residual(k: int) -> float:
     return resid / max(1.0, 2.0 * np.pi * abs(k))
 
 
-def transfer_zero_sector(u, t: float):
-    """L^t on periodic z-grid functions: spectral shift u(z) -> u(z + t)."""
-    u = np.asarray(u, dtype=complex)
-    npts = u.size
-    freqs = 2.0 * np.pi * np.fft.fftfreq(npts, d=1.0 / npts)
-    return np.fft.ifft(np.fft.fft(u) * np.exp(1j * freqs * t))
-
-
 # -- nonzero sectors ---------------------------------------------------------
 
 

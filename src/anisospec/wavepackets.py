@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bracket_metric import MetricParams, PhasePoint, delta_par, delta_perp
+from .bracket_metric import (MetricParams, PhasePoint, delta_par, delta_perp,
+                             smoothstep)
 from .errors import ResolutionError
 
 TWO_PI = 2.0 * np.pi
@@ -161,27 +161,12 @@ def m_closed_form_constant(p: MetricParams, d: int) -> float:
     return np.pi ** (d / 2.0) / (p.delta0 ** (d - 1) * p.delta0)
 
 
-@dataclass
-class WavePacket:
-    """A packet description; samples are computed lazily on the grid."""
-
-    center: PhasePoint
-    kind: str
-    params: MetricParams
-    grid: TorusGrid
-    _samples: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            if self.kind == "gaussian":
-                self._samples = _gaussian_samples(self.grid, self.center, self.params)
-            else:
-                self._samples = _exact_samples(self.grid, self.center, self.params)
-        return self._samples
-
-
-def _check_resolution(grid: TorusGrid, eta_norm: float, p: MetricParams):
+def _check_packet(grid: TorusGrid, p: MetricParams, eta_norm: float, n=None):
+    """ValueError when n, a packet's transverse dimension, is not the grid's;
+    ResolutionError when a packet at frequency norm eta_norm is narrower
+    than 4 grid cells."""
+    if n is not None and n != grid.n:
+        raise ValueError("phase point dimension does not match the grid")
     dp = delta_perp(eta_norm, p) if grid.n else np.inf
     dl = delta_par(eta_norm, p)
     if min(dp, dl) < 4.0 * grid.h:
@@ -190,34 +175,27 @@ def _check_resolution(grid: TorusGrid, eta_norm: float, p: MetricParams):
         )
 
 
-def _cutoff_chi(grid: TorusGrid, center_y):
-    """C-infinity bump in y' - y: 1 inside half the box radius, 0 at the edge."""
-    sg = grid.space_grids()
-    r2 = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        r2 += grid.wrap(sg[ax] - center_y[ax]) ** 2
-    s = np.sqrt(r2) / (0.5 * grid.length)
-    t = np.clip((s - 0.5) * 2.0, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return np.where(t >= 1.0, 0.0, np.where(t <= 0.0, 1.0, b / (a + b)))
+def gaussian_packet(rho: PhasePoint, p: MetricParams, grid: TorusGrid):
+    """Grid samples of the Gaussian packet at rho, L^2-normalized on the grid.
 
-
-def _gaussian_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
-    """Cutoff Gaussian packet, L^2-normalized numerically on the grid."""
-    _check_resolution(grid, rho.eta_norm, p)
+    A C-infinity cutoff in y' - y, 1 inside half the box radius and 0 at the
+    edge, makes it periodic.
+    """
+    _check_packet(grid, p, rho.eta_norm, rho.n)
     y = np.concatenate([rho.x, [rho.z]])
     eta = rho.eta
     dp, dl = delta_perp(rho.eta_norm, p), delta_par(rho.eta_norm, p)
     sg = grid.space_grids()
     phase = np.zeros(grid.shape)
     q = np.zeros(grid.shape)
+    r2 = np.zeros(grid.shape)
     for ax in range(grid.d):
         w = grid.wrap(sg[ax] - y[ax])
         phase += eta[ax] * sg[ax]
         q += (w / (dp if ax < grid.n else dl)) ** 2
-    out = _cutoff_chi(grid, y) * np.exp(1j * phase - 0.5 * q)
+        r2 += w**2
+    s = np.sqrt(r2) / (0.5 * grid.length)
+    out = (1.0 - smoothstep((s - 0.5) * 2.0)) * np.exp(1j * phase - 0.5 * q)
     return out / grid.norm(out)
 
 
@@ -234,14 +212,14 @@ def _samples_from_profile(grid: TorusGrid, rho: PhasePoint, prof):
     return TWO_PI ** (grid.d / 2.0) * phase * grid.finv(coef)
 
 
-def _exact_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
-    """Exact packet: inverse lattice Fourier transform of prof0 / sqrt(m),
-    with m by Gauss-Hermite.
+def exact_packet(rho: PhasePoint, p: MetricParams, grid: TorusGrid):
+    """Grid samples of the exact packet at rho: the inverse lattice Fourier
+    transform of prof0 / sqrt(m), with m by Gauss-Hermite.
 
     m is evaluated only where prof0 >= 1e-40, the cut of the m-lattice; the
     profile is 0 elsewhere, which moves no sample beyond rounding.
     """
-    _check_resolution(grid, rho.eta_norm, p)
+    _check_packet(grid, p, rho.eta_norm, rho.n)
     fg = grid.freq_grids()
     prof = _profile0(grid, [rho.eta], p, fg)[0]
     keep = prof >= 1e-40
@@ -249,17 +227,6 @@ def _exact_samples(grid: TorusGrid, rho: PhasePoint, p: MetricParams):
     prof[keep] /= np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1)[keep], p,
                                           grid.d))
     return _samples_from_profile(grid, rho, prof)
-
-
-def make_packet(rho: PhasePoint, kind: str, p: MetricParams,
-                grid: TorusGrid) -> WavePacket:
-    """Build a gaussian or exact wave packet centered at rho on the grid."""
-    if kind not in ("gaussian", "exact"):
-        raise ValueError(f"unknown packet kind {kind!r}")
-    if rho.n != grid.n:
-        raise ValueError("phase point dimension does not match the grid")
-    _check_resolution(grid, rho.eta_norm, p)
-    return WavePacket(center=rho, kind=kind, params=p, grid=grid)
 
 
 def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
@@ -366,7 +333,7 @@ class BargmannTransform:
         mesh = np.meshgrid(*ks, indexing="ij")
         self.centers = np.stack([m.ravel() for m in mesh], axis=1) * grid.d_eta
         worst = float(np.max(np.linalg.norm(self.centers, axis=1)))
-        _check_resolution(grid, worst, p)
+        _check_packet(grid, p, worst)
         self._fg = grid.freq_grids()
         self._sg = grid.space_grids()
         self._msqrt = np.sqrt(_m_lattice(grid.n, grid.points, grid.length, p))

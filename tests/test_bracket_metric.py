@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, PhasePoint, delta_par,
-                                      delta_perp, distortion,
-                                      distortion_from_eta_norm,
+                                      delta_perp, distortion_from_eta_norm,
                                       fit_power_constant, g_dist, g_norm,
                                       jbracket, phase_point)
 
@@ -108,15 +107,15 @@ def test_g_dist_asymmetric_but_equivalent(params_half):
 
 def test_distortion_examples():
     p = MetricParams(1.0, 0.5, 0.0)
-    assert distortion(phase_point(x=[0.0], z=0.0, xi=[0.0], omega=0.0), p) \
-        == pytest.approx(1.0)
+    assert distortion_from_eta_norm(0.0, p) == pytest.approx(1.0)
     # hand oracle: 256^{-1/2} = 1/16
     rho = phase_point(x=[0.0], z=0.0, xi=[0.0], omega=256.0)
-    assert distortion(rho, p) == pytest.approx(0.0625)
+    assert distortion_from_eta_norm(rho.eta_norm, p) == pytest.approx(0.0625)
     # Delta decreases as delta0 decreases at fixed rho
     small = MetricParams(0.3, 0.5, 0.0)
     rho1 = phase_point(x=[0.0], z=0.0, xi=[1.0], omega=0.0)
-    assert distortion(rho1, small) < distortion(rho1, p)
+    assert distortion_from_eta_norm(rho1.eta_norm, small) \
+        < distortion_from_eta_norm(rho1.eta_norm, p)
 
 
 def test_metric_moderate_temperate_frozen(params_half):

@@ -1,13 +1,18 @@
 """CLI: subcommands, config handling, determinism, exit codes."""
 
 import collections
+import importlib
 import json
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
 
 from anisospec import fractal_count
-from anisospec.cli import main
+from anisospec.cli import SUBCOMMANDS, main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(args):
@@ -133,6 +138,37 @@ def test_config_file_and_override(tmp_path):
     assert manifest["config"]["r"] == 2.0  # CLI flag overrides the file
 
 
+def _artifacts(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("task", ["toy", "escape-sweep", "suspension"])
+def test_default_config_file_matches_flagless_run(tmp_path, task):
+    """The defaults written to a key=value file give the bytes of a run with
+    no file: every file value is cast once, to the default's type."""
+    out = tmp_path / "out"
+    assert run([task, "--output-dir", out]) == 0
+    flagless = _artifacts(out)
+    shutil.rmtree(out)
+    cfg = tmp_path / "run.cfg"
+    defaults = {**SUBCOMMANDS[task][0], "output_dir": str(out)}
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in defaults.items()))
+    assert run([task, "--config", cfg]) == 0
+    assert _artifacts(out) == flagless
+
+
+@pytest.mark.parametrize("task", ["toy", "escape-sweep", "suspension",
+                                  "weyl-boxes"])
+def test_default_run_matches_benchmark_reference(tmp_path, monkeypatch, task):
+    """The artifacts of a default run match the benchmark's reference."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    out = tmp_path / task
+    code = run([task, "--output-dir", out])
+    assert workloads.check_task(task, out, code,
+                                workloads.DEFAULT_SEEDS.get(task)) == []
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key=1\n")
@@ -141,8 +177,12 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_malformed_config_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("just some words\n")
-    assert run(["toy", "--config", cfg, "--output-dir", tmp_path / "x"]) == 2
+    # an integer key takes integer text in a file, as on the command line
+    for text in ("just some words", "section_n = 400.7", "window = 5.0"):
+        cfg.write_text(text + "\n")
+        assert run(["toy", "--config", cfg, "--output-dir", tmp_path / "x"]) \
+            == 2
+        assert not (tmp_path / "x").exists()
     for args in (["verify-all", "--criteria", "0"],
                  ["verify-all", "--criteria", "12"],
                  ["resolution-check", "--windows", "7,,10"],
@@ -171,6 +211,8 @@ def test_malformed_config_rejected(tmp_path):
                  ["suspension", "--k-max", "-1"],
                  ["suspension", "--nu-max", "-1"],
                  ["suspension", "--nu-max", "0"],
+                 ["suspension", "--nu-max", "401"],
+                 ["suspension", "--nu-max", "1000000000"],
                  ["suspension", "--delta0", "0"],
                  ["suspension", "--threshold", "nan"],
                  ["suspension", "--threshold", "-1"],
@@ -217,6 +259,7 @@ def test_resolution_error_exit_code(tmp_path):
     code = run(["quantize-probes", "--band", "64", "--output-dir",
                 tmp_path / "q"])
     assert code == 3
+    assert not (tmp_path / "r").exists() and not (tmp_path / "q").exists()
 
 
 def test_resolution_check_passes(tmp_path):

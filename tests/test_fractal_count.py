@@ -21,14 +21,18 @@ def test_trivial_smooth_form():
     form = HolderForm(beta0=1.0, seed=0, n_terms=1, phases=((0.0,),))
     x = np.linspace(0.0, 1.0, 17)[:, None]
     assert np.max(np.abs(evaluate(form, x)[:, 0] - np.cos(2 * np.pi * x[:, 0]))) == 0.0
-    # synth_holder with normalize=False keeps the raw amplitude
-    raw = synth_holder(1.0, seed=0, normalize=False)
+    # synth_holder rescales the raw series, amplitude 1, to a unit Holder
+    # ratio at its reference scale and keeps its phases
+    raw = HolderForm(beta0=1.0, seed=0, n_terms=3)
     assert raw.amplitude == 1.0
+    form = synth_holder(1.0, seed=0)
+    assert form.phases == raw.phases
+    assert form.amplitude == 1.0 / holder_ratio(raw, 1e-3, 512, 1.0)
 
 
 def test_amplitude_bound():
     """|w| stays below the geometric series amplitude * sum_k 2^(-beta0 k)."""
-    form = synth_holder(0.5, seed=1, normalize=False)
+    form = HolderForm(beta0=0.5, seed=1)
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, size=(2000, 1))
     bound = form.amplitude * sum(2.0 ** (-0.5 * k) for k in range(18))

@@ -9,7 +9,7 @@ from anisospec.shift_model import (ShiftModel, TailSequence, apply_L,
                                    apply_L_inv, conjugated_LW, eigen_residual,
                                    eigvec_U, eigvec_V, finite_section_report,
                                    hw_membership, interior_slice,
-                                   membership_truth_table, weight_vector)
+                                   membership_truth_table)
 
 
 def test_model_validation():
@@ -104,8 +104,8 @@ def test_membership_examples():
 
 
 def test_membership_boundary_verdict():
-    seq = TailSequence(values=np.zeros(5), ratio_pos=np.exp(1.0), ratio_neg=0.0)
-    assert hw_membership(seq, 1.0, boundary_tol=1e-12) == "boundary"
+    seq = TailSequence(values=np.zeros(5), ratio_pos=1.0, ratio_neg=0.0)
+    assert hw_membership(seq, 0.0) == "boundary"
 
 
 def test_truth_table_matches_lemma():
@@ -131,7 +131,7 @@ def test_conjugated_matrix_entries():
 def test_similarity_preserves_eigenvectors():
     m = ShiftModel(0.7, 0.2, 0.5, window=(-30, 30))
     lw = conjugated_LW(m)
-    wu = weight_vector(m) * eigvec_U(m).values
+    wu = np.exp(-m.r * m.indices) * eigvec_U(m).values
     resid = lw @ wu - m.w0 * wu
     sl = interior_slice(m, 2)
     assert np.max(np.abs(resid[sl])) <= 1e-12 * np.max(np.abs(wu))
@@ -162,7 +162,7 @@ def test_inverse_bounded_on_compact_support():
     across r (miniature of the group property)."""
     for r in (-1.0, 0.0, 1.0):
         m = ShiftModel(0.6, 0.4, r, window=(-40, 40))
-        w = weight_vector(m)
+        w = np.exp(-m.r * m.indices)
         delta = np.zeros(m.size, dtype=complex)
         delta[m.idx(3)] = 1.0
         out = w * apply_L_inv(m, delta / w)

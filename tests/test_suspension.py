@@ -8,15 +8,16 @@ from anisospec.bracket_metric import MetricParams, delta_perp, jbracket
 from anisospec.cli import main
 from anisospec.errors import ResolutionError
 from anisospec.escape import EscapeConfig, lifted_flow, weight
+from anisospec.quantize import FlowModel
 from anisospec.suspension import (MappingTorus, SpectrumResult,
                                   eigenfunction_hw_norm, full_spectrum,
                                   generator_residual, orbit_representatives,
-                                  transfer_time1_grid, transfer_zero_sector,
-                                  wavefront_extrema,
+                                  transfer_time1_grid, wavefront_extrema,
                                   wavefront_value, weyl_count,
                                   weyl_density_exponent,
                                   zero_sector_eigenfunction,
                                   zero_sector_spectrum)
+from anisospec.wavepackets import TorusGrid
 
 P = MetricParams(1.0, 0.5, 0.0)
 CFG = EscapeConfig(r_u=8.0, r_s=8.0, gamma=0.0)
@@ -154,10 +155,10 @@ def test_zero_sector_k3():
 
 @pytest.mark.parametrize("t", [0.1, 0.37])
 def test_transfer_eigenfunction(t):
-    z = np.arange(256) / 256.0
+    grid = TorusGrid(0, 256, length=1.0)
     for k in (-2, 0, 3):
-        u = zero_sector_eigenfunction(k, z)
-        lt = transfer_zero_sector(u, t)
+        u = zero_sector_eigenfunction(k, grid.axis)
+        lt = FlowModel((1.0,)).transfer(u, grid, t)
         assert np.max(np.abs(lt - np.exp(1j * 2 * np.pi * k * t) * u)) <= 1e-12
 
 

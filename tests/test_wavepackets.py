@@ -5,13 +5,15 @@ import pytest
 
 from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
-                                      distortion, jbracket, phase_point)
+                                      distortion_from_eta_norm, jbracket,
+                                      phase_point)
 from anisospec.errors import ResolutionError
 from anisospec.wavepackets import (_BATCH_BYTES, TWO_PI, BargmannTransform,
                                    TorusGrid, _m_lattice, _profile0,
                                    _samples_from_profile, band_limited_field,
+                                   exact_packet, gaussian_packet,
                                    m_closed_form_constant, m_gauss_hermite,
-                                   make_packet, packet_norm_sq_continuous)
+                                   packet_norm_sq_continuous)
 
 
 # -- grids -------------------------------------------------------------------
@@ -141,24 +143,23 @@ def test_m_lattice_window_is_bitwise_dense(n, points, length, p):
 
 def test_packet_kinds_and_validation(params_half):
     g = TorusGrid(0, 256)
-    with pytest.raises(ValueError):
-        make_packet(phase_point(z=0.0, omega=1.0), "bogus", params_half, g)
-    with pytest.raises(ValueError):
-        make_packet(phase_point(x=[0.0], z=0.0, xi=[0.0], omega=1.0),
-                    "exact", params_half, g)  # n mismatch
+    for packet in (exact_packet, gaussian_packet):
+        with pytest.raises(ValueError):
+            packet(phase_point(x=[0.0], z=0.0, xi=[0.0], omega=1.0),
+                   params_half, g)  # n mismatch
 
 
 def test_packet_resolution_error(params_half):
     g = TorusGrid(0, 32)
-    with pytest.raises(ResolutionError):
-        make_packet(phase_point(z=0.0, omega=400.0), "exact",
-                    params_half, g).samples
+    for packet in (exact_packet, gaussian_packet):
+        with pytest.raises(ResolutionError):
+            packet(phase_point(z=0.0, omega=400.0), params_half, g)
 
 
 def test_gaussian_packet_normalized(params_half):
     g = TorusGrid(0, 512)
-    pk = make_packet(phase_point(z=1.0, omega=8.0), "gaussian", params_half, g)
-    assert g.norm(pk.samples) == pytest.approx(1.0, abs=1e-12)
+    pk = gaussian_packet(phase_point(z=1.0, omega=8.0), params_half, g)
+    assert g.norm(pk) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_equals_gaussian_constant_regime():
@@ -170,8 +171,8 @@ def test_exact_equals_gaussian_constant_regime():
     p = MetricParams(delta0=0.12, alpha_perp=0.5, alpha_par=0.5)
     g = TorusGrid(1, 256)
     rho = phase_point(x=[3.0], z=3.2, xi=[0.5], omega=-0.5)
-    ex = make_packet(rho, "exact", p, g).samples
-    ga = make_packet(rho, "gaussian", p, g).samples
+    ex = exact_packet(rho, p, g)
+    ga = gaussian_packet(rho, p, g)
     assert g.norm(ex - ga) <= 1e-8
 
 
@@ -193,7 +194,7 @@ def test_exact_samples_match_full_grid_m(params_half, n, points, length, xi,
     m = m_gauss_hermite(np.stack(fg, axis=-1), p, g.d)
     prof = _profile0(g, [rho.eta], p, fg)[0] / np.sqrt(m)
     ref = _samples_from_profile(g, rho, prof)
-    ex = make_packet(rho, "exact", p, g).samples
+    ex = exact_packet(rho, p, g)
     assert np.max(np.abs(ex - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -202,10 +203,10 @@ def test_exact_gaussian_difference_bounded_by_distortion(params_half):
     diffs, deltas = [], []
     for om in (8.0, 32.0, 128.0, 512.0):
         rho = phase_point(z=3.0, omega=om)
-        ex = make_packet(rho, "exact", params_half, g).samples
-        ga = make_packet(rho, "gaussian", params_half, g).samples
+        ex = exact_packet(rho, params_half, g)
+        ga = gaussian_packet(rho, params_half, g)
         diffs.append(g.norm(ex - ga))
-        deltas.append(distortion(rho, params_half))
+        deltas.append(distortion_from_eta_norm(rho.eta_norm, params_half))
     diffs, deltas = np.asarray(diffs), np.asarray(deltas)
     assert np.all(diffs <= frozen.GAUSSIAN_DIFF_C * deltas)
     assert np.all(np.diff(diffs) < 0)  # decreasing as |eta| grows
@@ -217,7 +218,7 @@ def test_packet_norm_defect_scaling(params_half):
         nsq = packet_norm_sq_continuous(np.array([e, 0.0]), params_half, 2,
                                         points_per_axis=97)
         assert abs(nsq - 1.0) <= frozen.PACKET_NORM_DEFECT_C \
-            * distortion_from_eta(e, params_half)
+            * distortion_from_eta_norm(e, params_half)
 
 
 @pytest.mark.parametrize("e", [1.0, 64.0, 1024.0])
@@ -237,16 +238,11 @@ def test_packet_norm_mask_matches_full_evaluation(params_half, e):
     assert got == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
-def distortion_from_eta(e, p):
-    from anisospec.bracket_metric import distortion_from_eta_norm
-    return distortion_from_eta_norm(e, p)
-
-
 def test_packet_spatial_decay_exponent(params_half):
     """|phi(y')| <= C_N <dist>^-N with fitted N >= 6 at distance >= 3."""
     g = TorusGrid(0, 1024)
     rho = phase_point(z=np.pi, omega=16.0)
-    ex = make_packet(rho, "exact", params_half, g).samples
+    ex = exact_packet(rho, params_half, g)
     dl = delta_par(rho.eta_norm, params_half)
     dz = (g.axis - rho.z + np.pi) % (2 * np.pi) - np.pi
     dist = np.abs(dz) / dl
@@ -259,7 +255,7 @@ def test_packet_spatial_decay_exponent(params_half):
 def test_packet_frequency_decay_exponent(params_half):
     g = TorusGrid(0, 1024)
     rho = phase_point(z=np.pi, omega=16.0)
-    ex = make_packet(rho, "exact", params_half, g).samples
+    ex = exact_packet(rho, params_half, g)
     fhat = g.fcoef(ex)
     dl = delta_par(rho.eta_norm, params_half)
     dist = np.abs(g.freqs_1d - rho.omega) * dl
@@ -278,7 +274,7 @@ def test_forward_of_packet_is_near_one(circle_transform):
     rho = phase_point(z=2.0, omega=6.0)
     pk = tr.packet_samples(rho)
     val = abs(tr.forward_at(pk, [rho])[0])
-    delta = distortion(rho, tr.p)
+    delta = distortion_from_eta_norm(rho.eta_norm, tr.p)
     assert abs(val - 1.0) <= frozen.PACKET_NORM_DEFECT_C * delta + 1e-6
 
 
