@@ -180,17 +180,15 @@ def run_resolution_check(cfg):
     p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
                    cfg["alpha_par"])
     g = _validated(TorusGrid, 1, cfg["points"], length=cfg["length"])
-    u = band_limited_field(g, cfg["band"], np.random.default_rng(cfg["seed"]))
     windows = _parse_list("windows", cfg["windows"], int,
                           lambda ws: min(ws) >= 0)
-    levels = []
-    for win in windows:
-        tr = BargmannTransform(g, p, window=win)
-        rec = tr.op_apply(u)
-        levels.append({
-            "window": win,
-            "residual": float(np.linalg.norm(rec - u) / np.linalg.norm(u)),
-        })
+    u = band_limited_field(g, cfg["band"], np.random.default_rng(cfg["seed"]))
+    # one pass over the largest window's centers serves every window
+    recs = BargmannTransform(g, p, window=max(windows)).op_apply(
+        u, windows=windows)
+    levels = [{"window": win,
+               "residual": float(np.linalg.norm(rec - u) / np.linalg.norm(u))}
+              for win, rec in zip(windows, recs)]
     decreasing = all(levels[i + 1]["residual"] < levels[i]["residual"]
                      for i in range(len(levels) - 1))
     ok = decreasing and levels[0]["residual"] <= 1e-3

@@ -20,8 +20,7 @@ import scipy.linalg
 
 from .bracket_metric import (MetricParams, PhasePoint, g_dist_periodic,
                              jbracket, phase_point)
-from .errors import ResolutionError
-from .wavepackets import TWO_PI, BargmannTransform, TorusGrid
+from .wavepackets import TWO_PI, BargmannTransform, TorusGrid, check_band
 
 
 @dataclass
@@ -131,8 +130,7 @@ class BandSubspace:
     """
 
     def __init__(self, grid: TorusGrid, kmax: int):
-        if 2 * kmax + 1 > grid.points:
-            raise ResolutionError("band exceeds the grid's DFT lattice")
+        check_band(grid, kmax)
         self.grid = grid
         ks = [np.arange(-kmax, kmax + 1)] * grid.d
         mesh = np.meshgrid(*ks, indexing="ij")

@@ -84,9 +84,18 @@ class TorusGrid:
             - 0.5 * self.length
 
 
+def check_band(grid: TorusGrid, band: int):
+    """ResolutionError when the 2 band + 1 lattice modes per axis exceed the
+    grid's points: beyond them the modes alias."""
+    if 2 * band + 1 > grid.points:
+        raise ResolutionError("band exceeds the grid's DFT lattice")
+
+
 def band_limited_field(grid: TorusGrid, band: int, rng):
     """sum_k c_k e^{i k.y} over the lattice modes with |k_i| <= band, with
-    c_k = normal + i normal drawn from rng, modes in row-major order."""
+    c_k = normal + i normal drawn from rng, modes in row-major order.
+    An aliasing band is a ResolutionError (check_band)."""
+    check_band(grid, band)
     sg = grid.space_grids()
     u = np.zeros(grid.shape, dtype=complex)
     for ks in itertools.product(range(-band, band + 1), repeat=grid.d):
@@ -95,19 +104,26 @@ def band_limited_field(grid: TorusGrid, band: int, rng):
     return u
 
 
-def _profile0(grid: TorusGrid, eta_centers, p: MetricParams, fg):
+def _profile0(grid: TorusGrid, eta_centers, p: MetricParams):
     """Unnormalized frequency Gaussians of the packets centered at the rows of
-    eta_centers, shape (c,) + grid.shape; fg is grid.freq_grids()."""
+    eta_centers, shape (c,) + grid.shape.
+
+    Each square (delta (eta'_ax - eta_ax))^2 depends on one frequency axis,
+    so it is computed on grid.freqs_1d and broadcast along the others; the
+    axes are added in order from zeros, so q is bitwise that of the dense
+    sum over the meshgrids.
+    """
     cs = np.asarray(eta_centers, dtype=float)
     # norms one row at a time: np.linalg.norm(cs, axis=1) rounds differently
     en = [float(np.linalg.norm(eta)) for eta in cs]
-    col = (-1,) + (1,) * grid.d
-    dp = np.array([delta_perp(e, p) for e in en]).reshape(col)
-    dl = np.array([delta_par(e, p) for e in en]).reshape(col)
+    dp = np.array([delta_perp(e, p) for e in en])[:, None]
+    dl = np.array([delta_par(e, p) for e in en])[:, None]
     q = np.zeros((cs.shape[0],) + grid.shape)
-    for ax in range(grid.n):
-        q += (dp * (fg[ax] - cs[:, ax].reshape(col))) ** 2
-    q += (dl * (fg[-1] - cs[:, -1].reshape(col))) ** 2
+    for ax in range(grid.d):
+        dk = dp if ax < grid.n else dl
+        sq = (dk * (grid.freqs_1d - cs[:, ax, None])) ** 2  # (c, points)
+        q += sq.reshape((-1,) + (1,) * ax + (grid.points,)
+                        + (1,) * (grid.d - 1 - ax))
     return np.exp(-0.5 * q)
 
 
@@ -221,7 +237,7 @@ def exact_packet(rho: PhasePoint, p: MetricParams, grid: TorusGrid):
     """
     _check_packet(grid, p, rho.eta_norm, rho.n)
     fg = grid.freq_grids()
-    prof = _profile0(grid, [rho.eta], p, fg)[0]
+    prof = _profile0(grid, [rho.eta], p)[0]
     keep = prof >= 1e-40
     prof[~keep] = 0.0
     prof[keep] /= np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1)[keep], p,
@@ -295,10 +311,11 @@ def _m_lattice(n: int, points: int, length: float, p: MetricParams):
     return out
 
 
-def _add_rows(acc, rows):
-    """acc + rows[0] + rows[1] + ..., one row at a time (overwrites rows[0])."""
-    rows[0] += acc
-    return rows.sum(axis=0)
+def _as_window(window, d: int):
+    """A phase window as a d-tuple of ints; an int is the same on every axis."""
+    if np.isscalar(window):
+        return (int(window),) * d
+    return tuple(int(w) for w in window)
 
 
 class BargmannTransform:
@@ -311,38 +328,43 @@ class BargmannTransform:
 
     Every per-center method rests on one kernel: `_analysis` walks the
     centers in batches and yields their normalized profiles and B u on them,
-    and `_synthesis` adds prof * fcoef(v) into one accumulator.  A batch
-    holds at most _BATCH_BYTES per complex (c,) + grid array, whatever the
-    window: the FFTs run no faster on larger batches, while the peak memory
-    grows with them.  The arithmetic order is fixed to that of a loop over
-    single centers (scalar factors in the same order, norms per center,
-    accumulation one center at a time), so every result is bitwise
-    independent of the batching, and residuals that are pure rounding noise
-    reproduce exactly.
+    and `_fold` adds per-center rows such as prof * fcoef(v) into
+    accumulators.  A batch holds at most _BATCH_BYTES per complex
+    (c,) + grid array, whatever the window: the FFTs run no faster on larger
+    batches, while the peak memory grows with them.  The arithmetic order
+    is fixed to that of a loop over single centers (scalar factors in the
+    same order, norms per center, accumulation one center at a time), so
+    every result is bitwise independent of the batching, and residuals that
+    are pure rounding noise reproduce exactly.
+
+    `op_apply` and `identity_symbol_sum` also serve nested windows in one
+    pass: given windows inside the transform's own, each center's row is
+    added to the accumulator of every window that holds it.  A
+    sub-window's centers, in row-major order, keep their relative order
+    inside the larger window, and every accumulator is a strict left fold
+    in center order from zeros, so each window's result is bitwise that of
+    a transform built at that window alone.
     """
 
     def __init__(self, grid: TorusGrid, p: MetricParams, window):
         self.grid = grid
         self.p = p
-        if np.isscalar(window):
-            window = (int(window),) * grid.d
-        self.window = tuple(int(w) for w in window)
+        self.window = _as_window(window, grid.d)
         if any(2 * w + 1 > grid.points for w in self.window):
             raise ResolutionError("phase window exceeds the grid's DFT lattice")
         ks = [np.arange(-w, w + 1) for w in self.window]
         mesh = np.meshgrid(*ks, indexing="ij")
-        self.centers = np.stack([m.ravel() for m in mesh], axis=1) * grid.d_eta
+        self._lattice = np.stack([m.ravel() for m in mesh], axis=1)
+        self.centers = self._lattice * grid.d_eta
         worst = float(np.max(np.linalg.norm(self.centers, axis=1)))
         _check_packet(grid, p, worst)
-        self._fg = grid.freq_grids()
         self._sg = grid.space_grids()
         self._msqrt = np.sqrt(_m_lattice(grid.n, grid.points, grid.length, p))
         self.cell = grid.h**grid.d * grid.d_eta**grid.d
 
     def profile(self, eta_center):
         """Normalized frequency profile prof0 / sqrt(m) of the packet."""
-        return _profile0(self.grid, [eta_center], self.p, self._fg)[0] \
-            / self._msqrt
+        return _profile0(self.grid, [eta_center], self.p)[0] / self._msqrt
 
     def packet_samples(self, rho: PhasePoint):
         """Grid samples of the exact packet as the transform normalizes it."""
@@ -366,7 +388,7 @@ class BargmannTransform:
         for start in range(0, centers.shape[0], step):
             sl = slice(start, start + step)
             cs = centers[sl]
-            prof = _profile0(g, cs, self.p, self._fg) / self._msqrt
+            prof = _profile0(g, cs, self.p) / self._msqrt
             v = None
             if uhat is not None:
                 v = TWO_PI ** (g.d / 2.0) \
@@ -376,15 +398,45 @@ class BargmannTransform:
                                       for eta in cs])
             yield sl, cs, prof, v
 
-    def _synthesis(self, batches):
-        """B* of a field given batch by batch as (prof, v) pairs."""
+    def _picks(self, windows):
+        """Per window of windows, the boolean pick of the window's centers
+        that lie inside it; windows None is [None], every center."""
+        if windows is None:
+            return [None]
+        picks = []
+        for window in windows:
+            win = _as_window(window, self.grid.d)
+            if len(win) != self.grid.d or any(
+                    not 0 <= w <= top for w, top in zip(win, self.window)):
+                raise ValueError(f"window {window!r} is not inside the "
+                                 f"transform's window {self.window}")
+            picks.append(np.all(np.abs(self._lattice) <= win, axis=1))
+        return picks
+
+    def _fold(self, batches, picks, dtype=float):
+        """Per pick of `_picks`, the sum of the rows at the centers it holds.
+
+        batches yields (sl, rows): a batch's slice of the centers and one
+        grid-shaped row per center.  Each accumulator adds its rows one at a
+        time in center order, starting from zeros.
+        """
+        accs = [np.zeros(self.grid.shape, dtype=dtype) for _ in picks]
+        for sl, rows in batches:
+            for acc, pick in zip(accs, picks):
+                for i in (range(len(rows)) if pick is None
+                          else np.flatnonzero(pick[sl])):
+                    acc += rows[i]
+        return accs
+
+    def _synthesis(self, batches, picks=(None,)):
+        """B* of a field given batch by batch as `_analysis` yields it: one
+        result per pick of `_picks`."""
         g = self.grid
         axes = tuple(range(1, g.d + 1))
-        acc = np.zeros(g.shape, dtype=complex)
-        for prof, v in batches:
-            acc = _add_rows(acc, prof * (g.h**g.d * np.fft.fftn(v, axes=axes)))
+        accs = self._fold(((sl, prof * (g.h**g.d * np.fft.fftn(v, axes=axes)))
+                           for sl, _, prof, v in batches), picks, complex)
         scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
-        return scale * g.finv(acc)
+        return [scale * g.finv(acc) for acc in accs]
 
     def _phase(self, cs, sign):
         """e^{sign eta.y} on the grid for each center eta of cs."""
@@ -407,28 +459,35 @@ class BargmannTransform:
 
     def adjoint(self, v_field, centers=None):
         """B* of a field given on the frequency centers (default: the window)."""
-        return self._synthesis((prof, self._phase(cs, 1j) * v_field[sl])
-                               for sl, cs, prof, _ in self._analysis(None, centers))
+        return self._synthesis(
+            (sl, cs, prof, self._phase(cs, 1j) * v_field[sl])
+            for sl, cs, prof, _ in self._analysis(None, centers))[0]
 
-    def op_apply(self, u, symbol=None):
+    def op_apply(self, u, symbol=None, windows=None):
         """Anti-Wick operator: B* (multiply by the symbol on phase space) B.
 
         symbol(Y, ETA) must accept a list of spatial meshgrids Y (d arrays)
         and a frequency center vector ETA, returning the symbol on the
         spatial grid for that center; None means the identity symbol.
+        windows, a sequence of windows inside the transform's own (each an
+        int or a d-tuple, as for the constructor), gives a list with one
+        result per window, each bitwise that of a transform built at that
+        window; a larger window is a ValueError.
         """
-        return self._synthesis((prof, v) for _, _, prof, v
-                               in self._analysis(u, fn=symbol))
+        out = self._synthesis(self._analysis(u, fn=symbol),
+                              self._picks(windows))
+        return out[0] if windows is None else out
 
-    def identity_symbol_sum(self):
+    def identity_symbol_sum(self, windows=None):
         """sum_eta prof(eta; .)^2 d_eta^d on the lattice: the Fourier
         multiplier that B*B is with the identity symbol, so
         op_apply(u) = finv(identity_symbol_sum() * fcoef(u)).  It equals 1
-        where the window fully covers the packet mass."""
-        acc = np.zeros(self.grid.shape)
-        for _, _, prof, _ in self._analysis(None):
-            acc = _add_rows(acc, prof**2)
-        return acc * self.grid.d_eta**self.grid.d
+        where the window fully covers the packet mass.  windows gives a list
+        with one multiplier per window, as for op_apply."""
+        accs = self._fold(((sl, prof**2) for sl, _, prof, _
+                           in self._analysis(None)), self._picks(windows))
+        out = [acc * self.grid.d_eta**self.grid.d for acc in accs]
+        return out[0] if windows is None else out
 
     def packet_norm_sq(self):
         """||phi_(y,eta)||^2 for each window center (independent of y)."""

@@ -256,10 +256,10 @@ def test_resolution_error_exit_code(tmp_path):
                 "--output-dir", tmp_path / "r"])
     assert code == 3
     # 129 band modes alias on a 128-point lattice
-    code = run(["quantize-probes", "--band", "64", "--output-dir",
-                tmp_path / "q"])
-    assert code == 3
-    assert not (tmp_path / "r").exists() and not (tmp_path / "q").exists()
+    for task, out in (("quantize-probes", "q"), ("resolution-check", "b")):
+        code = run([task, "--band", "64", "--output-dir", tmp_path / out])
+        assert code == 3
+    assert not any((tmp_path / out).exists() for out in ("r", "q", "b"))
 
 
 def test_resolution_check_passes(tmp_path):
@@ -270,6 +270,21 @@ def test_resolution_check_passes(tmp_path):
     assert code == 0
     data = json.loads((out / "resolution.json").read_text())
     assert data["decreasing"] and data["pass"]
+
+
+def test_resolution_check_windows_in_any_order(tmp_path):
+    """Each window's residual is the same whatever the order of the windows;
+    only the decreasing verdict depends on it."""
+    residuals = {}
+    for order, expected_code in (("7,10,14", 0), ("14,10,7", 1)):
+        out = tmp_path / order.replace(",", "_")
+        assert run(["resolution-check", "--windows", order,
+                    "--output-dir", out]) == expected_code
+        levels = json.loads((out / "resolution.json").read_text())["levels"]
+        assert [lv["window"] for lv in levels] \
+            == [int(w) for w in order.split(",")]
+        residuals[order] = {lv["window"]: lv["residual"] for lv in levels}
+    assert residuals["7,10,14"] == residuals["14,10,7"]
 
 
 def test_thread_cap(monkeypatch):

@@ -176,6 +176,37 @@ def test_exact_equals_gaussian_constant_regime():
     assert g.norm(ex - ga) <= 1e-8
 
 
+def _profile0_reference(grid, eta_centers, p):
+    """The dense formula that _profile0 replaced: every square on the full
+    frequency meshgrids."""
+    fg = grid.freq_grids()
+    cs = np.asarray(eta_centers, dtype=float)
+    en = [float(np.linalg.norm(eta)) for eta in cs]
+    col = (-1,) + (1,) * grid.d
+    dp = np.array([delta_perp(e, p) for e in en]).reshape(col)
+    dl = np.array([delta_par(e, p) for e in en]).reshape(col)
+    q = np.zeros((cs.shape[0],) + grid.shape)
+    for ax in range(grid.n):
+        q += (dp * (fg[ax] - cs[:, ax].reshape(col))) ** 2
+    q += (dl * (fg[-1] - cs[:, -1].reshape(col))) ** 2
+    return np.exp(-0.5 * q)
+
+
+@pytest.mark.parametrize("n, points", [(0, 256), (1, 64), (2, 16)])
+def test_profile0_per_axis_is_bitwise(n, points):
+    """The per-axis Gaussians are bitwise the dense formula, with unequal
+    exponents, for centers at 0, inside the saturated box |eta| < 1 and
+    past it."""
+    p = MetricParams(delta0=1.0, alpha_perp=0.7, alpha_par=0.5)
+    g = TorusGrid(n, points, length=np.pi)
+    rng = np.random.default_rng(11)
+    cs = np.concatenate([np.zeros((1, g.d)),
+                         rng.uniform(-0.5, 0.5, (3, g.d)),
+                         rng.uniform(-20.0, 20.0, (4, g.d))])
+    assert np.linalg.norm(cs[-4:], axis=1).min() > 1.0
+    assert np.array_equal(_profile0(g, cs, p), _profile0_reference(g, cs, p))
+
+
 @pytest.mark.parametrize("n, points, length, xi, omega", [
     (1, 64, np.pi, [1.0], 2.0),
     (1, 96, TWO_PI, [-4.0], 6.0),
@@ -190,9 +221,9 @@ def test_exact_samples_match_full_grid_m(params_half, n, points, length, xi,
     g = TorusGrid(n, points, length)
     rho = phase_point(x=[1.0] * n, z=2.0, xi=xi, omega=omega)
     fg = g.freq_grids()
-    assert 0 < np.count_nonzero(_profile0(g, [rho.eta], p, fg) < 1e-40)
+    assert 0 < np.count_nonzero(_profile0(g, [rho.eta], p) < 1e-40)
     m = m_gauss_hermite(np.stack(fg, axis=-1), p, g.d)
-    prof = _profile0(g, [rho.eta], p, fg)[0] / np.sqrt(m)
+    prof = _profile0(g, [rho.eta], p)[0] / np.sqrt(m)
     ref = _samples_from_profile(g, rho, prof)
     ex = exact_packet(rho, p, g)
     assert np.max(np.abs(ex - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -367,6 +398,34 @@ def test_kernel_batches_do_not_change_results(torus_transform):
         acc += prof * g.fcoef(v)
     ref = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0) * g.finv(acc)
     assert np.array_equal(tr.op_apply(u, symbol), ref)
+
+
+@pytest.mark.parametrize("fixture", ["torus_transform", "circle_transform"])
+def test_nested_windows_are_bitwise(fixture, request):
+    """One pass over the transform's centers gives, for each sub-window,
+    bitwise the result of a transform built at that window alone: windows
+    unsorted, repeated, 0 and a per-axis tuple."""
+    tr = request.getfixturevalue(fixture)
+    g = tr.grid
+    top = tr.window[0]
+    windows = [5, 0, top, 3, 5, (top,) + (2,) * (g.d - 1)]
+    separate = [BargmannTransform(g, tr.p, w) for w in windows]
+    rng = np.random.default_rng(12)
+    u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    symbol = lambda sg, eta: np.cos(sg[0]) * np.exp(-(eta[-1] / 6.0) ** 2)
+    for sym in (None, symbol):
+        nested = tr.op_apply(u, sym, windows=windows)
+        assert len(nested) == len(windows)
+        for got, one in zip(nested, separate):
+            assert np.array_equal(got, one.op_apply(u, sym))
+    nested = tr.identity_symbol_sum(windows=windows)
+    assert len(nested) == len(windows)
+    for got, one in zip(nested, separate):
+        assert np.array_equal(got, one.identity_symbol_sum())
+    with pytest.raises(ValueError):
+        tr.op_apply(u, windows=[3, top + 1])
+    with pytest.raises(ValueError):
+        tr.identity_symbol_sum(windows=[(top,) * g.d + (1,)])
 
 
 @pytest.mark.parametrize("fixture", ["torus_transform", "circle_transform"])
