@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import frozen
 from .bracket_metric import (MetricParams, delta_par, distortion_from_eta_norm,
@@ -55,6 +54,39 @@ def _result(index, name, passed, detail, t0, budget=None):
         detail += f", runtime {elapsed:.1f}s (< {budget:g}s)"
     return CriterionResult(index=index, name=name, passed=bool(passed),
                            detail=detail, runtime=elapsed)
+
+
+def _par_offset(om0, d, p, span):
+    """The flow frequencies om at dpar-scaled distances d > 0 above om0: per
+    entry of the array d, the root of the increasing
+    f(om) = dpar(|om|) (om - om0) - d on [om0, om0 + span].
+
+    Bisection halves every bracket until it holds two adjacent floats, f
+    negative at the lower and not negative at the upper, and returns the
+    upper ones.  That is a float root, fixed by f and the bracket alone, not
+    an iterate placed by a tolerance: no stopping rule or iteration count
+    enters it, so it reproduces bit for bit.  All entries share one dpar
+    evaluation per halving.  Raises ValueError, as brentq does, when f does
+    not change sign on the bracket.
+    """
+    d = np.asarray(d, dtype=float)
+
+    def f(om):
+        return delta_par(np.abs(om), p) * (om - om0) - d
+
+    lo = np.full(d.shape, float(om0))
+    hi = np.full(d.shape, float(om0 + span))
+    if not (np.all(f(lo) < 0.0) and np.all(f(hi) >= 0.0)):
+        raise ValueError("f(om0) and f(om0 + span) must have different signs")
+    while True:
+        # a bracket of adjacent floats has mid == lo (f < 0) or mid == hi
+        # (f >= 0), so the update below leaves it as it is
+        mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            return hi
+        neg = f(mid) < 0.0
+        lo = np.where(neg, mid, lo)
+        hi = np.where(neg, hi, mid)
 
 
 # -- 1: Appendix-B truth table ------------------------------------------------
@@ -299,9 +331,8 @@ def criterion_9() -> CriterionResult:
     center = flow.lift(rho, t_flow)
     dl = delta_par(center.eta_norm, p)
     probes = []
-    for d in np.arange(3.0, 6.6, 0.5):
-        omp = brentq(lambda om: delta_par(abs(om), p) * (om - center.omega)
-                     - d, center.omega, center.omega + 4000.0)
+    ds = np.arange(3.0, 6.6, 0.5)
+    for d, omp in zip(ds, _par_offset(center.omega, ds, p, 4000.0)):
         probes.append(phase_point(z=center.z, omega=omp))
         probes.append(phase_point(z=center.z + d * dl, omega=center.omega))
     rep = microlocality_probe(rho, t_flow, flow, probes, tr,
@@ -342,9 +373,8 @@ def criterion_10() -> CriterionResult:
     peak = abs(tr.forward_at(u, [phase_point(z=0.3, omega=om_g)])[0])
     overlap_ok = True
     ratios = []
-    for d_off in (1.0, 2.0, 3.0):
-        omp = brentq(lambda om: delta_par(abs(om), p_grid) * (om - om_g)
-                     - d_off, om_g, om_g + 4.0e4)
+    d_offs = (1.0, 2.0, 3.0)
+    for d_off, omp in zip(d_offs, _par_offset(om_g, d_offs, p_grid, 4.0e4)):
         meas = abs(tr.forward_at(u, [phase_point(z=0.3, omega=omp)])[0]) / peak
         oracle = float(np.exp(-d_off**2 / 2.0))
         ratios.append(meas / oracle)

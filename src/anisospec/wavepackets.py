@@ -300,11 +300,17 @@ def _m_lattice(n: int, points: int, length: float, p: MetricParams):
         # box center and half-width in lattice steps
         ks = np.rint(cs / g.d_eta).astype(int) + points // 2
         rs = (np.sqrt(np.log(1e40)) / g.d_eta / scales).astype(int) + 1
+        # negated squared distances per center and axis; negation is exact,
+        # so exp of their sum is bitwise exp of minus the sum of squares
+        # (at d = 1 the in-place exp writes into the center's own row of
+        # nsq, which is not read again)
+        nsq = -(scales[:, :, None] * (freqs - cs[:, :, None])) ** 2
         acc = np.zeros(g.shape)
-        for c, sc, k, r in zip(cs, scales, ks, rs):
+        for rows, k, r in zip(nsq, ks, rs):
             box = [slice(max(a - b, 0), a + b + 1) for a, b in zip(k, r)]
-            acc[tuple(box)] += np.exp(-functools.reduce(np.add.outer, [
-                (s * (freqs[b] - ci)) ** 2 for s, b, ci in zip(sc, box, c)]))
+            term = functools.reduce(np.add.outer,
+                                    [row[b] for row, b in zip(rows, box)])
+            acc[tuple(box)] += np.exp(term, out=term)
         out += acc
     out = np.fft.ifftshift(out) * g.d_eta**g.d
     out.flags.writeable = False

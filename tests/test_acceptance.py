@@ -4,9 +4,18 @@ Each test prints one pass/fail line (visible with -s or in the captured
 output of a failure); `anisospec verify-all` prints the same lines.
 """
 
-import pytest
+import pathlib
+import subprocess
+import sys
+import textwrap
 
-from anisospec.acceptance import ALL_CRITERIA
+import numpy as np
+import pytest
+from scipy.optimize import brentq
+
+import anisospec
+from anisospec.acceptance import ALL_CRITERIA, _par_offset
+from anisospec.bracket_metric import MetricParams, delta_par
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,
@@ -16,3 +25,56 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+
+
+def _offset_cases():
+    """Criteria 9 and 10's own inputs, then a seeded grid."""
+    half = MetricParams(1.0, 0.5, 0.5)
+    cases = [(8.0, np.arange(3.0, 6.6, 0.5), half, 4000.0),
+             (20.0 * np.pi, (1.0, 2.0, 3.0), half, 4.0e4)]
+    rng = np.random.default_rng(5)
+    for alpha_par in (0.0, 0.3, 0.5):
+        p = MetricParams(1.0, 0.5, alpha_par)
+        cases += [(om0, rng.uniform(0.5, 7.0, 4), p, 4.0e4)
+                  for om0 in rng.uniform(1.0, 1.0e3, 8)]
+    return cases
+
+
+def test_par_offset_is_brentq_root_to_the_last_float():
+    """The bisection lands within brentq's tolerance of brentq's root, on
+    the float where the residual turns from negative to non-negative, and
+    on the same float whether an offset is bisected alone or with others."""
+    for om0, ds, p, span in _offset_cases():
+        roots = _par_offset(om0, ds, p, span)
+        for d, got in zip(ds, roots):
+            def f(om):
+                return delta_par(abs(om), p) * (om - om0) - d
+
+            ref = brentq(f, om0, om0 + span)
+            assert abs(got - ref) <= 2e-12 + 4 * np.finfo(float).eps * abs(ref)
+            below, above = np.nextafter(got, -np.inf), np.nextafter(got, np.inf)
+            assert f(below) < 0.0 <= f(got) and f(above) >= 0.0, (om0, d, p)
+            assert _par_offset(om0, [d], p, span)[0] == got
+
+
+def test_par_offset_rejects_a_short_bracket():
+    with pytest.raises(ValueError):
+        _par_offset(8.0, [0.2, 3.0], MetricParams(1.0, 0.5, 0.5), 1.0)
+
+
+def test_import_path_leaves_out_scipy_optimize():
+    """Importing every module, as a benchmark worker does, loads scipy.linalg
+    but not scipy.optimize."""
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy, scipy, anisospec
+        for info in pkgutil.iter_modules(anisospec.__path__):
+            if info.name != "__main__":
+                importlib.import_module("anisospec." + info.name)
+        print("scipy.optimize" in sys.modules, "scipy.linalg" in sys.modules)
+    """)
+    src = pathlib.Path(anisospec.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]

@@ -131,6 +131,8 @@ def _m_lattice_dense(g, p):
 @pytest.mark.parametrize("n, points, length, p", [
     (1, 32, np.pi, MetricParams(1.0, 0.6, 0.2)),
     (0, 256, TWO_PI, MetricParams(1.0, 0.5, 0.5)),
+    (2, 16, np.pi, MetricParams(0.5, 0.9, 0.2)),
+    (1, 24, 7.3, MetricParams(2.0, 0.7, 0.3)),
 ])
 def test_m_lattice_window_is_bitwise_dense(n, points, length, p):
     """Leaving out the terms below 1e-40 changes no bit of m."""
