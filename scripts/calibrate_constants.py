@@ -4,7 +4,8 @@
 Run from the repository root:  python scripts/calibrate_constants.py
 Each printed value is the measured extremum; the committed constant should
 dominate it with modest headroom (the suite asserts against the frozen
-values, so regressions show up as new extrema crossing them).
+values, so regressions show up as new extrema crossing them).  The script
+exits 1, naming each frozen constant that its measured extremum reaches.
 """
 
 import sys
@@ -14,6 +15,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, distortion_from_eta_norm,
                                       fit_power_constant, g_dist, g_norm,
                                       jbracket, phase_point)
@@ -95,9 +97,11 @@ def escape_temperate():
     p = MetricParams(1.0, 0.67, 0.0)
     ratios, brackets = temperate_ratio_samples(split, cfg, p,
                                                n_samples=20000, seed=1)
+    worst = {}
     for n0 in (4.0, 6.0):
-        print(f"escape W temperate N0={n0}: "
-              f"C >= {fit_power_constant(ratios, brackets, n0):.4f}")
+        worst[n0] = fit_power_constant(ratios, brackets, n0)
+        print(f"escape W temperate N0={n0}: C >= {worst[n0]:.4f}")
+    return worst
 
 
 def weighted_space_temperate():
@@ -195,20 +199,50 @@ def wavefront_constants():
 
 
 def lipschitz_constants():
+    worst = {}
     for b0 in (0.5, 0.8, 1.0):
         form = synth_holder(b0, seed=7)
         p = MetricParams(1.0, 1.0 / (1.0 + b0), 0.0)
         rep = lipschitz_unit_scale_test(form, p, n_pairs=10000, seed=4)
+        worst[b0] = rep.max_ratio
         print(f"lipschitz beta0={b0}: C >= {rep.max_ratio:.4f}")
+    return worst
+
+
+def main():
+    """Print every extremum; 1 when one reaches its frozen constant."""
+    metric = metric_temperate()
+    gdist = gdist_equivalence()
+    packet_norm, gaussian = packet_constants()
+    escape = escape_temperate()
+    wspace = weighted_space_temperate()
+    composition = composition_constant()
+    corollary = corollary_constant()
+    wavefront, outside = wavefront_constants()
+    lipschitz = lipschitz_constants()
+    checks = [
+        *((f"METRIC_TEMPERATE[{g}]", v, frozen.METRIC_TEMPERATE[g][0])
+          for g, (v, _) in metric.items()),
+        ("GDIST_EQUIV_C", gdist, frozen.GDIST_EQUIV_C),
+        ("PACKET_NORM_DEFECT_C", packet_norm, frozen.PACKET_NORM_DEFECT_C),
+        ("GAUSSIAN_DIFF_C", gaussian, frozen.GAUSSIAN_DIFF_C),
+        ("ESCAPE_TEMPERATE_C", escape[frozen.ESCAPE_TEMPERATE_N0],
+         frozen.ESCAPE_TEMPERATE_C),
+        ("WSPACE_TEMPERATE_C", wspace, frozen.WSPACE_TEMPERATE_C),
+        ("COMPOSITION_C", composition, frozen.COMPOSITION_C),
+        ("COROLLARY_CN", corollary, frozen.COROLLARY_CN),
+        *((f"WAVEFRONT_CN[{n}]", v, frozen.WAVEFRONT_CN[n])
+          for n, v in wavefront.items()),
+        *((f"WAVEFRONT_OUTSIDE_CAL[{n}]", v, frozen.WAVEFRONT_OUTSIDE_CAL[n])
+          for n, v in outside.items()),
+        *((f"LIPSCHITZ_C[{b0}]", v, frozen.LIPSCHITZ_C[b0])
+          for b0, v in lipschitz.items()),
+    ]
+    reached = [(name, v, c) for name, v, c in checks if v >= c]
+    for name, v, c in reached:
+        print(f"frozen constant reached: {name} = {c}, measured {v:.4f}")
+    return 1 if reached else 0
 
 
 if __name__ == "__main__":
-    metric_temperate()
-    gdist_equivalence()
-    packet_constants()
-    escape_temperate()
-    weighted_space_temperate()
-    composition_constant()
-    corollary_constant()
-    wavefront_constants()
-    lipschitz_constants()
+    sys.exit(main())

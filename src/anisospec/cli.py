@@ -417,28 +417,29 @@ def main(argv=None) -> int:
 
     A runner returns (ok, artifacts), artifacts mapping each file name to a
     JSON object or to CSV text.  Nothing is written when the config or the
-    run fails before the runner returns.
+    run fails before the runner returns; an output directory that cannot be
+    written is a config error too.
     """
     args = build_parser().parse_args(argv)
     defaults, runner = SUBCOMMANDS[args.command]
     try:
         cfg = resolve_config(args, defaults)
         ok, artifacts = runner(cfg)
+        outdir = pathlib.Path(cfg["output_dir"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        manifest = {"command": args.command, "config": cfg,
+                    "version": __version__}
+        for name, body in {"manifest.json": manifest, **artifacts}.items():
+            if not isinstance(body, str):
+                body = json.dumps(body, indent=1, sort_keys=True,
+                                  default=_json_default) + "\n"
+            (outdir / name).write_text(body)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return 3
-    outdir = pathlib.Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = {"command": args.command, "config": cfg,
-                "version": __version__}
-    for name, body in {"manifest.json": manifest, **artifacts}.items():
-        if not isinstance(body, str):
-            body = json.dumps(body, indent=1, sort_keys=True,
-                              default=_json_default) + "\n"
-        (outdir / name).write_text(body)
     return 0 if ok else 1
 
 

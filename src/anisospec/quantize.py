@@ -273,11 +273,9 @@ def microlocality_probe(rho: PhasePoint, t: float, flow: FlowModel,
     g = transform.grid
     moved = flow.transfer(transform.packet_samples(rho), g, t)
     center = flow.lift(rho, t)
-    dists = np.empty(len(probes))
-    mags = np.empty(len(probes))
-    for i, rp in enumerate(probes):
-        dists[i] = g_dist_periodic(rp, center, transform.p, g.length)
-        mags[i] = abs(g.inner(transform.packet_samples(rp), moved))
+    dists = np.array([g_dist_periodic(rp, center, transform.p, g.length)
+                      for rp in probes])
+    mags = np.abs(transform.forward_at(moved, probes))
     lo, hi = fit_range
     mask = (dists >= lo) & (dists <= hi)
     if np.count_nonzero(mask) < 3:
@@ -285,7 +283,7 @@ def microlocality_probe(rho: PhasePoint, t: float, flow: FlowModel,
                          "the decay fit is ill-posed")
     slope = np.polyfit(np.log(jbracket(dists[mask])),
                        np.log(mags[mask] + 1e-300), 1)[0]
-    peak = abs(g.inner(transform.packet_samples(center), moved))
+    peak = float(abs(transform.forward_at(moved, [center])[0]))
     return MicrolocalityReport(distances=dists, magnitudes=mags,
                                fitted_exponent=float(-slope), peak_value=peak)
 

@@ -277,8 +277,7 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
     return float(vals)
 
 
-@functools.lru_cache(maxsize=8)
-def _m_lattice(n: int, points: int, length: float, p: MetricParams):
+def _m_lattice(g: TorusGrid, p: MetricParams):
     """m(eta') as the trapezoid sum of prof0^2 over the full center lattice.
 
     Each center's Gaussian is summed only over the box where it is at least
@@ -286,10 +285,7 @@ def _m_lattice(n: int, points: int, length: float, p: MetricParams):
     fftshifted (sorted) lattice a box is a slice; the centers are added in
     lattice order into one accumulator per chunk of 64, as in the dense sum,
     so the result is bitwise that of the dense sum.
-    Cached per grid and metric, so transforms that differ only in their
-    window share one build.  The array is shared, hence read-only.
     """
-    g = TorusGrid(n, points, length)
     full = np.stack([f.ravel() for f in g.freq_grids()], axis=1)
     freqs = np.fft.fftshift(g.freqs_1d)
     out = np.zeros(g.shape)
@@ -298,7 +294,7 @@ def _m_lattice(n: int, points: int, length: float, p: MetricParams):
         en = np.linalg.norm(cs, axis=1)
         scales = np.stack([delta_perp(en, p)] * g.n + [delta_par(en, p)], axis=1)
         # box center and half-width in lattice steps
-        ks = np.rint(cs / g.d_eta).astype(int) + points // 2
+        ks = np.rint(cs / g.d_eta).astype(int) + g.points // 2
         rs = (np.sqrt(np.log(1e40)) / g.d_eta / scales).astype(int) + 1
         # negated squared distances per center and axis; negation is exact,
         # so exp of their sum is bitwise exp of minus the sum of squares
@@ -312,9 +308,7 @@ def _m_lattice(n: int, points: int, length: float, p: MetricParams):
                                     [row[b] for row, b in zip(rows, box)])
             acc[tuple(box)] += np.exp(term, out=term)
         out += acc
-    out = np.fft.ifftshift(out) * g.d_eta**g.d
-    out.flags.writeable = False
-    return out
+    return np.fft.ifftshift(out) * g.d_eta**g.d
 
 
 def _as_window(window, d: int):
@@ -332,16 +326,18 @@ class BargmannTransform:
     sum over the full DFT center lattice, so B* B - Id measures exactly the
     window truncation.
 
-    Every per-center method rests on one kernel: `_analysis` walks the
-    centers in batches and yields their normalized profiles and B u on them,
-    and `_fold` adds per-center rows such as prof * fcoef(v) into
-    accumulators.  A batch holds at most _BATCH_BYTES per complex
-    (c,) + grid array, whatever the window: the FFTs run no faster on larger
-    batches, while the peak memory grows with them.  The arithmetic order
-    is fixed to that of a loop over single centers (scalar factors in the
-    same order, norms per center, accumulation one center at a time), so
-    every result is bitwise independent of the batching, and residuals that
-    are pure rounding noise reproduce exactly.
+    `forward_at` gives B u at any phase point as packet inner products.
+    `op_apply` (the anti-Wick Op(a) = B* a B), `identity_symbol_sum` and
+    `packet_norm_sq` rest on one kernel: `_analysis` walks the window's
+    centers in batches and yields their normalized profiles and B u on
+    them, and `_fold` adds per-center rows into accumulators.  A batch
+    holds at most _BATCH_BYTES per complex (c,) + grid array, whatever the
+    window: the FFTs run no faster on larger batches, while the peak memory
+    grows with them.  The arithmetic order is fixed to that of a loop over
+    single centers (scalar factors in the same order, norms per center,
+    accumulation one center at a time), so every result is bitwise
+    independent of the batching, and residuals that are pure rounding noise
+    reproduce exactly.
 
     `op_apply` and `identity_symbol_sum` also serve nested windows in one
     pass: given windows inside the transform's own, each center's row is
@@ -365,8 +361,7 @@ class BargmannTransform:
         worst = float(np.max(np.linalg.norm(self.centers, axis=1)))
         _check_packet(grid, p, worst)
         self._sg = grid.space_grids()
-        self._msqrt = np.sqrt(_m_lattice(grid.n, grid.points, grid.length, p))
-        self.cell = grid.h**grid.d * grid.d_eta**grid.d
+        self._msqrt = np.sqrt(_m_lattice(grid, p))
 
     def profile(self, eta_center):
         """Normalized frequency profile prof0 / sqrt(m) of the packet."""
@@ -378,22 +373,21 @@ class BargmannTransform:
 
     # -- the kernel ------------------------------------------------------
 
-    def _analysis(self, u, centers=None, fn=None):
-        """Walk the centers (default: the window) in byte-bounded batches.
+    def _analysis(self, u, fn=None):
+        """Walk the window's centers in byte-bounded batches.
 
-        Yields (sl, cs, prof, v) per batch: the batch's slice of the centers,
-        the centers, their normalized profiles and, unless u is None, B u on
-        them without the packets' absolute phase e^{-i eta.y}, multiplied by
-        fn(Y, ETA) when fn is given.  prof and v have shape (c,) + grid.
+        Yields (sl, prof, v) per batch: the batch's slice of the centers,
+        their normalized profiles and, unless u is None, B u on them without
+        the packets' absolute phase e^{-i eta.y}, multiplied by fn(Y, ETA)
+        when fn is given.  prof and v have shape (c,) + grid.
         """
         g = self.grid
-        centers = self.centers if centers is None else np.asarray(centers, float)
         uhat = None if u is None else g.fcoef(u)
         axes = tuple(range(1, g.d + 1))
         step = max(1, _BATCH_BYTES // (16 * g.points**g.d))
-        for start in range(0, centers.shape[0], step):
+        for start in range(0, self.centers.shape[0], step):
             sl = slice(start, start + step)
-            cs = centers[sl]
+            cs = self.centers[sl]
             prof = _profile0(g, cs, self.p) / self._msqrt
             v = None
             if uhat is not None:
@@ -402,7 +396,7 @@ class BargmannTransform:
                 if fn is not None:
                     v = v * np.stack([np.broadcast_to(fn(self._sg, eta), g.shape)
                                       for eta in cs])
-            yield sl, cs, prof, v
+            yield sl, prof, v
 
     def _picks(self, windows):
         """Per window of windows, the boolean pick of the window's centers
@@ -434,40 +428,13 @@ class BargmannTransform:
                     acc += rows[i]
         return accs
 
-    def _synthesis(self, batches, picks=(None,)):
-        """B* of a field given batch by batch as `_analysis` yields it: one
-        result per pick of `_picks`."""
-        g = self.grid
-        axes = tuple(range(1, g.d + 1))
-        accs = self._fold(((sl, prof * (g.h**g.d * np.fft.fftn(v, axes=axes)))
-                           for sl, _, prof, v in batches), picks, complex)
-        scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
-        return [scale * g.finv(acc) for acc in accs]
-
-    def _phase(self, cs, sign):
-        """e^{sign eta.y} on the grid for each center eta of cs."""
-        col = (-1,) + (1,) * self.grid.d
-        return np.exp(sign * sum(cs[:, ax].reshape(col) * self._sg[ax]
-                                 for ax in range(self.grid.d)))
-
     # -- transforms ------------------------------------------------------
-
-    def forward_field(self, u, centers=None):
-        """B u on (selected) frequency centers; shape (M,) + grid.shape."""
-        return np.concatenate([self._phase(cs, -1j) * v for _, cs, _, v
-                               in self._analysis(u, centers)])
 
     def forward_at(self, u, rho_list):
         """B u at arbitrary phase points (not restricted to the lattice):
         the inner products <phi_rho, u> with the transform's packets."""
         return np.array([self.grid.inner(self.packet_samples(rho), u)
                          for rho in rho_list])
-
-    def adjoint(self, v_field, centers=None):
-        """B* of a field given on the frequency centers (default: the window)."""
-        return self._synthesis(
-            (sl, cs, prof, self._phase(cs, 1j) * v_field[sl])
-            for sl, cs, prof, _ in self._analysis(None, centers))[0]
 
     def op_apply(self, u, symbol=None, windows=None):
         """Anti-Wick operator: B* (multiply by the symbol on phase space) B.
@@ -480,8 +447,14 @@ class BargmannTransform:
         result per window, each bitwise that of a transform built at that
         window; a larger window is a ValueError.
         """
-        out = self._synthesis(self._analysis(u, fn=symbol),
-                              self._picks(windows))
+        g = self.grid
+        axes = tuple(range(1, g.d + 1))
+        # B*: each center's prof * fcoef(v), folded per window
+        accs = self._fold(((sl, prof * (g.h**g.d * np.fft.fftn(v, axes=axes)))
+                           for sl, prof, v in self._analysis(u, symbol)),
+                          self._picks(windows), complex)
+        scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
+        out = [scale * g.finv(acc) for acc in accs]
         return out[0] if windows is None else out
 
     def identity_symbol_sum(self, windows=None):
@@ -490,7 +463,7 @@ class BargmannTransform:
         op_apply(u) = finv(identity_symbol_sum() * fcoef(u)).  It equals 1
         where the window fully covers the packet mass.  windows gives a list
         with one multiplier per window, as for op_apply."""
-        accs = self._fold(((sl, prof**2) for sl, _, prof, _
+        accs = self._fold(((sl, prof**2) for sl, prof, _
                            in self._analysis(None)), self._picks(windows))
         out = [acc * self.grid.d_eta**self.grid.d for acc in accs]
         return out[0] if windows is None else out
@@ -498,19 +471,5 @@ class BargmannTransform:
     def packet_norm_sq(self):
         """||phi_(y,eta)||^2 for each window center (independent of y)."""
         return np.concatenate([np.sum(prof.reshape(prof.shape[0], -1) ** 2, axis=1)
-                               for _, _, prof, _ in self._analysis(None)]) \
+                               for _, prof, _ in self._analysis(None)]) \
             * self.grid.d_eta**self.grid.d
-
-    def sobolev_norm(self, u, weight=None):
-        """Weighted-space norm: sqrt(sum W^2 |Bu|^2 cell / (2 pi)^d).
-
-        weight(Y, ETA) follows the symbol convention; None means W = 1 and
-        the result is the L^2 norm up to the identity defect.
-        """
-        per_center = np.concatenate([
-            np.sum(np.abs(v.reshape(v.shape[0], -1)) ** 2, axis=1)
-            for *_, v in self._analysis(u, fn=weight)])
-        # cumsum adds the centers strictly in order; np.sum would pair them
-        total = np.cumsum(per_center)[-1]
-        return float(np.sqrt(total * self.cell / TWO_PI**self.grid.d))
-

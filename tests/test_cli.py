@@ -241,6 +241,15 @@ def test_malformed_config_rejected(tmp_path):
         assert not (tmp_path / "y").exists()
 
 
+def test_unwritable_output_dir_exits_2(tmp_path, capsys):
+    """An output directory under a regular file is a config error."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["toy", "--output-dir", blocker / "sub"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert blocker.read_text() == ""
+
+
 def test_toy_window_at_the_float64_limit(tmp_path):
     """At the default weights the eigenvector tails 2^j reach 2^1000 at
     window 1000, and would leave float64 at window 1100."""
