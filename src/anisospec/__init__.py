@@ -12,6 +12,15 @@ torus), and fractal_count (Holder graphs and symplectic box covers).
 
 __version__ = "0.1.0"
 
+# numpy 2 loads these on first use (np.fft in the transforms, np.random for
+# every seeded draw, np.polynomial for the Gauss-Hermite nodes, numpy.ma
+# inside np.unique); loading them with the package keeps their import out of
+# the first computation that needs them.
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.polynomial  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .bracket_metric import MetricParams, PhasePoint, jbracket, phase_point
 from .errors import ResolutionError
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .bracket_metric import (MetricParams, PhasePoint, g_dist_periodic,
                              jbracket, phase_point)
@@ -193,8 +192,7 @@ def hw_operator_norm(apply_fn, space: WeightedSpace) -> float:
     """
     tmat = space.band.matrix(apply_fn)
     # T L^{-H} = (L^{-1} T^H)^H
-    right = scipy.linalg.solve_triangular(space.chol, tmat.conj().T,
-                                          lower=True).conj().T
+    right = np.linalg.solve(space.chol, tmat.conj().T).conj().T
     return power_largest_sv(space.chol.conj().T @ right)
 
 

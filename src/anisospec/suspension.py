@@ -268,7 +268,9 @@ def eigenfunction_hw_norm(k: int, split: DualSplitting, p: MetricParams,
 
     The base integral contributes volume 1; the integrand is localized at
     xi = 0, omega = 2 pi k within ~1/delta per axis, and the trapezoid takes
-    65 points per axis over 8 of those units on each side.
+    65 points per axis over 8 of those units on each side.  The omega and
+    xi_s integrals are taken over blocks of 13 xi_u slices, so the full
+    65^3 grid is never held at once.
     """
     om0 = 2.0 * np.pi * k
     en0 = abs(om0) if om0 != 0.0 else 1.0
@@ -276,10 +278,14 @@ def eigenfunction_hw_norm(k: int, split: DualSplitting, p: MetricParams,
     xu = np.linspace(-8.0 / dp0, 8.0 / dp0, 65)
     xs = np.linspace(-8.0 / dp0, 8.0 / dp0, 65)
     om = om0 + np.linspace(-8.0 / dl0, 8.0 / dl0, 65)
-    mu, ms, mo = np.meshgrid(xu, xs, om, indexing="ij")
-    vals = wavefront_value(k, mu, ms, mo, split, p)
-    wts = weight(mu, ms, mo, split, cfg, p)
-    total = (wts * vals) ** 2
-    for axis_vals, ax in ((om, 2), (xs, 1), (xu, 0)):
-        total = np.trapezoid(total, axis_vals, axis=ax)
+    total = np.empty(xu.size)
+    for start in range(0, xu.size, 13):
+        mu, ms, mo = np.meshgrid(xu[start : start + 13], xs, om, indexing="ij")
+        vals = wavefront_value(k, mu, ms, mo, split, p)
+        wts = weight(mu, ms, mo, split, cfg, p)
+        block = (wts * vals) ** 2
+        for axis_vals, ax in ((om, 2), (xs, 1)):
+            block = np.trapezoid(block, axis_vals, axis=ax)
+        total[start : start + 13] = block
+    total = np.trapezoid(total, xu)
     return float(np.sqrt(total / (2.0 * np.pi) ** 3))

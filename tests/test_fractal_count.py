@@ -30,6 +30,42 @@ def test_trivial_smooth_form():
     assert form.amplitude == 1.0 / holder_ratio(raw, 1e-3, 512, 1.0)
 
 
+def _cosine_sum(form, x):
+    """w(x) as the plain sum of n_terms cosines per axis: the reference for
+    evaluate."""
+    x = np.asarray(x, dtype=float)
+    a = float(fractal_count.BASE_FREQ)
+    out = np.zeros_like(x)
+    for i in range(form.n):
+        for k in range(form.n_terms):
+            out[..., i] += a ** (-form.beta0 * k) * np.cos(
+                2.0 * np.pi * a**k * x[..., i] + form.phases[i][k])
+    return form.amplitude * out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("b0", [0.5, 1.0])
+def test_evaluate_matches_cosine_sum(b0, n):
+    """The powers of e^(2 pi i x) by repeated squaring give the cosine sum
+    to 1e-12, on the 18-term series with amplitude 1 and on synth_holder."""
+    rng = np.random.default_rng(2)
+    for form in (HolderForm(beta0=b0, seed=4, n=n), synth_holder(b0, 4, n)):
+        x = rng.uniform(-1.0, 2.0, size=(4000, n))
+        assert np.max(np.abs(evaluate(form, x) - _cosine_sum(form, x))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_box_counts_match_cosine_sum(n, monkeypatch):
+    """Every count of a weyl-boxes-like table is the count the cosine sum
+    gives."""
+    forms = [synth_holder(b0, seed=3, n=n) for b0 in (0.5, 0.8, 1.0)]
+    omegas = 2.0 ** np.arange(6, 15 - 2 * (n - 1))
+    alphas = np.arange(0.5, 0.95 + 1e-9, 0.05)
+    got = [box_counts(form, omegas, alphas) for form in forms]
+    monkeypatch.setattr(fractal_count, "evaluate", _cosine_sum)
+    assert got == [box_counts(form, omegas, alphas) for form in forms]
+
+
 def test_amplitude_bound():
     """|w| stays below the geometric series amplitude * sum_k 2^(-beta0 k)."""
     form = HolderForm(beta0=0.5, seed=1)
