@@ -126,13 +126,6 @@ class PhasePoint:
         """Flat coordinates ordered (x, z, xi, omega), length 2(n+1)."""
         return np.concatenate([self.x, [self.z], self.xi, [self.omega]])
 
-    @classmethod
-    def from_coords(cls, vec, n: int) -> "PhasePoint":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size != 2 * (n + 1):
-            raise ValueError(f"expected {2 * (n + 1)} coordinates, got {vec.size}")
-        return cls(x=vec[:n], z=vec[n], xi=vec[n + 1 : 2 * n + 1], omega=vec[2 * n + 1])
-
 
 def phase_point(x=(), z=0.0, xi=(), omega=0.0) -> PhasePoint:
     """Convenience constructor; empty x/xi give the n = 0 (circle) case."""

@@ -96,10 +96,6 @@ def resolve_config(args, defaults):
 def _json_default(o):
     if isinstance(o, complex):
         return {"re": o.real, "im": o.imag}
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
     raise TypeError(f"unserializable {type(o)}")
 
 
@@ -330,7 +326,10 @@ def run_weyl_boxes(cfg):
         "alpha_grid", cfg["alpha_grid"], float, sep=":",
         valid=lambda g: len(g) == 3 and bool(np.all(np.isfinite(g)))
         and g[0] <= g[1] and g[2] > 0)
-    alphas = np.arange(lo, hi + 1e-9, step)
+    stop = hi + 1e-9  # np.arange makes ceil((stop - lo) / step) alphas
+    _require("alpha_grid", cfg["alpha_grid"], (stop - lo) / step <= 1000,
+             "must give at most 1000 alphas")
+    alphas = np.arange(lo, stop, step)
     _require("alpha_grid", cfg["alpha_grid"],
              0.5 <= alphas[0] and alphas[-1] < 1.0,
              "alphas must lie in [0.5, 1)")
@@ -350,6 +349,11 @@ def run_weyl_boxes(cfg):
     _require("omega_max", om_max, len(omegas) >= 6,
              "must leave at least 6 dyadic omegas from omega_min")
     form = synth_holder(beta0, seed=cfg["seed"], n=cfg["n"])
+    # no ResolutionError caps the sides of a form with no finest scale: allow
+    # the most a beta0 < 1 form, whose finest scale is 2**-17, walks
+    _require("omega_max", om_max, form.finest_scale > 0.0
+             or math.ceil(omegas[-1] ** alphas[-1]) <= 2**17,
+             "must keep ceil(omega ** alpha) <= 2**17 cell sides at beta0 = 1")
     counts = box_counts(form, omegas, alphas)
     a_star, e_star = optimal_alpha(counts, omegas, alphas)
     return True, {

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket_metric import (MetricParams, PhasePoint, delta_par, delta_perp,
-                             g_norm_rows, jbracket)
+from .bracket_metric import (MetricParams, delta_par, delta_perp, g_norm_rows,
+                             jbracket)
 from .errors import ResolutionError
 
 BASE_FREQ = 2  # the base frequency a of the Weierstrass series
@@ -191,17 +191,16 @@ def optimal_alpha(counts: dict, omega_list, alpha_grid):
 # -- straightening map -------------------------------------------------------
 
 
-def straighten_phi(form: HolderForm, rho):
-    """Phi(x, z, xi, omega) = (x, z, xi - omega w(x), omega), on a PhasePoint
-    or on flat coordinate rows of shape (..., 2n+2) ordered as its coords."""
+def straighten_phi(form: HolderForm, rows):
+    """Phi(x, z, xi, omega) = (x, z, xi - omega w(x), omega) on flat
+    coordinate rows of shape (..., 2n+2), ordered as PhasePoint.coords."""
     n = form.n
-    point = isinstance(rho, PhasePoint)
-    rows = np.array(rho.coords() if point else rho, dtype=float)
+    rows = np.array(rows, dtype=float)
     if rows.shape[-1] != 2 * (n + 1):
         raise ValueError("phase point dimension does not match the form")
     rows[..., n + 1 : 2 * n + 1] -= rows[..., -1:] \
         * evaluate(form, rows[..., :n])
-    return PhasePoint.from_coords(rows, n) if point else rows
+    return rows
 
 
 @dataclass
@@ -209,12 +208,11 @@ class LipschitzReport:
     ratios: np.ndarray
     max_ratio: float
     violations: int
-    c_frozen: float
 
 
 def lipschitz_unit_scale_test(form: HolderForm, p: MetricParams,
                               n_pairs: int = 10000, seed: int = 0,
-                              c_frozen: float = None) -> LipschitzReport:
+                              c_frozen: float = np.inf) -> LipschitzReport:
     """Sampled check of <|Phi(rho') - Phi(rho)|_g(Phi rho)> <= C <|rho'-rho|_g(rho)>.
 
     Pairs are drawn with base offsets at the metric scale dperp(eta) and
@@ -245,8 +243,6 @@ def lipschitz_unit_scale_test(form: HolderForm, p: MetricParams,
                                phi_p - phi, p))
     ratios = num / jbracket(g_norm_rows(en[:, 0], rho_p - rho, p))
     max_ratio = float(np.max(ratios))
-    if c_frozen is None:
-        c_frozen = max_ratio
     violations = int(np.count_nonzero(ratios > c_frozen))
     return LipschitzReport(ratios=ratios, max_ratio=max_ratio,
-                           violations=violations, c_frozen=c_frozen)
+                           violations=violations)

@@ -17,8 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bracket_metric import (MetricParams, PhasePoint, g_dist_periodic,
-                             jbracket, phase_point)
+from .bracket_metric import PhasePoint, g_dist_periodic, jbracket, phase_point
 from .wavepackets import TWO_PI, BargmannTransform, TorusGrid, check_band
 
 
@@ -28,58 +27,32 @@ class Symbol:
 
     fn(space_grids, eta) returns the symbol on the spatial grid for the
     frequency center eta (the convention of BargmannTransform.op_apply).
-    The certificate (h, n0) asserts |a(rho') - a(rho)| <= h(rho) <dist>^n0.
+    The certificate h, in the same convention, asserts
+    |a(rho') - a(rho)| <= h(rho) <d_g(rho, rho')>, d_g the g-distance.
     """
 
     fn: Callable
     h: Optional[Callable] = None
-    n0: float = 0.0
-
-    def at(self, rho: PhasePoint):
-        """Pointwise value at a phase point."""
-        sg = [np.array([c]) for c in np.concatenate([rho.x, [rho.z]])]
-        return complex(np.asarray(self.fn(sg, rho.eta), dtype=complex).ravel()[0])
-
-    def h_at(self, rho: PhasePoint):
-        if self.h is None:
-            raise ValueError("symbol carries no slow-variation certificate")
-        sg = [np.array([c]) for c in np.concatenate([rho.x, [rho.z]])]
-        return float(np.asarray(self.h(sg, rho.eta), dtype=float).ravel()[0])
 
 
 def bump_symbol(z0, om0, wz, wom, hval) -> Symbol:
     """Periodic bump in z at z0 (width wz) times a Gaussian in omega at om0
-    (width wom), certified with the constant h = hval and n0 = 1."""
+    (width wom), certified with the constant h = hval."""
     return Symbol(
         fn=lambda sg, eta: np.exp(-2.0 * (1.0 - np.cos(sg[0] - z0))
                                   / (2 * wz**2)
                                   - ((eta[-1] - om0) / wom) ** 2 / 2),
-        h=lambda sg, eta: hval * np.ones_like(sg[0]), n0=1.0)
+        h=lambda sg, eta: hval * np.ones_like(sg[0]))
 
 
 def constant_symbol(c) -> Symbol:
     return Symbol(fn=lambda sg, eta: c * np.ones_like(sg[0], dtype=complex),
-                  h=lambda sg, eta: np.zeros_like(sg[0], dtype=float), n0=0.0)
+                  h=lambda sg, eta: np.zeros_like(sg[0], dtype=float))
 
 
 def product_symbol(a: Symbol, b: Symbol) -> Symbol:
     return Symbol(fn=lambda sg, eta: np.asarray(a.fn(sg, eta))
                   * np.asarray(b.fn(sg, eta)))
-
-
-def check_certificate(sym: Symbol, pairs, p: MetricParams, length: float):
-    """Max over sampled pairs of |a(rho')-a(rho)| / (h(rho) <dist>^n0)."""
-    worst = 0.0
-    for rho, rho_p in pairs:
-        num = abs(sym.at(rho_p) - sym.at(rho))
-        den = sym.h_at(rho) * jbracket(
-            g_dist_periodic(rho, rho_p, p, length)) ** sym.n0
-        if den == 0.0:
-            if num > 1e-14:
-                return np.inf
-            continue
-        worst = max(worst, num / den)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -290,7 +263,9 @@ def microlocality_probe(rho: PhasePoint, t: float, flow: FlowModel,
 
 
 def trace_phase_sum(transform: BargmannTransform, sym: Symbol) -> complex:
-    """sum over the phase grid of a(rho) ||phi_rho||^2 cell / (2 pi)^d."""
+    """sum over the phase grid of a(rho) ||phi_rho||^2 cell / (2 pi)^d: the
+    anti-Wick trace identity tr Op(a) = (2 pi)^-d int a ||phi_rho||^2 drho,
+    the phase-space volume count behind the paper's Weyl bound."""
     g = transform.grid
     sg = g.space_grids()
     total = sum(nsq * complex(np.sum(np.asarray(sym.fn(sg, eta)))) * g.h**g.d

@@ -104,7 +104,8 @@ def generator_residual(k: int) -> float:
 
 
 def transfer_time1_grid(u, torus: MappingTorus):
-    """Time-1 transfer on an x-grid sample (grid maps to itself under f)."""
+    """Time-1 transfer on an x-grid sample (grid maps to itself under f);
+    only tests call it until ROADMAP item 6 gives it its caller."""
     u = np.asarray(u)
     npts = u.shape[0]
     if u.shape != (npts, npts):

@@ -171,12 +171,6 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     return float(out) if single else out
 
 
-def m_closed_form_constant(p: MetricParams, d: int) -> float:
-    """Constant-metric value pi^{d/2} / (dperp^{d-1} dpar) (both deltas = delta0
-    when |eta| stays below the saturation scale)."""
-    return np.pi ** (d / 2.0) / (p.delta0 ** (d - 1) * p.delta0)
-
-
 def _check_packet(grid: TorusGrid, p: MetricParams, eta_norm: float, n=None):
     """ValueError when n, a packet's transverse dimension, is not the grid's;
     ResolutionError when a packet at frequency norm eta_norm is narrower

@@ -141,8 +141,10 @@ def test_metric_moderate_temperate_frozen(params_half):
 
 def test_phase_point_roundtrip():
     rho = phase_point(x=[1.0, 2.0], z=3.0, xi=[4.0, 5.0], omega=6.0)
-    back = PhasePoint.from_coords(rho.coords(), n=2)
-    assert np.allclose(back.coords(), rho.coords())
+    c = rho.coords()
+    assert np.array_equal(c, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    back = PhasePoint(x=c[:2], z=c[2], xi=c[3:5], omega=c[5])
+    assert np.array_equal(back.coords(), c)
     assert rho.eta_norm == pytest.approx(np.sqrt(16 + 25 + 36))
 
 

@@ -5,6 +5,7 @@ import importlib
 import json
 import pathlib
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,37 @@ def test_weyl_boxes_counts_each_box_once(tmp_path, monkeypatch):
     assert (summary["alpha_star"], summary["exponent_star"]) == (a_star, e_star)
     rows = (out / "counts.csv").read_text().splitlines()[1:]
     assert rows == [f"{om!r},{al!r},{c}" for (om, al), c in counts.items()]
+
+
+def test_weyl_boxes_size_limits_exit_2(tmp_path, monkeypatch, capsys):
+    """More than 1000 alphas, or more than 2**17 cell sides per axis for a
+    beta0 = 1 form (no ResolutionError caps those), is a config error raised
+    within 2 s and before any box is counted; both limits themselves pass."""
+
+    class Counting(Exception):
+        pass
+
+    def box_counts(*args):
+        raise Counting
+
+    monkeypatch.setattr(fractal_count, "box_counts", box_counts)
+    out = tmp_path / "y"
+    # ceil(2**18 ** 0.95) = 140480 sides; 0.45 / 0.00045 + 1 = 1001 alphas
+    for args, key in ((["--beta0", "1", "--omega-max", "1e12"], "omega_max"),
+                      (["--beta0", "1", "--omega-max", "262144"], "omega_max"),
+                      (["--alpha-grid", "0.5:0.95:1e-6"], "alpha_grid"),
+                      (["--alpha-grid", "0.5:0.95:1e-320"], "alpha_grid"),
+                      (["--alpha-grid", "0.5:0.95:0.00045"], "alpha_grid")):
+        start = time.perf_counter()
+        assert run(["weyl-boxes", *args, "--output-dir", out]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err.startswith(f"config error: key {key!r}")
+        assert not out.exists()
+    # ceil(2**17 ** 0.95) = 72717 sides; 1000 alphas
+    for args in (["--beta0", "1", "--omega-max", "131072"],
+                 ["--alpha-grid", f"0.5:0.95:{0.45 / 999!r}"]):
+        with pytest.raises(Counting):
+            run(["weyl-boxes", *args, "--output-dir", out])
 
 
 def test_escape_sweep_subcommand(tmp_path):

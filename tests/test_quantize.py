@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from anisospec import frozen
-from anisospec.bracket_metric import jbracket, phase_point
+from anisospec.bracket_metric import g_dist_periodic, jbracket, phase_point
 from anisospec.quantize import (BandSubspace, FlowModel, Symbol,
-                                WeightedSpace, bump_symbol, check_certificate,
+                                WeightedSpace, bump_symbol,
                                 composition_residual, constant_symbol,
                                 egorov_residual, hw_operator_norm,
                                 microlocality_probe, product_symbol,
@@ -146,9 +146,15 @@ def test_power_iteration_close_to_dense(setup, weight):
     assert est == pytest.approx(exact, rel=1e-6)
 
 
+def _at(fn, rho):
+    """fn(space_grids, eta) at the phase point rho, on one-point grids."""
+    sg = [np.array([c]) for c in np.concatenate([rho.x, [rho.z]])]
+    return np.asarray(fn(sg, rho.eta)).ravel()[0]
+
+
 def test_symbol_certificate_sampling(params_half):
     """The certificates of the quantize-probes symbols, at their own h, hold
-    on sampled pairs."""
+    on sampled pairs: |a(rho') - a(rho)| <= h(rho) <d_g(rho, rho')>."""
     rng = np.random.default_rng(6)
     pairs = []
     for _ in range(200):
@@ -156,8 +162,11 @@ def test_symbol_certificate_sampling(params_half):
         b = phase_point(z=rng.uniform(0, 2 * np.pi), omega=rng.uniform(-8, 8))
         pairs.append((a, b))
     for probe in (PROBE_A, PROBE_B):
-        worst = check_certificate(bump_symbol(*probe), pairs, params_half,
-                                  2 * np.pi)
+        sym = bump_symbol(*probe)
+        worst = max(abs(_at(sym.fn, rho_p) - _at(sym.fn, rho))
+                    / (_at(sym.h, rho) * jbracket(g_dist_periodic(
+                        rho, rho_p, params_half, 2 * np.pi)))
+                    for rho, rho_p in pairs)
         assert worst <= 1.0
 
 
@@ -225,7 +234,7 @@ def test_egorov_bounded(setup, t):
     flow = FlowModel(vel=(1.0,))
     a = Symbol(fn=lambda sg, eta: np.exp(-((eta[-1] - 4.0) / 6.0) ** 2 / 2)
                * np.ones_like(sg[0]),
-               h=lambda sg, eta: 0.2 * np.ones_like(sg[0]), n0=1.0)
+               h=lambda sg, eta: 0.2 * np.ones_like(sg[0]))
     est, bound = egorov_residual(a, t, flow, space, frozen.EGOROV_CT[t])
     assert est <= bound
     assert est <= 1e-10

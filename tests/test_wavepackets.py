@@ -12,8 +12,7 @@ from anisospec.wavepackets import (_BATCH_BYTES, TWO_PI, BargmannTransform,
                                    TorusGrid, _m_lattice, _profile0,
                                    _samples_from_profile, band_limited_field,
                                    exact_packet, gaussian_packet,
-                                   m_closed_form_constant, m_gauss_hermite,
-                                   packet_norm_sq_continuous)
+                                   m_gauss_hermite, packet_norm_sq_continuous)
 
 
 # -- grids -------------------------------------------------------------------
@@ -59,7 +58,8 @@ def test_m_gauss_hermite_constant_regime():
     p = MetricParams(delta0=0.1, alpha_perp=0.5, alpha_par=0.5)
     for d in (1, 2):
         got = m_gauss_hermite(np.zeros(d), p, d)
-        assert got == pytest.approx(m_closed_form_constant(p, d), rel=1e-12)
+        # pi^{d/2} / (dperp^{d-1} dpar), both deltas delta0 when saturated
+        assert got == pytest.approx(np.pi ** (d / 2) / p.delta0**d, rel=1e-12)
 
 
 def test_m_gauss_hermite_vs_lattice(params_half):
