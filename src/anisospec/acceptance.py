@@ -56,37 +56,19 @@ def _result(index, name, passed, detail, t0, budget=None):
                            detail=detail, runtime=elapsed)
 
 
-def _par_offset(om0, d, p, span):
+def _par_offset(om0, d, p):
     """The flow frequencies om at dpar-scaled distances d > 0 above om0: per
-    entry of the array d, the root of the increasing
-    f(om) = dpar(|om|) (om - om0) - d on [om0, om0 + span].
+    entry of the array d, the root of dpar(|om|) (om - om0) = d.
 
-    Bisection halves every bracket until it holds two adjacent floats, f
-    negative at the lower and not negative at the upper, and returns the
-    upper ones.  That is a float root, fixed by f and the bracket alone, not
-    an iterate placed by a tolerance: no stopping rule or iteration count
-    enters it, so it reproduces bit for bit.  All entries share one dpar
-    evaluation per halving.  Raises ValueError, as brentq does, when f does
-    not change sign on the bracket.
+    With alpha_par = 1/2 and om0 >= delta0**-2, dpar(om) = om**-1/2 on
+    [om0, inf), so s = sqrt(om) solves s**2 - d s - om0 = 0.  Other inputs
+    raise ValueError.
     """
+    if p.alpha_par != 0.5 or om0 < p.delta0 ** -2:
+        raise ValueError("the closed form needs alpha_par = 1/2 and "
+                         f"om0 >= delta0**-2, got {p} and om0 = {om0}")
     d = np.asarray(d, dtype=float)
-
-    def f(om):
-        return delta_par(np.abs(om), p) * (om - om0) - d
-
-    lo = np.full(d.shape, float(om0))
-    hi = np.full(d.shape, float(om0 + span))
-    if not (np.all(f(lo) < 0.0) and np.all(f(hi) >= 0.0)):
-        raise ValueError("f(om0) and f(om0 + span) must have different signs")
-    while True:
-        # a bracket of adjacent floats has mid == lo (f < 0) or mid == hi
-        # (f >= 0), so the update below leaves it as it is
-        mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
-            return hi
-        neg = f(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
+    return ((d + np.sqrt(d * d + 4 * om0)) / 2) ** 2
 
 
 # -- 1: Appendix-B truth table ------------------------------------------------
@@ -332,7 +314,7 @@ def criterion_9() -> CriterionResult:
     dl = delta_par(center.eta_norm, p)
     probes = []
     ds = np.arange(3.0, 6.6, 0.5)
-    for d, omp in zip(ds, _par_offset(center.omega, ds, p, 4000.0)):
+    for d, omp in zip(ds, _par_offset(center.omega, ds, p)):
         probes.append(phase_point(z=center.z, omega=omp))
         probes.append(phase_point(z=center.z + d * dl, omega=center.omega))
     rep = microlocality_probe(rho, t_flow, flow, probes, tr,
@@ -374,7 +356,7 @@ def criterion_10() -> CriterionResult:
     overlap_ok = True
     ratios = []
     d_offs = (1.0, 2.0, 3.0)
-    for d_off, omp in zip(d_offs, _par_offset(om_g, d_offs, p_grid, 4.0e4)):
+    for d_off, omp in zip(d_offs, _par_offset(om_g, d_offs, p_grid)):
         meas = abs(tr.forward_at(u, [phase_point(z=0.3, omega=omp)])[0]) / peak
         oracle = float(np.exp(-d_off**2 / 2.0))
         ratios.append(meas / oracle)

@@ -93,6 +93,18 @@ def resolve_config(args, defaults):
     return cfg
 
 
+# a CSV cell by its Python type; a numpy scalar, whose repr is not its
+# value, has no entry
+_CSV_CELL = {str: str, int: repr, float: repr,
+             bool: lambda v: "true" if v else "false"}
+
+
+def _csv(rows):
+    """CSV text of rows, header first, each cell by _CSV_CELL."""
+    return "".join(",".join(_CSV_CELL[type(v)](v) for v in row) + "\n"
+                   for row in rows)
+
+
 def _json_default(o):
     if isinstance(o, complex):
         return {"re": o.real, "im": o.imag}
@@ -251,8 +263,7 @@ ESCAPE_DEFAULTS = dict(r_u=8.0, r_s=8.0, gamma=0.0, gamma_prime=0.0, h0=1.0,
 def run_escape_sweep(cfg):
     from .bracket_metric import MetricParams
     from .escape import (EscapeConfig, decay_rate_fit, order_estimate,
-                         theoretical_decay_rate, theoretical_orders,
-                         weight_field_csv)
+                         theoretical_decay_rate, theoretical_orders, weight)
     from .suspension import MappingTorus
 
     p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
@@ -266,7 +277,10 @@ def run_escape_sweep(cfg):
         _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
     split = MappingTorus().dual_splitting()
     vals = np.linspace(-cfg["grid_max"], cfg["grid_max"], cfg["grid_points"])
-    csv_text = weight_field_csv(split, ec, p, vals, vals, [cfg["omega"]])
+    mesh = [m.ravel() for m in np.meshgrid(vals, vals, [cfg["omega"]],
+                                           indexing="ij")]
+    rows = zip(*(m.tolist() for m in mesh),
+               weight(*mesh, split, ec, p).tolist())
     summary = {
         "decay_rate_fit": -decay_rate_fit(1.0e5, 0.0, 1.0,
                                           np.linspace(0, 3, 13),
@@ -277,7 +291,8 @@ def run_escape_sweep(cfg):
                                 ("stable", (0.0, 1.0, 0.0)))},
         "orders_theory": theoretical_orders(ec, p),
     }
-    return True, {"weight_field.csv": csv_text, "summary.json": summary}
+    return True, {"weight_field.csv": [("xi_u", "xi_s", "omega", "W"), *rows],
+                  "summary.json": summary}
 
 
 SUSPENSION_DEFAULTS = dict(k_max=5, nu_max=20, R=8.0, threshold=float(np.exp(-3.0)),
@@ -305,13 +320,10 @@ def run_suspension(cfg):
                     gamma=cfg["gamma"])
     res = full_spectrum(cfg["k_max"], cfg["nu_max"], ec, cfg["threshold"],
                         MappingTorus(), p)
-    lines = ["nu1,nu2,norm_bound,pass"]
-    for c in res.certificates:
-        lines.append(f"{c['nu'][0]},{c['nu'][1]},{c['norm_bound']!r},"
-                     f"{str(c['pass']).lower()}")
     return all(c["pass"] for c in res.certificates), {
         "spectrum.json": res.to_json_records(),
-        "certificates.csv": "\n".join(lines) + "\n"}
+        "certificates.csv": [("nu1", "nu2", "norm_bound", "pass")]
+        + [(*c["nu"], c["norm_bound"], c["pass"]) for c in res.certificates]}
 
 
 WEYL_DEFAULTS = dict(beta0=0.5, n=1, omega_min=64.0, omega_max=16384.0,
@@ -357,9 +369,8 @@ def run_weyl_boxes(cfg):
     counts = box_counts(form, omegas, alphas)
     a_star, e_star = optimal_alpha(counts, omegas, alphas)
     return True, {
-        "counts.csv": "\n".join(
-            ["omega,alpha,count"]
-            + [f"{om!r},{al!r},{c}" for (om, al), c in counts.items()]) + "\n",
+        "counts.csv": [("omega", "alpha", "count")]
+        + [(om, al, c) for (om, al), c in counts.items()],
         "summary.json": {"alpha_star": a_star, "exponent_star": e_star,
                          "theory": 1.0 / (1.0 + beta0)}}
 
@@ -420,9 +431,9 @@ def main(argv=None) -> int:
     """Run one subcommand; the only writer of its output directory.
 
     A runner returns (ok, artifacts), artifacts mapping each file name to a
-    JSON object or to CSV text.  Nothing is written when the config or the
-    run fails before the runner returns; an output directory that cannot be
-    written is a config error too.
+    JSON object or, for a .csv name, to its rows, header first.  Nothing is
+    written when the config or the run fails before the runner returns; an
+    output directory that cannot be written is a config error too.
     """
     args = build_parser().parse_args(argv)
     defaults, runner = SUBCOMMANDS[args.command]
@@ -434,10 +445,10 @@ def main(argv=None) -> int:
         manifest = {"command": args.command, "config": cfg,
                     "version": __version__}
         for name, body in {"manifest.json": manifest, **artifacts}.items():
-            if not isinstance(body, str):
-                body = json.dumps(body, indent=1, sort_keys=True,
-                                  default=_json_default) + "\n"
-            (outdir / name).write_text(body)
+            (outdir / name).write_text(
+                _csv(body) if name.endswith(".csv") else
+                json.dumps(body, indent=1, sort_keys=True,
+                           default=_json_default) + "\n")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -326,13 +326,3 @@ def temperate_ratio_samples(split, cfg, p, n_samples=2000, seed=0):
     h = h_gamma_perp(star0, cfg, gamma=cfg.gamma_prime)
     return ratios, jbracket(h * g_norm_rows(eta0, disp, p))
 
-
-def weight_field_csv(split, cfg, p, xi_u_values, xi_s_values, omega_values):
-    """CSV export of the weight field: columns (xi_u, xi_s, omega, W)."""
-    mesh = np.meshgrid(np.asarray(xi_u_values, float),
-                       np.asarray(xi_s_values, float),
-                       np.asarray(omega_values, float), indexing="ij")
-    w = np.ravel(weight(*mesh, split, cfg, p))
-    rows = zip(*(m.ravel().tolist() for m in mesh), w.tolist())
-    return "xi_u,xi_s,omega,W\n" + "".join(",".join(map(repr, row)) + "\n"
-                                           for row in rows)

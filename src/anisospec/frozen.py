@@ -1,10 +1,11 @@
 """Frozen regression constants.
 
 The underlying inequalities assert the existence of constants; these values
-were fit once on a calibration run (scripts/calibrate_constants.py, measured
-extrema in the comments) and committed with modest headroom.  Tests assert
-against them, so a regression shows up as a new extremum crossing a frozen
-value.
+were fit once on a calibration run and committed with modest headroom
+(measured extrema in the comments).  Each constant has one measurement, in
+scripts/calibrate_constants.py, which reads its exponent N from here; the
+tests call the same measurement on smaller samples and assert against the
+frozen value, so a regression shows up as a new extremum crossing it.
 """
 
 # metric moderate/temperate, <|v|_g2/|v|_g1> <= C <Delta^gamma dist>^N
@@ -23,6 +24,9 @@ GAUSSIAN_DIFF_C = 0.25          # measured 0.189
 # escape weight temperate: W(r')/W(r) <= C <h_gamma' dist>^N0
 ESCAPE_TEMPERATE_C = 1.5        # measured 1.026
 ESCAPE_TEMPERATE_N0 = 4.0
+# the calibration also fits C at this larger N0 (measured 1.013): the extremum
+# sits where <h_gamma' dist> is near 1, so N0 hardly moves it
+ESCAPE_TEMPERATE_N0_HIGH = 6.0
 
 # weighted space <omega>^1: ratio <= C <dist>^NW on sampled fibers
 WSPACE_TEMPERATE_C = 1.5        # measured 1.061
@@ -35,7 +39,7 @@ COMPOSITION_C = 0.1             # measured 0.035
 COMPOSITION_FLOOR = 1.0e-3
 
 # corollary: indicator + locally-constant symbol, residual <= C_N C^-N
-COROLLARY_CN = 0.25             # measured 0.091
+COROLLARY_CN = 0.25             # measured 0.095 in H_<omega>
 COROLLARY_N = 2.0
 
 # Egorov: residual <= C_t ||(W o phi^t / W) h||_inf (translation flows sit

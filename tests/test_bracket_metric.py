@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from calibrate_constants import gdist_equivalence, metric_temperate
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -85,23 +86,10 @@ def test_g_dist_examples(params_half):
     assert g_dist(a, b, params_half) == pytest.approx(1.0)
 
 
-def test_g_dist_asymmetric_but_equivalent(params_half):
+def test_g_dist_asymmetric_but_equivalent():
     """<d(b,a)> <= C <d(a,b)>^N on samples, with the frozen (C, N)."""
-    rng = np.random.default_rng(0)
-    found_asym = False
-    worst = 0.0
-    for _ in range(2000):
-        e = np.exp(rng.uniform(0, np.log(1e4), 4)) * rng.choice([-1, 1], 4)
-        a = phase_point(x=[rng.uniform(0, 1)], z=rng.uniform(0, 1),
-                        xi=[e[0]], omega=e[1])
-        b = phase_point(x=[rng.uniform(0, 1)], z=rng.uniform(0, 1),
-                        xi=[e[2]], omega=e[3])
-        dab, dba = g_dist(a, b, params_half), g_dist(b, a, params_half)
-        if abs(dab - dba) > 0.1 * max(dab, dba):
-            found_asym = True
-        worst = max(worst, jbracket(dba)
-                    / jbracket(dab) ** frozen.GDIST_EQUIV_N)
-    assert found_asym
+    worst, d_ab, d_ba = gdist_equivalence(n=2000, seed=0)
+    assert np.any(np.abs(d_ab - d_ba) > 0.1 * np.maximum(d_ab, d_ba))
     assert worst <= frozen.GDIST_EQUIV_C
 
 
@@ -118,25 +106,11 @@ def test_distortion_examples():
         < distortion_from_eta_norm(rho1.eta_norm, p)
 
 
-def test_metric_moderate_temperate_frozen(params_half):
+def test_metric_moderate_temperate_frozen():
     """eq-style moderate/temperate bound with the frozen (C, N) pairs."""
-    p = MetricParams(1.0, 0.5, 0.25)
-    rng = np.random.default_rng(1)
-    for gamma, (c_frozen, n_exp) in frozen.METRIC_TEMPERATE.items():
-        worst = 0.0
-        for _ in range(3000):
-            e1 = np.exp(rng.uniform(0, np.log(1e4), 2)) * rng.choice([-1, 1], 2)
-            e2 = np.exp(rng.uniform(0, np.log(1e4), 2)) * rng.choice([-1, 1], 2)
-            r1 = phase_point(x=[rng.uniform(0, 1)], z=rng.uniform(0, 1),
-                             xi=[e1[0]], omega=e1[1])
-            r2 = phase_point(x=[rng.uniform(0, 1)], z=rng.uniform(0, 1),
-                             xi=[e2[0]], omega=e2[1])
-            v = rng.normal(size=4)
-            ratio = g_norm(r2, v, p) / g_norm(r1, v, p)
-            br = jbracket(distortion_from_eta_norm(r1.eta_norm, p) ** gamma
-                          * g_dist(r1, r2, p))
-            worst = max(worst, ratio / br**n_exp)
-        assert worst <= c_frozen, (gamma, worst)
+    worst = metric_temperate(n=3000, seed=1)
+    for gamma, (c_frozen, _) in frozen.METRIC_TEMPERATE.items():
+        assert worst[gamma] <= c_frozen, (gamma, worst[gamma])
 
 
 def test_phase_point_roundtrip():

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from calibrate_constants import escape_temperate
 
 from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
-                                      fit_power_constant, jbracket)
+                                      jbracket)
+from anisospec.cli import main
 from anisospec.escape import (DualSplitting, EscapeConfig, decay_rate_fit,
                               h_gamma_perp, lifted_flow, lower_bound_report,
                               order_estimate, projective_average,
                               temperate_ratio_samples, theoretical_decay_rate,
                               theoretical_lower_rate, theoretical_orders,
-                              weight, weight_field_csv)
+                              weight)
 from anisospec.suspension import MappingTorus
 
 
@@ -165,22 +167,29 @@ def test_w2_orders_and_average(split):
         == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_temperate_property_frozen(split):
-    cfg = EscapeConfig(r_u=2.0, r_s=3.0, gamma=0.5, gamma_prime=0.3)
-    p = MetricParams(1.0, 0.67, 0.0)
-    ratios, brackets = temperate_ratio_samples(split, cfg, p,
-                                               n_samples=4000, seed=1)
-    c_fit = fit_power_constant(ratios, brackets, frozen.ESCAPE_TEMPERATE_N0)
-    assert c_fit <= frozen.ESCAPE_TEMPERATE_C
+def test_temperate_property_frozen():
+    worst = escape_temperate(n=4000, seed=1)
+    assert worst[frozen.ESCAPE_TEMPERATE_N0] <= frozen.ESCAPE_TEMPERATE_C
 
 
-def test_weight_field_csv(split, p_metric):
+def test_weight_field_csv(split, p_metric, tmp_path):
+    """escape-sweep's weight_field.csv: the header, then the (xi_u, xi_s)
+    nodes in loop order at the one omega, every field a plain float repr."""
+    assert main(["escape-sweep", "--r-u", "2", "--r-s", "2", "--grid-max",
+                 "2", "--grid-points", "3", "--output-dir",
+                 str(tmp_path)]) == 0
+    rows = (tmp_path / "weight_field.csv").read_text().splitlines()
+    assert rows[0] == "xi_u,xi_s,omega,W"
     cfg = EscapeConfig(r_u=2.0, r_s=2.0, gamma=0.0)
-    text = weight_field_csv(split, cfg, p_metric, [0.0, 1.0], [0.0], [1.0])
-    lines = text.splitlines()
-    assert lines[0] == "xi_u,xi_s,omega,W"
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[3]) == pytest.approx(1.0)
+    vals = [-2.0, 0.0, 2.0]
+    want = [(xu, xs, 1.0, weight(xu, xs, 1.0, split, cfg, p_metric))
+            for xu in vals for xs in vals]
+    assert len(rows) == 1 + len(want)
+    for row, (xu, xs, om, w) in zip(rows[1:], want):
+        fields = row.split(",")
+        assert fields[:3] == [repr(xu), repr(xs), repr(om)]
+        assert float(fields[3]) == pytest.approx(w, rel=1e-12)
+    assert float(rows[5].split(",")[3]) == pytest.approx(1.0)
 
 
 def _lower_bound_loop(split, cfg, p, n_samples, seed, t_max, c_frozen):
@@ -261,17 +270,3 @@ def test_array_paths_match_per_covector_loops(split, p_metric):
                        + dl**2 * (o1[i] - o0[i]) ** 2)
         h = cfg.h0 * jbracket(dp * np.linalg.norm(xi0)) ** -cfg.gamma_prime
         assert brackets[i] == pytest.approx(jbracket(h * dist), rel=1e-12)
-
-    # weight_field_csv: rows in loop order, every field a plain float repr
-    cfg = EscapeConfig(r_u=8.0, r_s=8.0, gamma=0.0)
-    vals = [-2.0, 0.0, 3.5]
-    rows = weight_field_csv(split, cfg, p_metric, vals, vals[:2],
-                            [1.0, -4.0]).splitlines()
-    assert rows[0] == "xi_u,xi_s,omega,W"
-    want = [(xu, xs, om, weight(xu, xs, om, split, cfg, p_metric))
-            for xu in vals for xs in vals[:2] for om in (1.0, -4.0)]
-    assert len(rows) == 1 + len(want)
-    for row, (xu, xs, om, w) in zip(rows[1:], want):
-        fields = row.split(",")
-        assert fields[:3] == [repr(xu), repr(xs), repr(om)]
-        assert float(fields[3]) == pytest.approx(w, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from calibrate_constants import lipschitz_constants
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -253,16 +254,15 @@ def test_straighten_bijection(xi, om, x):
 
 
 def test_lipschitz_frozen_and_sharpness():
+    worst = lipschitz_constants(n=3000, seed=4)
+    for b0, c_frozen in frozen.LIPSCHITZ_C.items():
+        assert worst[b0] <= c_frozen, (b0, worst[b0])
     form = synth_holder(0.5, seed=7)
-    p_ok = MetricParams(1.0, 1.0 / 1.5, 0.0)
-    rep = lipschitz_unit_scale_test(form, p_ok, n_pairs=3000, seed=4,
-                                    c_frozen=frozen.LIPSCHITZ_C[0.5])
-    assert rep.violations == 0
     p_bad = MetricParams(1.0, 1.0 / 1.5 - 0.1, 0.0)
     rep_bad = lipschitz_unit_scale_test(form, p_bad, n_pairs=3000, seed=4,
                                         c_frozen=frozen.LIPSCHITZ_C[0.5])
     assert rep_bad.violations > 0
-    assert rep_bad.max_ratio > rep.max_ratio
+    assert rep_bad.max_ratio > worst[0.5]
 
 
 def test_lipschitz_matches_scalar_reference():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from calibrate_constants import (bracket_space, composition_constant,
+                                 corollary_constant, weighted_space_temperate)
 
 from anisospec import frozen
 from anisospec.bracket_metric import g_dist_periodic, jbracket, phase_point
@@ -9,8 +11,7 @@ from anisospec.quantize import (BandSubspace, FlowModel, Symbol,
                                 WeightedSpace, bump_symbol,
                                 composition_residual, constant_symbol,
                                 egorov_residual, hw_operator_norm,
-                                microlocality_probe, product_symbol,
-                                trace_phase_sum)
+                                microlocality_probe, trace_phase_sum)
 from anisospec.wavepackets import BargmannTransform, TorusGrid
 
 # the two symbols of `anisospec quantize-probes`
@@ -24,11 +25,9 @@ COS_Z = lambda sg, eta: (1.5 + np.cos(sg[0])) * jbracket(eta[-1])
 
 
 @pytest.fixture(scope="module")
-def setup(circle_transform):
-    tr = circle_transform
-    band = BandSubspace(tr.grid, 4)
-    space = WeightedSpace(weight=BRACKET, transform=tr, band=band)
-    return tr, band, space
+def setup():
+    space = bracket_space()
+    return space.transform, space.band, space
 
 
 def band_random(band, seed):
@@ -104,19 +103,10 @@ def test_sobolev_norm_plane_wave_slope(params_half):
     assert abs(slope - r_ord) <= 0.05
 
 
-def test_weighted_space_temperate_frozen(setup):
+def test_weighted_space_temperate_frozen():
     """W = <omega>^1: sampled fiber temperate bound with frozen (C, N_W)."""
-    tr, _, _ = setup
-    from anisospec.bracket_metric import delta_par
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(5000):
-        om1, om2 = rng.uniform(-64, 64, 2)
-        dist = delta_par(abs(om1), tr.p) * abs(om2 - om1)
-        ratio = jbracket(om2) / jbracket(om1)
-        worst = max(worst, ratio
-                    / jbracket(dist) ** frozen.WSPACE_TEMPERATE_NW)
-    assert worst <= frozen.WSPACE_TEMPERATE_C
+    assert weighted_space_temperate(n=5000, seed=5) \
+        <= frozen.WSPACE_TEMPERATE_C
 
 
 def test_hw_gram_positive(setup):
@@ -181,38 +171,20 @@ def test_composition_constant_b_hits_floor(setup):
 
 def test_composition_bumps_bound_and_smallness(setup):
     tr, _, space = setup
+    worst, [est] = composition_constant(centers=[(PROBE_A[0], PROBE_B[0])])
+    assert worst <= frozen.COMPOSITION_C
     a, b = bump_symbol(*PROBE_A), bump_symbol(*PROBE_B)
-    est, bound = composition_residual(a, b, space, frozen.COMPOSITION_C)
-    assert est <= bound
     na = hw_operator_norm(lambda u: tr.op_apply(u, a.fn), space)
     nb = hw_operator_norm(lambda u: tr.op_apply(u, b.fn), space)
     assert est * 10.0 <= na * nb
 
 
-def test_composition_corollary_sweep(setup):
+def test_composition_corollary_sweep():
     """Indicator + locally constant symbol: residual decreasing in C and
     below the frozen C_N C^-N envelope."""
-    tr, _, space = setup
-    z0, om0, rad = np.pi, 0.0, 1.0
-
-    def dist(sg, eta):
-        dz2 = 2.0 * (1.0 - np.cos(sg[0] - z0))
-        return np.sqrt(4.0 * dz2 + (eta[-1] - om0) ** 2)
-
-    a = Symbol(fn=lambda sg, eta: (dist(sg, eta) <= rad).astype(float))
-    prev = np.inf
-    for c_neigh in (2.0, 4.0, 8.0):
-        b = Symbol(fn=lambda sg, eta, c=c_neigh:
-                   1.0 + np.maximum(dist(sg, eta) - rad - c, 0.0))
-
-        def t_apply(u):
-            return tr.op_apply(tr.op_apply(u, b.fn), a.fn) \
-                - tr.op_apply(u, product_symbol(a, b).fn)
-
-        est = hw_operator_norm(t_apply, space)
-        assert est <= frozen.COROLLARY_CN * c_neigh ** (-frozen.COROLLARY_N)
-        assert est < prev
-        prev = est
+    worst, residuals = corollary_constant(c_neighs=(2.0, 4.0, 8.0))
+    assert worst <= frozen.COROLLARY_CN
+    assert np.all(np.diff(list(residuals.values())) < 0)
 
 
 def test_egorov_trivial_cases(setup):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from calibrate_constants import wavefront_constants
 
 from anisospec import frozen
 from anisospec.bracket_metric import MetricParams, delta_perp, jbracket
@@ -9,12 +10,10 @@ from anisospec.cli import main
 from anisospec.errors import ResolutionError
 from anisospec.escape import EscapeConfig, lifted_flow, weight
 from anisospec.quantize import FlowModel
-from anisospec.suspension import (MappingTorus, SpectrumResult,
-                                  eigenfunction_hw_norm, full_spectrum,
+from anisospec.suspension import (MappingTorus, SpectrumResult, full_spectrum,
                                   generator_residual, orbit_representatives,
-                                  transfer_time1_grid, wavefront_extrema,
-                                  wavefront_value, weyl_count,
-                                  weyl_density_exponent,
+                                  transfer_time1_grid, wavefront_value,
+                                  weyl_count, weyl_density_exponent,
                                   zero_sector_eigenfunction,
                                   zero_sector_spectrum)
 from anisospec.wavepackets import TorusGrid
@@ -294,15 +293,10 @@ def test_wavefront_peak_and_offsets():
 
 
 def test_wavefront_bound_frozen():
-    torus = MappingTorus()
-    split = torus.dual_splitting()
-    cfg = EscapeConfig(r_u=4.0, r_s=4.0, gamma=0.0)
-    k = 3
-    hw = eigenfunction_hw_norm(k, split, P, cfg)
+    hw, worst, _ = wavefront_constants(n=500, seed=8)
     assert hw > 0
-    worst, _ = wavefront_extrema(k, split, P, cfg, hw, n_samples=500, seed=8)
-    for n_exp in (2, 4):
-        assert worst[n_exp] <= frozen.WAVEFRONT_CN[n_exp]
+    for n_exp, c_frozen in frozen.WAVEFRONT_CN.items():
+        assert worst[n_exp] <= c_frozen
 
 
 # each vicinity condition decides the outside maximum of one of the seeds:
@@ -313,7 +307,7 @@ def test_wavefront_extrema_match_scalar_loop(seed):
     cfg = EscapeConfig(r_u=4.0, r_s=4.0, gamma=0.0)
     k = 3
     om0 = 2 * np.pi * k
-    hw = eigenfunction_hw_norm(k, split, P, cfg)
+    hw, got, got_out = wavefront_constants(n=200, seed=seed)
     rng = np.random.default_rng(seed)
     worst, worst_out = {2: 0.0, 4: 0.0}, {2: 0.0, 4: 0.0}
     for _ in range(200):
@@ -332,8 +326,6 @@ def test_wavefront_extrema_match_scalar_loop(seed):
             if outside:
                 worst_out[n_exp] = max(worst_out[n_exp],
                                        val * jbracket(eta) ** n_exp / hw)
-    got, got_out = wavefront_extrema(k, split, P, cfg, hw, n_samples=200,
-                                     seed=seed)
     assert worst_out[2] > 0.0
     for n_exp in (2, 4):
         assert got[n_exp] == pytest.approx(worst[n_exp], rel=1e-14)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from calibrate_constants import packet_constants
 
 from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
@@ -231,27 +232,23 @@ def test_exact_samples_match_full_grid_m(params_half, n, points, length, xi,
     assert np.max(np.abs(ex - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_exact_gaussian_difference_bounded_by_distortion(params_half):
-    g = TorusGrid(0, 2048)
-    diffs, deltas = [], []
-    for om in (8.0, 32.0, 128.0, 512.0):
-        rho = phase_point(z=3.0, omega=om)
-        ex = exact_packet(rho, params_half, g)
-        ga = gaussian_packet(rho, params_half, g)
-        diffs.append(g.norm(ex - ga))
-        deltas.append(distortion_from_eta_norm(rho.eta_norm, params_half))
-    diffs, deltas = np.asarray(diffs), np.asarray(deltas)
-    assert np.all(diffs <= frozen.GAUSSIAN_DIFF_C * deltas)
+@pytest.fixture(scope="module")
+def packets():
+    """packet_constants at the centers of criterion 3's subset."""
+    return packet_constants(etas=(4.0, 64.0, 1024.0),
+                            omegas=(8.0, 32.0, 128.0, 512.0))
+
+
+def test_exact_gaussian_difference_bounded_by_distortion(packets):
+    _, worst, diffs = packets
+    assert worst <= frozen.GAUSSIAN_DIFF_C
     assert np.all(np.diff(diffs) < 0)  # decreasing as |eta| grows
 
 
-def test_packet_norm_defect_scaling(params_half):
+def test_packet_norm_defect_scaling(packets):
     """|norm^2 - 1| <= C Delta with one frozen C (subset of criterion 3)."""
-    for e in (4.0, 64.0, 1024.0):
-        nsq = packet_norm_sq_continuous(np.array([e, 0.0]), params_half, 2,
-                                        points_per_axis=97)
-        assert abs(nsq - 1.0) <= frozen.PACKET_NORM_DEFECT_C \
-            * distortion_from_eta_norm(e, params_half)
+    worst, _, _ = packets
+    assert worst <= frozen.PACKET_NORM_DEFECT_C
 
 
 @pytest.mark.parametrize("e", [1.0, 64.0, 1024.0])
