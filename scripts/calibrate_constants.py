@@ -26,9 +26,9 @@ from anisospec.bracket_metric import (MetricParams, delta_par,
                                       jbracket, phase_point)
 from anisospec.escape import EscapeConfig, temperate_ratio_samples
 from anisospec.fractal_count import lipschitz_unit_scale_test, synth_holder
-from anisospec.quantize import (BandSubspace, Symbol, WeightedSpace,
-                                bump_symbol, composition_residual,
-                                hw_operator_norm, product_symbol)
+from anisospec.quantize import (BandSubspace, WeightedSpace, bump_symbol,
+                                composition_residual, hw_operator_norm,
+                                product_symbol)
 from anisospec.suspension import (MappingTorus, eigenfunction_hw_norm,
                                   wavefront_extrema)
 from anisospec.wavepackets import (BargmannTransform, TorusGrid, exact_packet,
@@ -84,12 +84,12 @@ def gdist_equivalence(n, seed):
 
 def packet_constants(etas, omegas):
     """The largest | ||packet(eta)||^2 - 1 | / Delta(eta) over the 2-D
-    centers (eta, 0), at 97 trapezoid points per axis as in criterion 3, and
-    the largest ||exact - gaussian||_L2 / Delta over the z-circle packets at
-    frequencies omegas, with those L2 differences."""
-    norm_defect = max(abs(packet_norm_sq_continuous(
-        np.array([e, 0.0]), HALF, 2, points_per_axis=97) - 1.0)
-        / distortion_from_eta_norm(e, HALF) for e in etas)
+    centers (eta, 0), as in criterion 3, and the largest
+    ||exact - gaussian||_L2 / Delta over the z-circle packets at frequencies
+    omegas, with those L2 differences."""
+    norm_defect = max(abs(packet_norm_sq_continuous(np.array([e, 0.0]), HALF)
+                          - 1.0) / distortion_from_eta_norm(e, HALF)
+                      for e in etas)
     g = TorusGrid(0, 2048)
     diffs = [g.norm(exact_packet(rho, HALF, g) - gaussian_packet(rho, HALF, g))
              for rho in (phase_point(z=3.0, omega=om) for om in omegas)]
@@ -140,9 +140,9 @@ def composition_constant(centers):
     space = bracket_space()
     worst, residuals = 0.0, []
     for za, zb in centers:
-        sa = bump_symbol(za, 4.0, 2.0, 8.0, 0.2)
-        sb = bump_symbol(zb, -2.0, 2.5, 10.0, 0.2)
-        est, bound = composition_residual(sa, sb, space, c_frozen=1.0)
+        sa = bump_symbol(za, 4.0, 2.0, 8.0)
+        sb = bump_symbol(zb, -2.0, 2.5, 10.0)
+        est, bound = composition_residual(sa, sb, 0.2, space, c_frozen=1.0)
         residuals.append(est)
         worst = max(worst, est / bound)
     return worst, residuals
@@ -159,8 +159,8 @@ def corollary_constant(c_neighs):
         a, b = _corollary_pair(c_neigh)
 
         def t_apply(u):
-            return tr.op_apply(tr.op_apply(u, b.fn), a.fn) \
-                - tr.op_apply(u, product_symbol(a, b).fn)
+            return tr.op_apply(tr.op_apply(u, b), a) \
+                - tr.op_apply(u, product_symbol(a, b))
 
         residuals[c_neigh] = hw_operator_norm(t_apply, space)
         worst = max(worst, residuals[c_neigh] * c_neigh ** frozen.COROLLARY_N)
@@ -179,9 +179,8 @@ def _corollary_pair(c_neigh):
         dz2 = 2.0 * (1.0 - np.cos(sg[0] - z0))
         return np.sqrt(4.0 * dz2 + (eta[-1] - om0) ** 2)
 
-    a = Symbol(fn=lambda sg, eta: (dist(sg, eta) <= rad).astype(float))
-    b = Symbol(fn=lambda sg, eta: 1.0
-               + np.maximum(dist(sg, eta) - rad - c_neigh, 0.0))
+    a = lambda sg, eta: (dist(sg, eta) <= rad).astype(float)
+    b = lambda sg, eta: 1.0 + np.maximum(dist(sg, eta) - rad - c_neigh, 0.0)
     return a, b
 
 

@@ -232,19 +232,20 @@ def run_quantize_probes(cfg):
     base_params = {"points": cfg["points"], "window": cfg["window"],
                    "band": cfg["band"], "weight_order": cfg["weight_order"]}
     records = []
-    sa = bump_symbol(2.0, 4.0, 2.0, 8.0, 0.2)
-    sb = bump_symbol(3.5, -2.0, 2.5, 10.0, 0.2)
-    est, bound = composition_residual(sa, constant_symbol(2.0), space,
+    sa = bump_symbol(2.0, 4.0, 2.0, 8.0)
+    sb = bump_symbol(3.5, -2.0, 2.5, 10.0)
+    est, bound = composition_residual(sa, constant_symbol(2.0), 0.0, space,
                                       frozen.COMPOSITION_C)
     records.append({"probe": "composition_b_constant", "params": base_params,
                     "residual": est, "bound": frozen.COMPOSITION_FLOOR,
                     "pass": est <= frozen.COMPOSITION_FLOOR})
-    est, bound = composition_residual(sa, sb, space, frozen.COMPOSITION_C)
+    est, bound = composition_residual(sa, sb, 0.2, space, frozen.COMPOSITION_C)
     records.append({"probe": "composition_bumps", "params": base_params,
                     "residual": est, "bound": bound, "pass": est <= bound})
     flow = FlowModel(vel=(1.0,))  # rotation of the z-circle
     for t in (0.5, 1.0, 2.0):
-        est, bound = egorov_residual(sa, t, flow, space, frozen.EGOROV_CT[t])
+        est, bound = egorov_residual(sa, 0.2, t, flow, space,
+                                     frozen.EGOROV_CT[t])
         records.append({"probe": f"egorov_t{t}",
                         "params": {**base_params, "t": t},
                         "residual": est, "bound": bound,

@@ -1,19 +1,23 @@
 """Anti-Wick quantization, weighted Sobolev norms and residual probes.
 
 Operators are realized through a BargmannTransform: Op(a) = B* M_a B on the
-phase grid.  Weighted operator norms are taken on an explicit band-limited
-subspace (plane-wave modes well inside the phase window, where the discrete
-H_W inner product is positive definite).  A WeightedSpace builds the band
-Gram G = L L^H of <u, Op(W^2) v> once; the H_W norm of T is then the
-spectral norm of L^H T L^{-H}, estimated by power iteration.  Power
-iteration approaches the largest singular value from below, so a residual
-estimate is a lower estimate of the residual norm.
+phase grid.  A symbol is a callable a(sg, eta), the symbol on the spatial
+grids sg at the frequency center eta, as BargmannTransform.op_apply takes it;
+a slow-variation certificate is a number h >= 0 with
+|a(rho') - a(rho)| <= h <d_g(rho, rho')>, d_g the g-distance.  Weighted
+operator norms are taken on an explicit band-limited subspace (plane-wave
+modes well inside the phase window, where the discrete H_W inner product is
+positive definite).  A WeightedSpace builds the band Gram G = L L^H of
+<u, Op(W^2) v> once; the H_W norm of T is then the spectral norm of
+L^H T L^{-H}, estimated by power iteration.  Power iteration approaches the
+largest singular value from below, so a residual estimate is a lower
+estimate of the residual norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -21,38 +25,20 @@ from .bracket_metric import PhasePoint, g_dist_periodic, jbracket, phase_point
 from .wavepackets import TWO_PI, BargmannTransform, TorusGrid, check_band
 
 
-@dataclass
-class Symbol:
-    """A phase-space symbol with an optional slow-variation certificate.
-
-    fn(space_grids, eta) returns the symbol on the spatial grid for the
-    frequency center eta (the convention of BargmannTransform.op_apply).
-    The certificate h, in the same convention, asserts
-    |a(rho') - a(rho)| <= h(rho) <d_g(rho, rho')>, d_g the g-distance.
-    """
-
-    fn: Callable
-    h: Optional[Callable] = None
-
-
-def bump_symbol(z0, om0, wz, wom, hval) -> Symbol:
+def bump_symbol(z0, om0, wz, wom):
     """Periodic bump in z at z0 (width wz) times a Gaussian in omega at om0
-    (width wom), certified with the constant h = hval."""
-    return Symbol(
-        fn=lambda sg, eta: np.exp(-2.0 * (1.0 - np.cos(sg[0] - z0))
+    (width wom)."""
+    return lambda sg, eta: np.exp(-2.0 * (1.0 - np.cos(sg[0] - z0))
                                   / (2 * wz**2)
-                                  - ((eta[-1] - om0) / wom) ** 2 / 2),
-        h=lambda sg, eta: hval * np.ones_like(sg[0]))
+                                  - ((eta[-1] - om0) / wom) ** 2 / 2)
 
 
-def constant_symbol(c) -> Symbol:
-    return Symbol(fn=lambda sg, eta: c * np.ones_like(sg[0], dtype=complex),
-                  h=lambda sg, eta: np.zeros_like(sg[0], dtype=float))
+def constant_symbol(c):
+    return lambda sg, eta: c * np.ones_like(sg[0], dtype=complex)
 
 
-def product_symbol(a: Symbol, b: Symbol) -> Symbol:
-    return Symbol(fn=lambda sg, eta: np.asarray(a.fn(sg, eta))
-                  * np.asarray(b.fn(sg, eta)))
+def product_symbol(a, b):
+    return lambda sg, eta: np.asarray(a(sg, eta)) * np.asarray(b(sg, eta))
 
 
 @dataclass(frozen=True)
@@ -80,14 +66,10 @@ class FlowModel:
         y = np.concatenate([rho.x, [rho.z]]) - t * np.asarray(self.vel)
         return phase_point(x=y[:-1], z=y[-1], xi=rho.xi, omega=rho.omega)
 
-    def compose_symbol(self, sym: Symbol, t: float) -> Symbol:
+    def compose_symbol(self, a, t: float):
         """a o (lifted flow at time t): shift the spatial arguments."""
-
-        def fn(sg, eta):
-            shifted = [sg[ax] - t * self.vel[ax] for ax in range(len(sg))]
-            return sym.fn(shifted, eta)
-
-        return Symbol(fn=fn)
+        return lambda sg, eta: a([sg[ax] - t * self.vel[ax]
+                                  for ax in range(len(sg))], eta)
 
 
 # -- operator machinery ----------------------------------------------------
@@ -172,50 +154,51 @@ def hw_operator_norm(apply_fn, space: WeightedSpace) -> float:
 # -- residual probes -------------------------------------------------------
 
 
-def composition_residual(a: Symbol, b: Symbol, space: WeightedSpace,
+def _check_certificate(h):
+    if not 0.0 <= h < np.inf:
+        raise ValueError(f"certificate {h!r} is not a finite h >= 0")
+
+
+def composition_residual(a, b, h_b: float, space: WeightedSpace,
                          c_frozen: float):
     """(estimate of ||Op(a)Op(b) - Op(ab)||_{H_W},  bound C ||a h_b||_inf).
 
-    b must carry a slow-variation certificate; the sup of |a h_b| is taken
+    h_b is the slow-variation certificate of b; the sup of |a| is taken
     over the realized phase grid.
     """
-    if b.h is None:
-        raise ValueError("b must carry a slow-variation certificate")
+    _check_certificate(h_b)
     tr = space.transform
     ab = product_symbol(a, b)
 
     def t_apply(u):
-        return tr.op_apply(tr.op_apply(u, b.fn), a.fn) - tr.op_apply(u, ab.fn)
+        return tr.op_apply(tr.op_apply(u, b), a) - tr.op_apply(u, ab)
 
     est = hw_operator_norm(t_apply, space)
     sg = tr.grid.space_grids()
-    sup = max(float(np.max(np.abs(np.asarray(a.fn(sg, eta))
-                                  * np.asarray(b.h(sg, eta)))))
+    sup = max(float(np.max(np.abs(np.asarray(a(sg, eta)))))
               for eta in tr.centers)
-    return est, c_frozen * sup
+    return est, c_frozen * (h_b * sup)
 
 
-def egorov_residual(a: Symbol, t: float, flow: FlowModel, space: WeightedSpace,
-                    c_frozen: float):
+def egorov_residual(a, h_a: float, t: float, flow: FlowModel,
+                    space: WeightedSpace, c_frozen: float):
     """(estimate of ||e^{-tX} Op(a o phi^t) - Op(a) e^{-tX}||_{H_W},
-    bound C_t ||(W o phi^t / W) h||_inf)."""
-    if a.h is None:
-        raise ValueError("a must carry a slow-variation certificate")
+    bound C_t ||(W o phi^t / W) h_a||_inf), h_a the certificate of a."""
+    _check_certificate(h_a)
     tr = space.transform
     at = flow.compose_symbol(a, t)
 
     def t_apply(u):
-        return flow.transfer(tr.op_apply(u, at.fn), tr.grid, t) \
-            - tr.op_apply(flow.transfer(u, tr.grid, t), a.fn)
+        return flow.transfer(tr.op_apply(u, at), tr.grid, t) \
+            - tr.op_apply(flow.transfer(u, tr.grid, t), a)
 
     est = hw_operator_norm(t_apply, space)
     sg = tr.grid.space_grids()
     sgt = [sg[ax] - t * flow.vel[ax] for ax in range(tr.grid.d)]
     sup = max(float(np.max(np.asarray(space.weight(sgt, eta), dtype=float)
-                           / np.asarray(space.weight(sg, eta), dtype=float)
-                           * np.abs(a.h(sg, eta))))
+                           / np.asarray(space.weight(sg, eta), dtype=float)))
               for eta in tr.centers)
-    return est, c_frozen * sup
+    return est, c_frozen * (h_a * sup)
 
 
 @dataclass
@@ -262,13 +245,13 @@ def microlocality_probe(rho: PhasePoint, t: float, flow: FlowModel,
 # -- auxiliary identities ---------------------------------------------------
 
 
-def trace_phase_sum(transform: BargmannTransform, sym: Symbol) -> complex:
+def trace_phase_sum(transform: BargmannTransform, a) -> complex:
     """sum over the phase grid of a(rho) ||phi_rho||^2 cell / (2 pi)^d: the
     anti-Wick trace identity tr Op(a) = (2 pi)^-d int a ||phi_rho||^2 drho,
     the phase-space volume count behind the paper's Weyl bound."""
     g = transform.grid
     sg = g.space_grids()
-    total = sum(nsq * complex(np.sum(np.asarray(sym.fn(sg, eta)))) * g.h**g.d
+    total = sum(nsq * complex(np.sum(np.asarray(a(sg, eta)))) * g.h**g.d
                 for nsq, eta in zip(transform.packet_norm_sq(), transform.centers))
     return total * g.d_eta**g.d / TWO_PI**g.d
 

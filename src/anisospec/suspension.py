@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import frozen
 from .bracket_metric import MetricParams, delta_par, delta_perp, jbracket
 from .errors import ResolutionError
 from .escape import DualSplitting, EscapeConfig, lifted_flow, weight
@@ -242,8 +243,8 @@ def wavefront_extrema(k: int, split: DualSplitting, p: MetricParams,
                       cfg: EscapeConfig, hw: float, n_samples: int, seed: int):
     """Largest |B phi_k| <omega - 2 pi k>^N W / hw, and largest |B phi_k|
     <eta>^N / hw outside the parabolic vicinity {<omega - 2 pi k> <= r,
-    <|eta|^-alpha_perp xi_s> <= r}, r = max(|eta|, 2)^0.4, for N = 2, 4, over
-    covectors whose xi_u, xi_s, omega - 2 pi k are normal * uniform(0, 30)."""
+    <|eta|^-alpha_perp xi_s> <= r}, r = max(|eta|, 2)^0.4, N in WAVEFRONT_CN,
+    over covectors whose xi_u, xi_s, omega - 2 pi k are normal * U(0, 30)."""
     om0 = 2.0 * np.pi * k
     rng = np.random.default_rng(seed)
     xu, xs, dom = np.array([[rng.normal() * rng.uniform(0, 30) for _ in range(3)]
@@ -256,10 +257,11 @@ def wavefront_extrema(k: int, split: DualSplitting, p: MetricParams,
     r = np.maximum(eta, 2.0) ** 0.4
     outside = ~((jbracket(om - om0) <= r) & (jbracket(gs) <= r))
     worst = {n_exp: float(np.max(val * jbracket(om - om0) ** n_exp * w / hw,
-                                 initial=0.0)) for n_exp in (2, 4)}
+                                 initial=0.0))
+             for n_exp in frozen.WAVEFRONT_CN}
     worst_out = {n_exp: float(np.max(val * jbracket(eta) ** n_exp / hw,
                                      where=outside, initial=0.0))
-                 for n_exp in (2, 4)}
+                 for n_exp in frozen.WAVEFRONT_CN}
     return worst, worst_out
 
 

@@ -29,6 +29,7 @@ TWO_PI = 2.0 * np.pi
 # Byte budget of one batch array: a complex (c,) + grid array of the
 # transform kernel, a float (block, nodes^d) array of m_gauss_hermite.
 _BATCH_BYTES = 2**20
+_NORM_POINTS = 97  # trapezoid nodes per axis of packet_norm_sq_continuous
 
 
 class TorusGrid:
@@ -239,8 +240,7 @@ def exact_packet(rho: PhasePoint, p: MetricParams, grid: TorusGrid):
     return _samples_from_profile(grid, rho, prof)
 
 
-def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
-                              points_per_axis: int = 129) -> float:
+def packet_norm_sq_continuous(eta_center, p: MetricParams) -> float:
     """Continuous ||packet||^2 = int prof0^2/m d eta' by local trapezoid.
 
     The integrand is concentrated within ~1/delta of the center per axis;
@@ -249,13 +249,14 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams, d: int,
     elsewhere.
     """
     eta_center = np.asarray(eta_center, dtype=float)
+    d = len(eta_center)
     en = float(np.linalg.norm(eta_center))
     dp, dl = delta_perp(en, p), delta_par(en, p)
     axes = []
     for ax in range(d):
         scale = dp if ax < d - 1 else dl
         axes.append(eta_center[ax] + np.linspace(-10.0, 10.0,
-                                                 points_per_axis) / scale)
+                                                 _NORM_POINTS) / scale)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
     q = np.zeros(pts.shape[:-1])
@@ -306,10 +307,12 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
 
 
 def _as_window(window, d: int):
-    """A phase window as a d-tuple of ints; an int is the same on every axis."""
-    if np.isscalar(window):
-        return (int(window),) * d
-    return tuple(int(w) for w in window)
+    """A phase window as d ints >= 0; an int is the same on every axis."""
+    win = (int(window),) * d if np.isscalar(window) \
+        else tuple(int(w) for w in window)
+    if len(win) != d or min(win) < 0:
+        raise ValueError(f"window {window!r} is not {d} non-negative entries")
+    return win
 
 
 class BargmannTransform:
@@ -363,6 +366,8 @@ class BargmannTransform:
 
     def packet_samples(self, rho: PhasePoint):
         """Grid samples of the exact packet as the transform normalizes it."""
+        if rho.n != self.grid.n:
+            raise ValueError("phase point dimension does not match the grid")
         return _samples_from_profile(self.grid, rho, self.profile(rho.eta))
 
     # -- the kernel ------------------------------------------------------
@@ -400,8 +405,7 @@ class BargmannTransform:
         picks = []
         for window in windows:
             win = _as_window(window, self.grid.d)
-            if len(win) != self.grid.d or any(
-                    not 0 <= w <= top for w, top in zip(win, self.window)):
+            if any(w > top for w, top in zip(win, self.window)):
                 raise ValueError(f"window {window!r} is not inside the "
                                  f"transform's window {self.window}")
             picks.append(np.all(np.abs(self._lattice) <= win, axis=1))

@@ -189,8 +189,8 @@ def test_default_config_file_matches_flagless_run(tmp_path, task):
     assert _artifacts(out) == flagless
 
 
-@pytest.mark.parametrize("task", ["toy", "escape-sweep", "suspension",
-                                  "weyl-boxes"])
+@pytest.mark.parametrize("task", ["toy", "quantize-probes", "escape-sweep",
+                                  "suspension", "weyl-boxes"])
 def test_default_run_matches_benchmark_reference(tmp_path, monkeypatch, task):
     """The artifacts of a default run match the benchmark's reference."""
     monkeypatch.syspath_prepend(str(PERFBENCH))

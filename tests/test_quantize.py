@@ -7,16 +7,18 @@ from calibrate_constants import (bracket_space, composition_constant,
 
 from anisospec import frozen
 from anisospec.bracket_metric import g_dist_periodic, jbracket, phase_point
-from anisospec.quantize import (BandSubspace, FlowModel, Symbol,
-                                WeightedSpace, bump_symbol,
-                                composition_residual, constant_symbol,
-                                egorov_residual, hw_operator_norm,
-                                microlocality_probe, trace_phase_sum)
+from anisospec.quantize import (BandSubspace, FlowModel, WeightedSpace,
+                                bump_symbol, composition_residual,
+                                constant_symbol, egorov_residual,
+                                hw_operator_norm, microlocality_probe,
+                                trace_phase_sum)
 from anisospec.wavepackets import BargmannTransform, TorusGrid
 
-# the two symbols of `anisospec quantize-probes`
-PROBE_A = (2.0, 4.0, 2.0, 8.0, 0.2)
-PROBE_B = (3.5, -2.0, 2.5, 10.0, 0.2)
+# the two symbols of `anisospec quantize-probes` and their slow-variation
+# certificate
+PROBE_A = (2.0, 4.0, 2.0, 8.0)
+PROBE_B = (3.5, -2.0, 2.5, 10.0)
+H_PROBE = 0.2
 
 # <omega>, the weight of quantize-probes, and a z-dependent weight whose
 # band Gram is not diagonal
@@ -45,44 +47,44 @@ def test_op_identity_and_constant(setup):
     u = band_random(band, 1)
     rec = tr.op_apply(u)
     assert np.linalg.norm(rec - u) / np.linalg.norm(u) <= 1e-3
-    rec_c = tr.op_apply(u, constant_symbol(2.5).fn)
+    rec_c = tr.op_apply(u, constant_symbol(2.5))
     assert np.linalg.norm(rec_c - 2.5 * u) / np.linalg.norm(u) <= 2.5e-3
 
 
 def test_op_norm_bounded_by_sup(setup):
     tr, band, _ = setup
-    a = Symbol(fn=lambda sg, eta: (0.3 + 0.2 * np.cos(sg[0]))
-               * np.ones_like(sg[0]) + 0.1 * np.cos(eta[-1] / 4.0))
+    a = lambda sg, eta: (0.3 + 0.2 * np.cos(sg[0])) * np.ones_like(sg[0]) \
+        + 0.1 * np.cos(eta[-1] / 4.0)
     # the exact norm: a power estimate is a lower one and could hide a failure
-    tmat = band.matrix(lambda u: tr.op_apply(u, a.fn))
+    tmat = band.matrix(lambda u: tr.op_apply(u, a))
     assert np.linalg.svd(tmat, compute_uv=False)[0] <= 0.6 + 1e-3
 
 
 def test_op_linear_in_symbol(setup):
     tr, band, _ = setup
-    a = bump_symbol(2.0, 3.0, 2.0, 6.0, 0.2)
-    b = bump_symbol(4.0, -1.0, 1.5, 8.0, 0.2)
+    a = bump_symbol(2.0, 3.0, 2.0, 6.0)
+    b = bump_symbol(4.0, -1.0, 1.5, 8.0)
     u = band_random(band, 2)
-    lhs = tr.op_apply(u, lambda sg, eta: a.fn(sg, eta) + 2.0 * b.fn(sg, eta))
-    rhs = tr.op_apply(u, a.fn) + 2.0 * tr.op_apply(u, b.fn)
+    lhs = tr.op_apply(u, lambda sg, eta: a(sg, eta) + 2.0 * b(sg, eta))
+    rhs = tr.op_apply(u, a) + 2.0 * tr.op_apply(u, b)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_op_adjoint_is_conjugate_symbol(setup):
     tr, band, _ = setup
-    a = bump_symbol(2.0, 3.0, 2.0, 6.0, 0.2)
-    ca = Symbol(fn=lambda sg, eta: np.conj(a.fn(sg, eta)))
-    m1 = band.matrix(lambda u: tr.op_apply(u, a.fn))
-    m2 = band.matrix(lambda u: tr.op_apply(u, ca.fn))
+    a = bump_symbol(2.0, 3.0, 2.0, 6.0)
+    m1 = band.matrix(lambda u: tr.op_apply(u, a))
+    m2 = band.matrix(lambda u: tr.op_apply(
+        u, lambda sg, eta: np.conj(a(sg, eta))))
     assert np.max(np.abs(m1.conj().T - m2)) <= 1e-12
 
 
 def test_trace_formula(setup):
     """Dense trace of Op(a) vs the phase-grid sum, within 1% for compact a."""
     tr, _, _ = setup
-    a = bump_symbol(np.pi, 0.0, 1.0, 2.0, 0.2)
+    a = bump_symbol(np.pi, 0.0, 1.0, 2.0)
     wide = BandSubspace(tr.grid, 12)
-    dense_trace = complex(np.trace(wide.matrix(lambda u: tr.op_apply(u, a.fn))))
+    dense_trace = complex(np.trace(wide.matrix(lambda u: tr.op_apply(u, a))))
     phase_sum = trace_phase_sum(tr, a)
     assert abs(dense_trace - phase_sum) <= 0.01 * abs(phase_sum)
 
@@ -126,10 +128,10 @@ def test_power_iteration_close_to_dense(setup, weight):
     """The power estimate against the exact SVD of L^H T L^{-H}, G = L L^H."""
     tr, band, _ = setup
     space = WeightedSpace(weight=weight, transform=tr, band=band)
-    a = bump_symbol(2.0, 3.0, 2.0, 6.0, 0.2)
-    est = hw_operator_norm(lambda u: tr.op_apply(u, a.fn), space)
+    a = bump_symbol(2.0, 3.0, 2.0, 6.0)
+    est = hw_operator_norm(lambda u: tr.op_apply(u, a), space)
     low_h = space.chol.conj().T
-    tmat = band.matrix(lambda u: tr.op_apply(u, a.fn))
+    tmat = band.matrix(lambda u: tr.op_apply(u, a))
     exact = np.linalg.svd(low_h @ tmat @ np.linalg.inv(low_h),
                           compute_uv=False)[0]
     assert est <= exact * (1 + 1e-12)
@@ -143,8 +145,8 @@ def _at(fn, rho):
 
 
 def test_symbol_certificate_sampling(params_half):
-    """The certificates of the quantize-probes symbols, at their own h, hold
-    on sampled pairs: |a(rho') - a(rho)| <= h(rho) <d_g(rho, rho')>."""
+    """The certificate of the quantize-probes symbols holds on sampled
+    pairs: |a(rho') - a(rho)| <= h <d_g(rho, rho')>."""
     rng = np.random.default_rng(6)
     pairs = []
     for _ in range(200):
@@ -153,8 +155,8 @@ def test_symbol_certificate_sampling(params_half):
         pairs.append((a, b))
     for probe in (PROBE_A, PROBE_B):
         sym = bump_symbol(*probe)
-        worst = max(abs(_at(sym.fn, rho_p) - _at(sym.fn, rho))
-                    / (_at(sym.h, rho) * jbracket(g_dist_periodic(
+        worst = max(abs(_at(sym, rho_p) - _at(sym, rho))
+                    / (H_PROBE * jbracket(g_dist_periodic(
                         rho, rho_p, params_half, 2 * np.pi)))
                     for rho, rho_p in pairs)
         assert worst <= 1.0
@@ -163,7 +165,7 @@ def test_symbol_certificate_sampling(params_half):
 def test_composition_constant_b_hits_floor(setup):
     _, _, space = setup
     a = bump_symbol(*PROBE_A)
-    est, bound = composition_residual(a, constant_symbol(2.0), space,
+    est, bound = composition_residual(a, constant_symbol(2.0), 0.0, space,
                                       frozen.COMPOSITION_C)
     assert bound == 0.0
     assert est <= frozen.COMPOSITION_FLOOR
@@ -174,8 +176,8 @@ def test_composition_bumps_bound_and_smallness(setup):
     worst, [est] = composition_constant(centers=[(PROBE_A[0], PROBE_B[0])])
     assert worst <= frozen.COMPOSITION_C
     a, b = bump_symbol(*PROBE_A), bump_symbol(*PROBE_B)
-    na = hw_operator_norm(lambda u: tr.op_apply(u, a.fn), space)
-    nb = hw_operator_norm(lambda u: tr.op_apply(u, b.fn), space)
+    na = hw_operator_norm(lambda u: tr.op_apply(u, a), space)
+    nb = hw_operator_norm(lambda u: tr.op_apply(u, b), space)
     assert est * 10.0 <= na * nb
 
 
@@ -191,11 +193,21 @@ def test_egorov_trivial_cases(setup):
     _, _, space = setup
     flow = FlowModel(vel=(1.0,))
     a = bump_symbol(*PROBE_A)
-    est0, _ = egorov_residual(a, 0.0, flow, space, 1.0)
+    est0, _ = egorov_residual(a, H_PROBE, 0.0, flow, space, 1.0)
     assert est0 <= 1e-10
     c = constant_symbol(3.0)
-    estc, _ = egorov_residual(c, 1.0, flow, space, 1.0)
+    estc, _ = egorov_residual(c, 0.0, 1.0, flow, space, 1.0)
     assert estc <= 1e-10
+
+
+@pytest.mark.parametrize("h", [-0.1, np.nan, np.inf])
+def test_residual_probes_reject_bad_certificate(setup, h):
+    _, _, space = setup
+    a = bump_symbol(*PROBE_A)
+    with pytest.raises(ValueError, match="certificate"):
+        composition_residual(a, a, h, space, frozen.COMPOSITION_C)
+    with pytest.raises(ValueError, match="certificate"):
+        egorov_residual(a, h, 1.0, FlowModel(vel=(1.0,)), space, 1.0)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -204,10 +216,9 @@ def test_egorov_bounded(setup, t):
     (translation flows make the commutator vanish to round-off)."""
     _, _, space = setup
     flow = FlowModel(vel=(1.0,))
-    a = Symbol(fn=lambda sg, eta: np.exp(-((eta[-1] - 4.0) / 6.0) ** 2 / 2)
-               * np.ones_like(sg[0]),
-               h=lambda sg, eta: 0.2 * np.ones_like(sg[0]))
-    est, bound = egorov_residual(a, t, flow, space, frozen.EGOROV_CT[t])
+    a = lambda sg, eta: np.exp(-((eta[-1] - 4.0) / 6.0) ** 2 / 2) \
+        * np.ones_like(sg[0])
+    est, bound = egorov_residual(a, 0.2, t, flow, space, frozen.EGOROV_CT[t])
     assert est <= bound
     assert est <= 1e-10
 

@@ -299,6 +299,13 @@ def test_wavefront_bound_frozen():
         assert worst[n_exp] <= c_frozen
 
 
+def test_wavefront_exponents_are_the_frozen_keys():
+    """wavefront_extrema measures exactly the N that frozen.py bounds."""
+    assert frozen.WAVEFRONT_CN.keys() == frozen.WAVEFRONT_OUTSIDE_CAL.keys()
+    _, worst, worst_out = wavefront_constants(n=10, seed=8)
+    assert worst.keys() == worst_out.keys() == frozen.WAVEFRONT_CN.keys()
+
+
 # each vicinity condition decides the outside maximum of one of the seeds:
 # the frequency condition at seed 3, the transverse one at seed 4
 @pytest.mark.parametrize("seed", [3, 4])

@@ -9,8 +9,9 @@ from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
                                       distortion_from_eta_norm, jbracket,
                                       phase_point)
 from anisospec.errors import ResolutionError
-from anisospec.wavepackets import (_BATCH_BYTES, TWO_PI, BargmannTransform,
-                                   TorusGrid, _m_lattice, _profile0,
+from anisospec.wavepackets import (_BATCH_BYTES, _NORM_POINTS, TWO_PI,
+                                   BargmannTransform, TorusGrid, _m_lattice,
+                                   _profile0,
                                    _samples_from_profile, band_limited_field,
                                    exact_packet, gaussian_packet,
                                    m_gauss_hermite, packet_norm_sq_continuous)
@@ -257,14 +258,14 @@ def test_packet_norm_mask_matches_full_evaluation(params_half, e):
     only, against the integrand evaluated at every trapezoid node."""
     p, center = params_half, np.array([e, 0.0])
     dp, dl = delta_perp(e, p), delta_par(e, p)
-    axes = [center[0] + np.linspace(-10.0, 10.0, 97) / dp,
-            center[1] + np.linspace(-10.0, 10.0, 97) / dl]
+    axes = [center[0] + np.linspace(-10.0, 10.0, _NORM_POINTS) / dp,
+            center[1] + np.linspace(-10.0, 10.0, _NORM_POINTS) / dl]
     xi, om = np.meshgrid(*axes, indexing="ij")
     g2 = np.exp(-(dp * (xi - center[0])) ** 2 - (dl * (om - center[1])) ** 2)
     assert np.count_nonzero(g2 < 1e-40) > 0.2 * g2.size
     vals = g2 / m_gauss_hermite(np.stack([xi, om], axis=-1), p, 2)
     full = np.trapezoid(np.trapezoid(vals, axes[1], axis=1), axes[0])
-    got = packet_norm_sq_continuous(center, p, 2, points_per_axis=97)
+    got = packet_norm_sq_continuous(center, p)
     assert got == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
@@ -314,6 +315,19 @@ def test_forward_of_zero_is_zero(circle_transform):
     assert np.all(circle_transform.forward_at(u, [rho]) == 0.0)
     # B* B applied to zero is zero
     assert np.all(circle_transform.op_apply(u) == 0.0)
+
+
+def test_forward_at_rejects_other_dimension(circle_transform,
+                                            torus_transform):
+    """A phase point of another dimension than the grid's is a ValueError,
+    not a point read with its coordinates shifted."""
+    u = np.exp(3j * circle_transform.grid.axis)
+    with pytest.raises(ValueError):
+        circle_transform.forward_at(
+            u, [phase_point(x=[0.1], z=0.3, xi=[0.0], omega=3.0)])
+    v = np.ones(torus_transform.grid.shape, dtype=complex)
+    with pytest.raises(ValueError):
+        torus_transform.forward_at(v, [phase_point(z=0.3, omega=3.0)])
 
 
 def test_plane_wave_profile(circle_transform):
@@ -466,3 +480,14 @@ def test_phase_window_guard(params_half):
     g = TorusGrid(0, 64)
     with pytest.raises(ResolutionError):
         BargmannTransform(g, params_half, window=40)
+
+
+@pytest.mark.parametrize("window", [(2, 3, 4), (3,), -1])
+def test_malformed_window_rejected(torus_transform, window):
+    """A window has one non-negative entry per axis, for the transform and
+    for its sub-windows alike."""
+    tr = torus_transform
+    with pytest.raises(ValueError):
+        BargmannTransform(tr.grid, tr.p, window=window)
+    with pytest.raises(ValueError):
+        tr.identity_symbol_sum(windows=[window])
