@@ -19,8 +19,9 @@ from .bracket_metric import (MetricParams, delta_par, distortion_from_eta_norm,
 from .escape import (EscapeConfig, decay_rate_fit, lower_bound_report,
                      order_estimate, theoretical_decay_rate,
                      theoretical_orders)
-from .fractal_count import (box_counts, lipschitz_unit_scale_test,
-                            optimal_alpha, regime_slope, synth_holder)
+from .fractal_count import (box_counts, growth_slopes,
+                            lipschitz_unit_scale_test, optimal_alpha,
+                            synth_holder)
 from .quantize import FlowModel, microlocality_probe
 from .shift_model import (ShiftModel, apply_L, apply_L_inv, eigen_residual,
                           eigvec_U, eigvec_V, interior_slice,
@@ -288,9 +289,8 @@ def criterion_8() -> CriterionResult:
         ok &= abs(a_star - target) <= 0.05 and abs(e_star - target) <= 0.05
         details.append(f"b0={b0}: a*={a_star:.3f}/{target:.3f} "
                        f"e*={e_star:.3f}")
-    form = synth_holder(0.5, seed=3)
-    s_low = regime_slope(form, omegas, 0.6)
-    s_high = regime_slope(form, omegas, 0.8)
+    s_low, s_high = growth_slopes(box_counts(
+        synth_holder(0.5, seed=3), omegas, (0.6, 0.8)), omegas, (0.6, 0.8))
     ok &= abs(s_low - (1.0 - 0.5 * 0.6)) <= 0.07
     ok &= abs(s_high - 0.8) <= 0.07
     details.append(f"slopes {s_low:.3f}/0.70, {s_high:.3f}/0.80")

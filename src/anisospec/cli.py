@@ -136,8 +136,9 @@ def run_toy(cfg):
     for key in ("w0", "w1", "r"):
         _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
     _require("window", cfg["window"], cfg["window"] >= 2, "must be >= 2")
-    _require("section_n", cfg["section_n"], cfg["section_n"] >= 10,
-             "must be >= 10")
+    # the section's dense eigvals take time like section_n^3: 9 s at 2000
+    _require("section_n", cfg["section_n"], 10 <= cfg["section_n"] <= 2000,
+             "must lie in [10, 2000]")
     half = cfg["window"]
     # the eigenvector tails c / w0^j (2 <= j <= window) and c w1^(|j|+1)
     # (1 <= |j| <= window), c = 1 - w0/w1, and their powers of w0 and w1
@@ -224,8 +225,8 @@ def run_quantize_probes(cfg):
     g = _validated(TorusGrid, 0, cfg["points"])
     tr = BargmannTransform(g, p, window=cfg["window"])
     r_ord = cfg["weight_order"]
-    space = WeightedSpace(
-        weight=lambda sg, eta: jbracket(eta[-1]) ** r_ord
+    space = _validated(
+        WeightedSpace, weight=lambda sg, eta: jbracket(eta[-1]) ** r_ord
         * np.ones_like(sg[0]), transform=tr,
         band=BandSubspace(g, cfg["band"]))
 
@@ -272,8 +273,9 @@ def run_escape_sweep(cfg):
     ec = _validated(EscapeConfig, r_u=cfg["r_u"], r_s=cfg["r_s"],
                     gamma=cfg["gamma"], gamma_prime=cfg["gamma_prime"],
                     h0=cfg["h0"], variant=cfg["variant"], t_avg=cfg["t_avg"])
-    _require("grid_points", cfg["grid_points"], cfg["grid_points"] >= 1,
-             "must be >= 1")
+    # grid_points^2 covectors: about 430 MB at the bound
+    _require("grid_points", cfg["grid_points"], 1 <= cfg["grid_points"] <= 1000,
+             "must lie in [1, 1000]")
     for key in ("grid_max", "omega"):
         _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
     split = MappingTorus().dual_splitting()
@@ -308,7 +310,9 @@ def run_suspension(cfg):
     from .suspension import MappingTorus, full_spectrum
 
     _require("R", cfg["R"], cfg["R"] > 0, "must be > 0")
-    _require("k_max", cfg["k_max"], cfg["k_max"] >= 0, "must be >= 0")
+    # one spectrum entry per k: about 280 MB at the bound
+    _require("k_max", cfg["k_max"], 0 <= cfg["k_max"] <= 100000,
+             "must lie in [0, 100000]")
     # peak memory grows like nu_max^2: about 300 MB at the bound
     _require("nu_max", cfg["nu_max"], 1 <= cfg["nu_max"] <= 400,
              "must lie in [1, 400]")
@@ -354,19 +358,12 @@ def run_weyl_boxes(cfg):
     limit = om_max * (1 + 1e-9)
     # an infinite limit would never end the doubling loop
     _require("omega_max", om_max, np.isfinite(limit), "must be finite")
-    omegas = []
-    om = om_min
-    while om <= limit:
-        omegas.append(om)
-        om *= 2.0
+    omegas = [om_min]
+    while omegas[-1] * 2.0 <= limit:
+        omegas.append(omegas[-1] * 2.0)
     _require("omega_max", om_max, len(omegas) >= 6,
              "must leave at least 6 dyadic omegas from omega_min")
     form = synth_holder(beta0, seed=cfg["seed"], n=cfg["n"])
-    # no ResolutionError caps the sides of a form with no finest scale: allow
-    # the most a beta0 < 1 form, whose finest scale is 2**-17, walks
-    _require("omega_max", om_max, form.finest_scale > 0.0
-             or math.ceil(omegas[-1] ** alphas[-1]) <= 2**17,
-             "must keep ceil(omega ** alpha) <= 2**17 cell sides at beta0 = 1")
     counts = box_counts(form, omegas, alphas)
     a_star, e_star = optimal_alpha(counts, omegas, alphas)
     return True, {

@@ -19,6 +19,9 @@ from .bracket_metric import (MetricParams, delta_par, delta_perp, g_norm_rows,
 from .errors import ResolutionError
 
 BASE_FREQ = 2  # the base frequency a of the Weierstrass series
+# The finest base cell that box_count resolves, for every form: the finest
+# scale a^-17 of the 18-term series, or 2^17 cell sides per axis.
+FINEST_CELL = 2.0 ** -17
 
 
 @dataclass(frozen=True)
@@ -44,16 +47,6 @@ class HolderForm:
             rng = np.random.default_rng(self.seed)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=(self.n, self.n_terms))
             object.__setattr__(self, "phases", tuple(map(tuple, ph)))
-
-    @property
-    def finest_scale(self) -> float:
-        """Scale below which the (fractal) series stops producing detail.
-
-        A beta0 = 1 series is Lipschitz, so every scale is resolved.
-        """
-        if self.beta0 >= 1.0:
-            return 0.0
-        return BASE_FREQ ** (-(self.n_terms - 1))
 
 
 def synth_holder(beta0: float, seed: int, n: int = 1) -> HolderForm:
@@ -126,10 +119,9 @@ def box_count(form: HolderForm, omega: float, alpha: float) -> int:
     if not 0.5 <= alpha < 1.0:
         raise ValueError("alpha must lie in [1/2, 1)")
     cell = omega ** (-alpha)
-    if form.finest_scale > 0.0 and cell < form.finest_scale:
-        raise ResolutionError(
-            f"cell side {cell:.3g} is below the evaluator resolution "
-            f"{form.finest_scale:.3g}")
+    if cell < FINEST_CELL:
+        raise ResolutionError(f"cell side {cell:.3g} is below the evaluator "
+                              f"resolution {FINEST_CELL:.3g}")
     height = omega**alpha
     n_cells = int(np.ceil(height))
     side = 1.0 / n_cells
@@ -147,13 +139,6 @@ def box_count(form: HolderForm, omega: float, alpha: float) -> int:
     return math.prod(int(s) for s in sums)
 
 
-def regime_slope(form: HolderForm, omegas, alpha: float) -> float:
-    """OLS slope of log N vs log omega at fixed alpha."""
-    omegas = np.asarray(omegas, dtype=float)
-    counts = np.array([box_count(form, om, alpha) for om in omegas])
-    return float(np.polyfit(np.log(omegas), np.log(counts), 1)[0])
-
-
 def box_counts(form: HolderForm, omegas, alphas) -> dict:
     """{(omega, alpha): box_count} over the grid, omega-major; cells the
     evaluator cannot resolve (ResolutionError) are left out."""
@@ -167,23 +152,27 @@ def box_counts(form: HolderForm, omegas, alphas) -> dict:
     return counts
 
 
-def optimal_alpha(counts: dict, omega_list, alpha_grid):
-    """(alpha*, exponent*): the grid alpha minimizing the growth slope fitted
-    to a box_counts table over omega_list x alpha_grid.
-
-    Requires at least 6 dyadic omegas and 3 counts per alpha.
-    """
-    omega_list = np.asarray(omega_list, dtype=float)
-    if omega_list.size < 6:
-        raise ValueError("need at least 6 omega values")
+def growth_slopes(counts: dict, omega_list, alpha_grid) -> np.ndarray:
+    """Per alpha of alpha_grid, the OLS slope of log N against log omega on
+    the omegas of omega_list counted at that alpha in a box_counts table;
+    fewer than 3 such omegas is a ResolutionError."""
     slopes = []
     for al in alpha_grid:
         oms = [om for om in omega_list if (om, al) in counts]
         if len(oms) < 3:
-            raise ValueError(f"degenerate fit at alpha = {al}")
+            raise ResolutionError(
+                f"fewer than 3 resolved omegas at alpha = {al:g}")
         slopes.append(np.polyfit(np.log(oms),
                                  np.log([counts[om, al] for om in oms]), 1)[0])
-    slopes = np.asarray(slopes)
+    return np.asarray(slopes)
+
+
+def optimal_alpha(counts: dict, omega_list, alpha_grid):
+    """(alpha*, exponent*): the grid alpha minimizing growth_slopes on a
+    box_counts table over omega_list x alpha_grid, of at least 6 omegas."""
+    if len(omega_list) < 6:
+        raise ValueError("need at least 6 omega values")
+    slopes = growth_slopes(counts, omega_list, alpha_grid)
     i = int(np.argmin(slopes))
     return float(np.asarray(alpha_grid)[i]), float(slopes[i])
 

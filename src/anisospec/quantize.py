@@ -112,10 +112,21 @@ class BandSubspace:
 class WeightedSpace:
     """H_W on a band: the weight, the transform (phase grid) it is realized
     on, and the Cholesky factor chol = L of the band Gram G = L L^H of
-    <u, Op(W^2) v>, built once."""
+    <u, Op(W^2) v>, built once.  W^2 not finite and positive at a center
+    (an OverflowError counting as infinite) is a ValueError."""
 
     def __init__(self, weight: Callable, transform: BargmannTransform,
                  band: BandSubspace):
+        sg = transform.grid.space_grids()
+        for eta in transform.centers:
+            try:
+                with np.errstate(over="ignore"):
+                    w2 = np.asarray(weight(sg, eta)) ** 2
+            except OverflowError:
+                w2 = np.inf
+            if not np.all(np.isfinite(w2) & (w2 > 0)):
+                raise ValueError(f"weight ** 2 is not finite and positive at "
+                                 f"eta = {eta}")
         self.weight = weight
         self.transform = transform
         self.band = band

@@ -307,12 +307,12 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
 
 
 def _as_window(window, d: int):
-    """A phase window as d ints >= 0; an int is the same on every axis."""
-    win = (int(window),) * d if np.isscalar(window) \
-        else tuple(int(w) for w in window)
-    if len(win) != d or min(win) < 0:
-        raise ValueError(f"window {window!r} is not {d} non-negative entries")
-    return win
+    """A phase window as d ints >= 0; an int is the same on every axis.  An
+    entry that is not an integer value (2.7, inf, nan) is a ValueError."""
+    win = (window,) * d if np.isscalar(window) else tuple(window)
+    if len(win) != d or not all(float(w).is_integer() and w >= 0 for w in win):
+        raise ValueError(f"window {window!r} is not {d} non-negative integers")
+    return tuple(int(w) for w in win)
 
 
 class BargmannTransform:

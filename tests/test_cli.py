@@ -102,9 +102,9 @@ def test_weyl_boxes_counts_each_box_once(tmp_path, monkeypatch):
 
 
 def test_weyl_boxes_size_limits_exit_2(tmp_path, monkeypatch, capsys):
-    """More than 1000 alphas, or more than 2**17 cell sides per axis for a
-    beta0 = 1 form (no ResolutionError caps those), is a config error raised
-    within 2 s and before any box is counted; both limits themselves pass."""
+    """More than 1000 alphas is a config error raised within 2 s and before
+    any box is counted; 1000 alphas pass.  Cell sides need no limit here:
+    box_count refuses a cell below FINEST_CELL for every form."""
 
     class Counting(Exception):
         pass
@@ -114,22 +114,71 @@ def test_weyl_boxes_size_limits_exit_2(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(fractal_count, "box_counts", box_counts)
     out = tmp_path / "y"
-    # ceil(2**18 ** 0.95) = 140480 sides; 0.45 / 0.00045 + 1 = 1001 alphas
-    for args, key in ((["--beta0", "1", "--omega-max", "1e12"], "omega_max"),
-                      (["--beta0", "1", "--omega-max", "262144"], "omega_max"),
-                      (["--alpha-grid", "0.5:0.95:1e-6"], "alpha_grid"),
-                      (["--alpha-grid", "0.5:0.95:1e-320"], "alpha_grid"),
-                      (["--alpha-grid", "0.5:0.95:0.00045"], "alpha_grid")):
+    # 0.45 / 0.00045 + 1 = 1001 alphas
+    for args in (["--alpha-grid", "0.5:0.95:1e-6"],
+                 ["--alpha-grid", "0.5:0.95:1e-320"],
+                 ["--alpha-grid", "0.5:0.95:0.00045"]):
         start = time.perf_counter()
         assert run(["weyl-boxes", *args, "--output-dir", out]) == 2
         assert time.perf_counter() - start < 2.0
-        assert capsys.readouterr().err.startswith(f"config error: key {key!r}")
+        assert capsys.readouterr().err.startswith(
+            "config error: key 'alpha_grid'")
         assert not out.exists()
-    # ceil(2**17 ** 0.95) = 72717 sides; 1000 alphas
-    for args in (["--beta0", "1", "--omega-max", "131072"],
-                 ["--alpha-grid", f"0.5:0.95:{0.45 / 999!r}"]):
-        with pytest.raises(Counting):
-            run(["weyl-boxes", *args, "--output-dir", out])
+    with pytest.raises(Counting):
+        run(["weyl-boxes", "--alpha-grid", f"0.5:0.95:{0.45 / 999!r}",
+             "--output-dir", out])
+
+
+def test_weyl_boxes_degenerate_fit_exits_3(tmp_path, monkeypatch, capsys):
+    """A table with fewer than 3 counted omegas at some alpha, as when
+    box_count refuses the rest, is a resolution error with no output."""
+    monkeypatch.setattr(fractal_count, "box_counts",
+                        lambda form, omegas, alphas: {(omegas[0], 0.5): 1})
+    out = tmp_path / "w"
+    assert run(["weyl-boxes", "--output-dir", out]) == 3
+    assert capsys.readouterr().err.startswith(
+        "resolution error: fewer than 3 resolved omegas at alpha = 0.5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, key, limit, module, heavy", [
+    ("toy", "section_n", 2000, "shift_model", "finite_section_report"),
+    ("escape-sweep", "grid_points", 1000, "escape", "weight"),
+    ("suspension", "k_max", 100000, "suspension", "full_spectrum")])
+def test_size_caps_exit_2(tmp_path, monkeypatch, capsys, task, key, limit,
+                          module, heavy):
+    """A size key one past its cap is a config error before any work; the
+    cap itself reaches the heavy call (stubbed out here)."""
+
+    class Reached(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(importlib.import_module(f"anisospec.{module}"),
+                        heavy, stub)
+    flag, out = "--" + key.replace("_", "-"), tmp_path / "x"
+    assert run([task, flag, limit + 1, "--output-dir", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: key {key!r}")
+    assert not out.exists()
+    with pytest.raises(Reached):
+        run([task, flag, limit, "--output-dir", out])
+
+
+def test_quantize_weight_order_in_float_range(tmp_path, capsys):
+    """W^2 = <16>^(2 r) at the default window leaves float64 near |r| = 128:
+    such an order is a config error with no warning (which the test
+    settings would raise), and 127 still runs."""
+    for order in ("129", "400", "-400"):
+        out = tmp_path / f"q{order}"
+        assert run(["quantize-probes", "--weight-order", order,
+                    "--output-dir", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: weight ** 2 is not finite and positive")
+        assert not out.exists()
+    assert run(["quantize-probes", "--weight-order", "127", "--output-dir",
+                tmp_path / "q127"]) == 0
 
 
 def test_escape_sweep_subcommand(tmp_path):

@@ -10,11 +10,11 @@ from anisospec import fractal_count, frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
                                       g_norm, jbracket, phase_point)
 from anisospec.errors import ResolutionError
-from anisospec.fractal_count import (HolderForm, box_count, box_counts,
-                                     evaluate, holder_ratio,
-                                     lipschitz_unit_scale_test,
-                                     optimal_alpha, regime_slope,
-                                     straighten_phi, synth_holder)
+from anisospec.fractal_count import (FINEST_CELL, HolderForm, box_count,
+                                     box_counts, evaluate, growth_slopes,
+                                     holder_ratio, lipschitz_unit_scale_test,
+                                     optimal_alpha, straighten_phi,
+                                     synth_holder)
 
 
 def test_trivial_smooth_form():
@@ -89,7 +89,7 @@ def test_holder_exponent_empirical():
     a 10^3 shrink multiplies it by ~10^0.3)."""
     form = synth_holder(0.5, seed=3)
     scales = np.array([1e-2, 1e-3, 1e-4, 1e-5])  # above evaluator resolution
-    assert scales.min() > form.finest_scale
+    assert scales.min() > FINEST_CELL
     ratios = [holder_ratio(form, s, 2000, 0.5, seed=1) for s in scales]
     assert max(ratios) / min(ratios) <= 3.0
     bad = [holder_ratio(form, s, 2000, 0.6, seed=1) for s in scales]
@@ -101,13 +101,17 @@ def test_holder_exponent_empirical():
 
 
 def test_box_count_validation():
+    """Out-of-range arguments are ValueErrors; a cell below FINEST_CELL is a
+    ResolutionError for every form, the smooth beta0 = 1 one included, so no
+    count walks more than 2^17 sides per axis."""
     form = synth_holder(0.5, seed=3)
     with pytest.raises(ValueError):
         box_count(form, 2.0, 0.6)
     with pytest.raises(ValueError):
         box_count(form, 64.0, 0.3)
-    with pytest.raises(ResolutionError):
-        box_count(form, 2.0**40, 0.9)
+    for form in (synth_holder(0.5, seed=3), synth_holder(1.0, seed=5)):
+        with pytest.raises(ResolutionError):
+            box_count(form, 2.0**40, 0.9)
 
 
 def _box_count_per_cell(form, omega, alpha):
@@ -144,18 +148,23 @@ def test_box_count_matches_per_cell_loop(n, monkeypatch):
     assert [box_count(form, om, al) for om, al in cells] == ref
 
 
+def _slopes(form, omegas, alphas):
+    """growth_slopes of the form's box_counts table over omegas x alphas."""
+    return growth_slopes(box_counts(form, omegas, alphas), omegas, alphas)
+
+
 def test_box_count_regimes():
     """Slopes of log N vs log omega match the two-regime formula."""
-    form = synth_holder(0.5, seed=3)
     omegas = 2.0 ** np.arange(6, 15)
-    assert abs(regime_slope(form, omegas, 0.6) - 0.70) <= 0.07
-    assert abs(regime_slope(form, omegas, 0.8) - 0.80) <= 0.07
+    s_low, s_high = _slopes(synth_holder(0.5, seed=3), omegas, (0.6, 0.8))
+    assert abs(s_low - 0.70) <= 0.07
+    assert abs(s_high - 0.80) <= 0.07
 
 
 def test_box_count_smooth_half():
-    form = synth_holder(1.0, seed=5)
     omegas = 2.0 ** np.arange(6, 15)
-    assert abs(regime_slope(form, omegas, 0.5) - 0.5) <= 0.07
+    (slope,) = _slopes(synth_holder(1.0, seed=5), omegas, (0.5,))
+    assert abs(slope - 0.5) <= 0.07
 
 
 @pytest.mark.parametrize("b0", [0.5, 0.8, 1.0])
@@ -175,7 +184,7 @@ def test_e_alpha_unimodal():
     form = synth_holder(0.5, seed=3)
     omegas = 2.0 ** np.arange(6, 15)
     alphas = np.arange(0.5, 0.95 + 1e-9, 0.05)
-    slopes = [regime_slope(form, omegas, a) for a in alphas]
+    slopes = _slopes(form, omegas, alphas)
     i_min = int(np.argmin(slopes))
     tol = 0.02
     assert all(slopes[i] >= slopes[i + 1] - tol for i in range(i_min))
@@ -194,14 +203,15 @@ def test_optimal_alpha_needs_omegas():
 
 def test_optimal_alpha_needs_three_counts_per_alpha():
     """A table with 2 cells left at one alpha (as when the evaluator refuses
-    the rest) has no fit there."""
+    the rest) has no fit there: a ResolutionError, as a refused cell is."""
     form = synth_holder(0.5, seed=3)
     omegas, alphas = 2.0 ** np.arange(6, 12), [0.5, 0.6]
     counts = box_counts(form, omegas, alphas)
     optimal_alpha(counts, omegas, alphas)
     for om in omegas[2:]:
         del counts[om, 0.6]
-    with pytest.raises(ValueError, match="degenerate fit at alpha = 0.6"):
+    with pytest.raises(ResolutionError,
+                       match="fewer than 3 resolved omegas at alpha = 0.6"):
         optimal_alpha(counts, omegas, alphas)
 
 

@@ -482,10 +482,12 @@ def test_phase_window_guard(params_half):
         BargmannTransform(g, params_half, window=40)
 
 
-@pytest.mark.parametrize("window", [(2, 3, 4), (3,), -1])
+@pytest.mark.parametrize("window", [(2, 3, 4), (3,), -1, 2.7, (3, 1.5), 1.9,
+                                    float("inf"), float("nan")])
 def test_malformed_window_rejected(torus_transform, window):
-    """A window has one non-negative entry per axis, for the transform and
-    for its sub-windows alike."""
+    """A window has one non-negative integer entry per axis, for the
+    transform and for its sub-windows alike; a non-integer entry is not
+    truncated."""
     tr = torus_transform
     with pytest.raises(ValueError):
         BargmannTransform(tr.grid, tr.p, window=window)
