@@ -27,9 +27,8 @@ from anisospec.bracket_metric import (MetricParams, delta_par,
 from anisospec.escape import EscapeConfig, temperate_ratio_samples
 from anisospec.fractal_count import lipschitz_unit_scale_test, synth_holder
 from anisospec.quantize import (BandSubspace, WeightedSpace, bump_symbol,
-                                composition_residual, hw_operator_norm,
-                                product_symbol)
-from anisospec.suspension import (MappingTorus, eigenfunction_hw_norm,
+                                composition_residual)
+from anisospec.suspension import (CAT_SPLIT, eigenfunction_hw_norm,
                                   wavefront_extrema)
 from anisospec.wavepackets import (BargmannTransform, TorusGrid, exact_packet,
                                    gaussian_packet, packet_norm_sq_continuous)
@@ -101,10 +100,9 @@ def packet_constants(etas, omegas):
 def escape_temperate(n, seed):
     """Per N0 in ESCAPE_TEMPERATE_N0 and ESCAPE_TEMPERATE_N0_HIGH: the
     least C with W(r')/W(r) <= C <h_gamma' d_g(r, r')>^N0 on n samples."""
-    split = MappingTorus().dual_splitting()
     cfg = EscapeConfig(r_u=2.0, r_s=3.0, gamma=0.5, gamma_prime=0.3)
     p = MetricParams(1.0, 0.67, 0.0)
-    ratios, brackets = temperate_ratio_samples(split, cfg, p, n_samples=n,
+    ratios, brackets = temperate_ratio_samples(CAT_SPLIT, cfg, p, n_samples=n,
                                                seed=seed)
     return {n0: fit_power_constant(ratios, brackets, n0)
             for n0 in (frozen.ESCAPE_TEMPERATE_N0,
@@ -153,16 +151,10 @@ def corollary_constant(c_neighs):
     H_<omega> over the pairs of _corollary_pair(C) for C in c_neighs, with
     its residual per C."""
     space = bracket_space()
-    tr = space.transform
     worst, residuals = 0.0, {}
     for c_neigh in c_neighs:
         a, b = _corollary_pair(c_neigh)
-
-        def t_apply(u):
-            return tr.op_apply(tr.op_apply(u, b), a) \
-                - tr.op_apply(u, product_symbol(a, b))
-
-        residuals[c_neigh] = hw_operator_norm(t_apply, space)
+        residuals[c_neigh] = composition_residual(a, b, 0.0, space, 1.0)[0]
         worst = max(worst, residuals[c_neigh] * c_neigh ** frozen.COROLLARY_N)
     return worst, residuals
 
@@ -188,13 +180,12 @@ def wavefront_constants(n, seed):
     """||phi_3||_HW, and per N the largest |B phi_3| <omega - omega0>^N W
     and, outside the parabolic vicinity, |B phi_3| <eta>^N, each over
     ||phi_3||_HW, on n sampled covectors."""
-    split = MappingTorus().dual_splitting()
     p = MetricParams(1.0, 0.5, 0.0)
     cfg = EscapeConfig(r_u=4.0, r_s=4.0, gamma=0.0)
     k = 3
-    hw = eigenfunction_hw_norm(k, split, p, cfg)
-    worst, worst_out = wavefront_extrema(k, split, p, cfg, hw, n_samples=n,
-                                         seed=seed)
+    hw = eigenfunction_hw_norm(k, CAT_SPLIT, p, cfg)
+    worst, worst_out = wavefront_extrema(k, CAT_SPLIT, p, cfg, hw,
+                                         n_samples=n, seed=seed)
     return hw, worst, worst_out
 
 

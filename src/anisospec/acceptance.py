@@ -26,9 +26,10 @@ from .quantize import FlowModel, microlocality_probe
 from .shift_model import (ShiftModel, apply_L, apply_L_inv, eigen_residual,
                           eigvec_U, eigvec_V, interior_slice,
                           membership_truth_table)
-from .suspension import (MappingTorus, eigenfunction_hw_norm, full_spectrum,
-                         generator_residual, wavefront_extrema, weyl_count,
-                         weyl_density_exponent, zero_sector_spectrum)
+from .suspension import (CAT_MAP, CAT_SPLIT, eigenfunction_hw_norm,
+                         full_spectrum, generator_residual, wavefront_extrema,
+                         weyl_count, weyl_density_exponent,
+                         zero_sector_spectrum)
 from .wavepackets import (BargmannTransform, TorusGrid, band_limited_field,
                           packet_norm_sq_continuous)
 
@@ -196,7 +197,6 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     t0 = time.perf_counter()
-    split = MappingTorus().dual_splitting()
     ts = np.linspace(0.0, 3.0, 13)
     worst_rel = 0.0
     lower_viol = 0
@@ -205,11 +205,11 @@ def criterion_5() -> CriterionResult:
             for big_r in (2.0, 8.0):
                 p = MetricParams(1.0, ap, 0.0)
                 cfg = EscapeConfig(r_u=big_r, r_s=big_r, gamma=gam)
-                lam_th = theoretical_decay_rate(split, cfg, p)
-                slope = decay_rate_fit(1.0e5, 0.0, 1.0, ts, split, cfg, p)
+                lam_th = theoretical_decay_rate(CAT_SPLIT, cfg, p)
+                slope = decay_rate_fit(1.0e5, 0.0, 1.0, ts, CAT_SPLIT, cfg, p)
                 worst_rel = max(worst_rel, abs(-slope - lam_th) / lam_th)
                 uv, rv, _ = lower_bound_report(
-                    split, cfg, p, n_samples=120, seed=3, t_max=4.0,
+                    CAT_SPLIT, cfg, p, n_samples=120, seed=3, t_max=4.0,
                     c_frozen=frozen.DECAY_LOWER_C)
                 lower_viol += uv + rv
     ok = worst_rel <= 0.10 and lower_viol == 0
@@ -223,7 +223,6 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     t0 = time.perf_counter()
-    split = MappingTorus().dual_splitting()
     p = MetricParams(1.0, 0.5, 0.0)
     cfg = EscapeConfig(r_u=2.0, r_s=3.0, gamma=0.0)
     th = theoretical_orders(cfg, p)
@@ -231,13 +230,14 @@ def criterion_6() -> CriterionResult:
             "stable": (0.0, 1.0, 0.0), "transverse": (1.0, 1.0, 0.0)}
     worst = 0.0
     for name, d in dirs.items():
-        worst = max(worst, abs(order_estimate(d, split, cfg, p) - th[name]))
+        worst = max(worst,
+                    abs(order_estimate(d, CAT_SPLIT, cfg, p) - th[name]))
     p2 = MetricParams(1.0, 0.5, 0.25)
     cfg2 = EscapeConfig(r_u=1.0, r_s=1.0, variant="W2", r1=1.5, t_avg=6.0)
     th2 = theoretical_orders(cfg2, p2)
     for name in ("unstable", "stable"):
-        d = dirs[name]
-        worst = max(worst, abs(order_estimate(d, split, cfg2, p2) - th2[name]))
+        worst = max(worst, abs(order_estimate(dirs[name], CAT_SPLIT, cfg2, p2)
+                               - th2[name]))
     ok = worst <= 0.05
     return _result(6, "escape order estimates", ok,
                    f"worst order mismatch={worst:.4f} (<= 0.05)", t0)
@@ -248,26 +248,25 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     t0 = time.perf_counter()
-    torus = MappingTorus()
     p = MetricParams(1.0, 0.5, 0.0)
     cfg = EscapeConfig(r_u=8.0, r_s=8.0, gamma=0.0)
-    res = full_spectrum(5, 20, cfg, float(np.exp(-3.0)), torus, p)
+    spec, certs = full_spectrum(5, 20, cfg, float(np.exp(-3.0)), CAT_MAP, p)
     expected = {2.0 * np.pi * k for k in range(-5, 6)}
-    got = sorted(e.im for e in res.entries)
+    got = sorted(spec.imag.tolist())
     spec_err = max(abs(a - b) for a, b in zip(got, sorted(expected)))
     gen_res = max(generator_residual(k) for k in range(-5, 6))
-    certs_ok = all(c["pass"] for c in res.certificates)
+    certs_ok = all(c["pass"] for c in certs)
     spec_big = zero_sector_spectrum(17)
     counts = [weyl_count(spec_big, -1.0, om) for om in np.arange(0.0, 100.0)]
     counts_ok = set(counts) <= {0, 1}
     dens = weyl_density_exponent(spec_big, [4.0, 8.0, 16.0, 32.0, 64.0])
-    ok = (len(res.entries) == 11 and spec_err <= 1e-10 and gen_res <= 1e-10
+    ok = (len(spec) == 11 and spec_err <= 1e-10 and gen_res <= 1e-10
           and certs_ok and counts_ok and abs(dens) <= 0.05)
     return _result(7, "cat-map suspension", ok,
                    f"zero-sector err={spec_err:.1e} (<=1e-10), "
                    f"gen_resid={gen_res:.1e}, certificates "
-                   f"{sum(c['pass'] for c in res.certificates)}/"
-                   f"{len(res.certificates)} pass, counts in {{0,1}}: "
+                   f"{sum(c['pass'] for c in certs)}/"
+                   f"{len(certs)} pass, counts in {{0,1}}: "
                    f"{counts_ok}, density exp={dens:.3f} (|.|<=0.05)", t0,
                    budget=60.0)
 
@@ -332,13 +331,12 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     t0 = time.perf_counter()
-    split = MappingTorus().dual_splitting()
     p = MetricParams(1.0, 0.5, 0.0)
     cfg = EscapeConfig(r_u=4.0, r_s=4.0, gamma=0.0)
     k = 3
-    hw = eigenfunction_hw_norm(k, split, p, cfg)
-    worst, worst_out = wavefront_extrema(k, split, p, cfg, hw, n_samples=3000,
-                                         seed=13)
+    hw = eigenfunction_hw_norm(k, CAT_SPLIT, p, cfg)
+    worst, worst_out = wavefront_extrema(k, CAT_SPLIT, p, cfg, hw,
+                                         n_samples=3000, seed=13)
     bound_ok = all(worst[n] <= frozen.WAVEFRONT_CN[n] for n in worst)
     out_ok = all(worst_out[n] <= frozen.WAVEFRONT_OUTSIDE_CAL[n]
                  for n in worst_out)

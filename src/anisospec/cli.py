@@ -189,8 +189,9 @@ def run_resolution_check(cfg):
     p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
                    cfg["alpha_par"])
     g = _validated(TorusGrid, 1, cfg["points"], length=cfg["length"])
+    # strictly increasing, as the decreasing verdict compares neighbours
     windows = _parse_list("windows", cfg["windows"], int,
-                          lambda ws: min(ws) >= 0)
+                          lambda ws: min(ws) >= 0 and ws == sorted(set(ws)))
     u = band_limited_field(g, cfg["band"], np.random.default_rng(cfg["seed"]))
     # one pass over the largest window's centers serves every window
     recs = BargmannTransform(g, p, window=max(windows)).op_apply(
@@ -266,7 +267,7 @@ def run_escape_sweep(cfg):
     from .bracket_metric import MetricParams
     from .escape import (EscapeConfig, decay_rate_fit, order_estimate,
                          theoretical_decay_rate, theoretical_orders, weight)
-    from .suspension import MappingTorus
+    from .suspension import CAT_SPLIT
 
     p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
                    cfg["alpha_par"])
@@ -278,18 +279,17 @@ def run_escape_sweep(cfg):
              "must lie in [1, 1000]")
     for key in ("grid_max", "omega"):
         _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
-    split = MappingTorus().dual_splitting()
     vals = np.linspace(-cfg["grid_max"], cfg["grid_max"], cfg["grid_points"])
     mesh = [m.ravel() for m in np.meshgrid(vals, vals, [cfg["omega"]],
                                            indexing="ij")]
     rows = zip(*(m.tolist() for m in mesh),
-               weight(*mesh, split, ec, p).tolist())
+               weight(*mesh, CAT_SPLIT, ec, p).tolist())
     summary = {
         "decay_rate_fit": -decay_rate_fit(1.0e5, 0.0, 1.0,
                                           np.linspace(0, 3, 13),
-                                          split, ec, p),
-        "decay_rate_theory": theoretical_decay_rate(split, ec, p),
-        "orders": {k: order_estimate(d, split, ec, p)
+                                          CAT_SPLIT, ec, p),
+        "decay_rate_theory": theoretical_decay_rate(CAT_SPLIT, ec, p),
+        "orders": {k: order_estimate(d, CAT_SPLIT, ec, p)
                    for k, d in (("unstable", (1.0, 0.0, 0.0)),
                                 ("stable", (0.0, 1.0, 0.0)))},
         "orders_theory": theoretical_orders(ec, p),
@@ -307,10 +307,10 @@ SUSPENSION_DEFAULTS = dict(k_max=5, nu_max=20, R=8.0, threshold=float(np.exp(-3.
 def run_suspension(cfg):
     from .bracket_metric import MetricParams
     from .escape import EscapeConfig
-    from .suspension import MappingTorus, full_spectrum
+    from .suspension import CAT_MAP, full_spectrum
 
     _require("R", cfg["R"], cfg["R"] > 0, "must be > 0")
-    # one spectrum entry per k: about 280 MB at the bound
+    # one spectrum entry per k: about 290 MB at the bound
     _require("k_max", cfg["k_max"], 0 <= cfg["k_max"] <= 100000,
              "must lie in [0, 100000]")
     # peak memory grows like nu_max^2: about 300 MB at the bound
@@ -323,12 +323,13 @@ def run_suspension(cfg):
                    cfg["alpha_par"])
     ec = _validated(EscapeConfig, r_u=cfg["R"], r_s=cfg["R"],
                     gamma=cfg["gamma"])
-    res = full_spectrum(cfg["k_max"], cfg["nu_max"], ec, cfg["threshold"],
-                        MappingTorus(), p)
-    return all(c["pass"] for c in res.certificates), {
-        "spectrum.json": res.to_json_records(),
+    spec, certs = full_spectrum(cfg["k_max"], cfg["nu_max"], ec,
+                                cfg["threshold"], CAT_MAP, p)
+    return all(c["pass"] for c in certs), {
+        "spectrum.json": [{"re": z.real, "im": z.imag, "sector": [0, 0]}
+                          for z in spec.tolist()],
         "certificates.csv": [("nu1", "nu2", "norm_bound", "pass")]
-        + [(*c["nu"], c["norm_bound"], c["pass"]) for c in res.certificates]}
+        + [(*c["nu"], c["norm_bound"], c["pass"]) for c in certs]}
 
 
 WEYL_DEFAULTS = dict(beta0=0.5, n=1, omega_min=64.0, omega_max=16384.0,
@@ -384,7 +385,8 @@ def run_verify_all(cfg):
     fns = ALL_CRITERIA if wanted == "all" else [
         ALL_CRITERIA[i - 1] for i in _parse_list(
             "criteria", wanted, int,
-            lambda ix: all(1 <= i <= len(ALL_CRITERIA) for i in ix))]
+            lambda ix: all(1 <= i <= len(ALL_CRITERIA) for i in ix)
+            and len(set(ix)) == len(ix))]
     with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
         results = list(pool.map(lambda fn: fn(), fns))
     results.sort(key=lambda r: r.index)

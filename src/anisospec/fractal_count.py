@@ -118,10 +118,9 @@ def box_count(form: HolderForm, omega: float, alpha: float) -> int:
         raise ValueError("omega must be >= 4")
     if not 0.5 <= alpha < 1.0:
         raise ValueError("alpha must lie in [1/2, 1)")
-    cell = omega ** (-alpha)
-    if cell < FINEST_CELL:
-        raise ResolutionError(f"cell side {cell:.3g} is below the evaluator "
-                              f"resolution {FINEST_CELL:.3g}")
+    if not _resolved(omega, alpha):
+        raise ResolutionError(f"cell side {omega ** (-alpha):.3g} is below "
+                              f"the evaluator resolution {FINEST_CELL:.3g}")
     height = omega**alpha
     n_cells = int(np.ceil(height))
     side = 1.0 / n_cells
@@ -139,17 +138,28 @@ def box_count(form: HolderForm, omega: float, alpha: float) -> int:
     return math.prod(int(s) for s in sums)
 
 
+def _resolved(omega: float, alpha: float) -> bool:
+    """True when box_count resolves the base cell side omega^-alpha."""
+    return omega ** (-alpha) >= FINEST_CELL
+
+
+def _fit_omegas(oms: list, alpha: float) -> list:
+    """oms, the omegas counted at alpha; fewer than 3 is a ResolutionError."""
+    if len(oms) < 3:
+        raise ResolutionError(
+            f"fewer than 3 resolved omegas at alpha = {alpha:g}")
+    return oms
+
+
 def box_counts(form: HolderForm, omegas, alphas) -> dict:
-    """{(omega, alpha): box_count} over the grid, omega-major; cells the
-    evaluator cannot resolve (ResolutionError) are left out."""
-    counts = {}
-    for om in map(float, omegas):
-        for al in map(float, alphas):
-            try:
-                counts[om, al] = box_count(form, om, al)
-            except ResolutionError:
-                continue
-    return counts
+    """{(omega, alpha): box_count} over the grid, omega-major, of the cells
+    that box_count resolves.  An alpha with fewer than 3 such omegas is a
+    ResolutionError, raised before any box is counted."""
+    omegas, alphas = list(map(float, omegas)), list(map(float, alphas))
+    for al in alphas:
+        _fit_omegas([om for om in omegas if _resolved(om, al)], al)
+    return {(om, al): box_count(form, om, al) for om in omegas
+            for al in alphas if _resolved(om, al)}
 
 
 def growth_slopes(counts: dict, omega_list, alpha_grid) -> np.ndarray:
@@ -158,10 +168,7 @@ def growth_slopes(counts: dict, omega_list, alpha_grid) -> np.ndarray:
     fewer than 3 such omegas is a ResolutionError."""
     slopes = []
     for al in alpha_grid:
-        oms = [om for om in omega_list if (om, al) in counts]
-        if len(oms) < 3:
-            raise ResolutionError(
-                f"fewer than 3 resolved omegas at alpha = {al:g}")
+        oms = _fit_omegas([om for om in omega_list if (om, al) in counts], al)
         slopes.append(np.polyfit(np.log(oms),
                                  np.log([counts[om, al] for om in oms]), 1)[0])
     return np.asarray(slopes)

@@ -6,11 +6,12 @@ split into Fourier sectors: the constant-in-x sector carries the exact
 point spectrum {i 2 pi k}; each nonzero frequency orbit {f^T^j nu} carries
 a bare shift, which the escape weight turns into a strict contraction.
 Sector certificates bound the weighted shift norm by its largest entry.
+f is a hyperbolic integer 2x2 matrix of determinant 1, such as CAT_MAP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,81 +21,30 @@ from .errors import ResolutionError
 from .escape import DualSplitting, EscapeConfig, lifted_flow, weight
 from .wavepackets import m_gauss_hermite
 
-
-@dataclass(frozen=True)
-class MappingTorus:
-    """Suspension data: a hyperbolic integer matrix (roof 1, no potential)."""
-
-    f: tuple = ((2, 1), (1, 1))
-
-    def __post_init__(self):
-        m = np.asarray(self.f, dtype=np.int64)
-        if m.shape != (2, 2):
-            raise ValueError("f must be a 2x2 integer matrix")
-        if int(round(np.linalg.det(m))) != 1:
-            raise ValueError("f must have determinant 1")
-        if abs(int(m[0, 0] + m[1, 1])) <= 2:
-            raise ValueError("f must be hyperbolic (|trace| > 2)")
-        object.__setattr__(self, "f", tuple(tuple(int(v) for v in row)
-                                            for row in m))
-        # derived once per torus, so its orbits share one eigendecomposition
-        object.__setattr__(self, "_split", DualSplitting.from_matrix(m.T))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.f, dtype=np.int64)
-
-    def dual_splitting(self) -> DualSplitting:
-        """Stable/unstable dual directions from the transpose eigenbasis."""
-        return self._split
-
-
-@dataclass(frozen=True)
-class SpectrumEntry:
-    re: float
-    im: float
-    sector: tuple
-
-
-@dataclass
-class SpectrumResult:
-    """Resonances with sector labels, plus per-orbit certificates."""
-
-    entries: list
-    certificates: list = field(default_factory=list)
-
-    def points(self) -> np.ndarray:
-        return np.array([complex(e.re, e.im) for e in self.entries])
-
-    def to_json_records(self):
-        return [{"re": e.re, "im": e.im, "sector": list(e.sector)}
-                for e in self.entries]
+CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
+CAT_MAP.setflags(write=False)
+CAT_SPLIT = DualSplitting.from_matrix(CAT_MAP.T)  # dual directions of CAT_MAP
 
 
 # -- zero sector -----------------------------------------------------------
 
 
-def zero_sector_spectrum(k_max: int) -> SpectrumResult:
-    """Exact zero-sector resonances {i 2 pi k, |k| <= k_max}; generator_residual
-    re-verifies each one spectrally."""
-    return SpectrumResult(entries=[
-        SpectrumEntry(re=0.0, im=2.0 * np.pi * k, sector=(0, 0))
-        for k in range(-k_max, k_max + 1)])
-
-
-def zero_sector_eigenfunction(k: int, z):
-    return np.exp(1j * 2.0 * np.pi * k * np.asarray(z))
+def zero_sector_spectrum(k_max: int) -> np.ndarray:
+    """Exact zero-sector resonances i 2 pi k, |k| <= k_max, in increasing k;
+    generator_residual re-verifies each one spectrally."""
+    # 0.0 + turns the real parts -0.0 of k < 0 into 0.0
+    return 0.0 + 2j * np.pi * np.arange(-k_max, k_max + 1)
 
 
 def generator_residual(k: int) -> float:
     """max |A phi_k - i 2 pi k phi_k| / max(1, 2 pi |k|), A = d/dz spectrally
-    on a 256-point z-grid.
+    on a 256-point z-grid, phi_k = exp(i 2 pi k z).
 
     Normalized by the eigenvalue scale so the round-off of the spectral
     derivative (proportional to |2 pi k|) is measured relative to it.
     """
     z = np.arange(256) / 256
-    u = zero_sector_eigenfunction(k, z)
+    u = np.exp(1j * 2.0 * np.pi * k * z)
     freqs = 2.0 * np.pi * np.fft.fftfreq(256, d=1.0 / 256)
     du = np.fft.ifft(1j * freqs * np.fft.fft(u))
     resid = float(np.max(np.abs(du - 1j * 2.0 * np.pi * k * u)))
@@ -104,22 +54,21 @@ def generator_residual(k: int) -> float:
 # -- nonzero sectors ---------------------------------------------------------
 
 
-def transfer_time1_grid(u, torus: MappingTorus):
+def transfer_time1_grid(u, f):
     """Time-1 transfer on an x-grid sample (grid maps to itself under f);
     only tests call it until ROADMAP item 6 gives it its caller."""
-    u = np.asarray(u)
+    u, f = np.asarray(u), np.asarray(f)
     npts = u.shape[0]
     if u.shape != (npts, npts):
         raise ValueError("expected a square x-grid sample")
     idx = np.arange(npts)
     i1, i2 = np.meshgrid(idx, idx, indexing="ij")
-    f = torus.matrix
     j1 = (f[0, 0] * i1 + f[0, 1] * i2) % npts
     j2 = (f[1, 0] * i1 + f[1, 1] * i2) % npts
     return u[j1, j2]
 
 
-def orbit_representatives(torus: MappingTorus, nu_max: int) -> np.ndarray:
+def orbit_representatives(f, nu_max: int) -> np.ndarray:
     """Canonical representatives of the (f^T)-orbits meeting the box
     |nu|_inf <= nu_max, as an (R, 2) integer array in increasing
     (|nu|^2, nu) order.
@@ -139,7 +88,7 @@ def orbit_representatives(torus: MappingTorus, nu_max: int) -> np.ndarray:
             + q[:, 1] + nu_max
 
     best = key(box)
-    f = torus.matrix
+    f = np.asarray(f)
     f_inv = np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]])  # det f = 1
     for step in (f, f_inv):  # row nu -> row f^T nu is nu @ f
         idx, cur = np.arange(len(box)), box
@@ -152,9 +101,15 @@ def orbit_representatives(torus: MappingTorus, nu_max: int) -> np.ndarray:
     return np.stack([keys // side % side, keys % side], axis=1) - nu_max
 
 
+class Spectrum(NamedTuple):
+    """Zero-sector resonances and one certificate per nonzero orbit."""
+
+    resonances: np.ndarray
+    certificates: list
+
+
 def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
-                  threshold: float, torus: MappingTorus = MappingTorus(),
-                  p: MetricParams = MetricParams()) -> SpectrumResult:
+                  threshold: float, f, p: MetricParams) -> Spectrum:
     """Zero-sector eigenvalues plus per-orbit no-resonance certificates.
 
     On the dual components of 2 pi nu, the orbit nu_j = (f^T)^j nu is the
@@ -165,11 +120,11 @@ def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
     that bound is at most `threshold`, i.e. the sector contributes no
     eigenvalue with Re z > log(threshold) at this truncation.
     """
-    res = zero_sector_spectrum(k_max)
-    reps = orbit_representatives(torus, nu_max)
+    res = Spectrum(zero_sector_spectrum(k_max), [])
+    reps = orbit_representatives(f, nu_max)
     if not len(reps):
         return res
-    split = torus.dual_splitting()
+    split = DualSplitting.from_matrix(np.transpose(f))
     xi_u, xi_s = split.decompose(2.0 * np.pi * reps)
     # rows: the forward and the backward window end of each orbit
     ends = np.zeros((2, len(reps)), dtype=int)
@@ -196,16 +151,14 @@ def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
     return res
 
 
-def weyl_count(spec: SpectrumResult, gamma_re: float, omega: float) -> int:
-    """# of spectrum points with Re z > gamma_re and Im z in [omega, omega+1)."""
-    pts = spec.points()
-    if pts.size == 0:
-        return 0
-    mask = (pts.real > gamma_re) & (pts.imag >= omega) & (pts.imag < omega + 1.0)
-    return int(np.count_nonzero(mask))
+def weyl_count(spec: np.ndarray, gamma_re: float, omega: float) -> int:
+    """# of the points of spec, a complex array, with Re z > gamma_re and
+    Im z in [omega, omega+1)."""
+    return int(np.count_nonzero((spec.real > gamma_re) & (spec.imag >= omega)
+                                & (spec.imag < omega + 1.0)))
 
 
-def weyl_density_exponent(spec: SpectrumResult, omegas) -> float:
+def weyl_density_exponent(spec: np.ndarray, omegas) -> float:
     """OLS slope of log(max unit-window count near omega) vs log omega, over
     the 8 unit windows from omega on, counting Re z > -1."""
     omegas = np.asarray(omegas, dtype=float)

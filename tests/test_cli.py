@@ -141,6 +141,22 @@ def test_weyl_boxes_degenerate_fit_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_weyl_boxes_unresolvable_alpha_exits_3_before_counting(
+        tmp_path, monkeypatch, capsys):
+    """From omega 1e6 on, the alphas from 0.8 on leave fewer than 3 omegas
+    whose cells box_count resolves: a resolution error before any box is
+    counted, with no output."""
+    calls = []
+    monkeypatch.setattr(fractal_count, "box_count",
+                        lambda *args: calls.append(args))
+    out = tmp_path / "w"
+    assert run(["weyl-boxes", "--omega-min", "1e6", "--omega-max", "1e8",
+                "--output-dir", out]) == 3
+    assert capsys.readouterr().err == \
+        "resolution error: fewer than 3 resolved omegas at alpha = 0.8\n"
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("task, key, limit, module, heavy", [
     ("toy", "section_n", 2000, "shift_model", "finite_section_report"),
     ("escape-sweep", "grid_points", 1000, "escape", "weight"),
@@ -266,6 +282,7 @@ def test_malformed_config_rejected(tmp_path):
         assert not (tmp_path / "x").exists()
     for args in (["verify-all", "--criteria", "0"],
                  ["verify-all", "--criteria", "12"],
+                 ["verify-all", "--criteria", "1,1,4"],
                  ["resolution-check", "--windows", "7,,10"],
                  ["weyl-boxes", "--alpha-grid", "0.5:0.9"],
                  ["toy", "--section-n", "5"],
@@ -362,19 +379,17 @@ def test_resolution_check_passes(tmp_path):
     assert data["decreasing"] and data["pass"]
 
 
-def test_resolution_check_windows_in_any_order(tmp_path):
-    """Each window's residual is the same whatever the order of the windows;
-    only the decreasing verdict depends on it."""
-    residuals = {}
-    for order, expected_code in (("7,10,14", 0), ("14,10,7", 1)):
+def test_resolution_check_windows_must_increase(tmp_path, capsys):
+    """The decreasing verdict compares each window's residual with the next
+    one's, so windows that do not strictly increase are a config error, not
+    a failed certification."""
+    for order in ("10,7", "7,7", "14,10,7"):
         out = tmp_path / order.replace(",", "_")
         assert run(["resolution-check", "--windows", order,
-                    "--output-dir", out]) == expected_code
-        levels = json.loads((out / "resolution.json").read_text())["levels"]
-        assert [lv["window"] for lv in levels] \
-            == [int(w) for w in order.split(",")]
-        residuals[order] = {lv["window"]: lv["residual"] for lv in levels}
-    assert residuals["7,10,14"] == residuals["14,10,7"]
+                    "--output-dir", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: key 'windows'")
+        assert not out.exists()
 
 
 def test_thread_cap(monkeypatch):

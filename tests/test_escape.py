@@ -14,12 +14,12 @@ from anisospec.escape import (DualSplitting, EscapeConfig, decay_rate_fit,
                               temperate_ratio_samples, theoretical_decay_rate,
                               theoretical_lower_rate, theoretical_orders,
                               weight)
-from anisospec.suspension import MappingTorus
+from anisospec.suspension import CAT_SPLIT
 
 
 @pytest.fixture(scope="module")
 def split():
-    return MappingTorus().dual_splitting()
+    return CAT_SPLIT
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,8 @@ def test_dual_splitting_roundtrip(split):
 def test_dual_splitting_rejects_elliptic():
     with pytest.raises(ValueError):
         DualSplitting.from_matrix([[0, -1], [1, 0]])
+    with pytest.raises(ValueError):
+        DualSplitting.from_matrix([[1, 1], [0, 1]])    # parabolic
 
 
 def test_escape_config_validation():

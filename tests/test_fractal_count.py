@@ -197,8 +197,10 @@ def test_e_alpha_unimodal():
 def test_optimal_alpha_needs_omegas():
     form = synth_holder(0.5, seed=3)
     omegas, alphas = [64.0, 128.0], [0.5, 0.6]
+    counts = {(om, al): box_count(form, om, al) for om in omegas
+              for al in alphas}
     with pytest.raises(ValueError, match="at least 6"):
-        optimal_alpha(box_counts(form, omegas, alphas), omegas, alphas)
+        optimal_alpha(counts, omegas, alphas)
 
 
 def test_optimal_alpha_needs_three_counts_per_alpha():
@@ -216,14 +218,20 @@ def test_optimal_alpha_needs_three_counts_per_alpha():
 
 
 def test_box_counts_table():
-    """Omega-major cells of box_count; refused cells are left out."""
+    """Omega-major cells of box_count; refused cells are left out, and an
+    alpha that leaves fewer than 3 omegas refuses the grid before any box is
+    counted."""
     form = synth_holder(0.5, seed=3)
-    omegas, alphas = [64.0, 2.0**20], np.array([0.5, 0.9])
+    omegas, alphas = [64.0, 128.0, 256.0, 2.0**20], np.array([0.5, 0.9])
     counts = box_counts(form, omegas, alphas)
-    assert list(counts) == [(64.0, 0.5), (64.0, 0.9), (2.0**20, 0.5)]
+    assert list(counts) == [(om, al) for om in omegas[:3] for al in alphas] \
+        + [(2.0**20, 0.5)]
     assert counts[64.0, 0.9] == box_count(form, 64.0, 0.9)
     with pytest.raises(ResolutionError):
         box_count(form, 2.0**20, 0.9)
+    with pytest.raises(ResolutionError,
+                       match="fewer than 3 resolved omegas at alpha = 0.9"):
+        box_counts(form, omegas[1:], alphas)
 
 
 def _point(row):

@@ -8,13 +8,12 @@ from anisospec import frozen
 from anisospec.bracket_metric import MetricParams, delta_perp, jbracket
 from anisospec.cli import main
 from anisospec.errors import ResolutionError
-from anisospec.escape import EscapeConfig, lifted_flow, weight
+from anisospec.escape import DualSplitting, EscapeConfig, lifted_flow, weight
 from anisospec.quantize import FlowModel
-from anisospec.suspension import (MappingTorus, SpectrumResult, full_spectrum,
+from anisospec.suspension import (CAT_MAP, CAT_SPLIT, full_spectrum,
                                   generator_residual, orbit_representatives,
                                   transfer_time1_grid, wavefront_value,
                                   weyl_count, weyl_density_exponent,
-                                  zero_sector_eigenfunction,
                                   zero_sector_spectrum)
 from anisospec.wavepackets import TorusGrid
 
@@ -22,14 +21,15 @@ P = MetricParams(1.0, 0.5, 0.0)
 CFG = EscapeConfig(r_u=8.0, r_s=8.0, gamma=0.0)
 MATRICES = {"2,1,1,1": ((2, 1), (1, 1)), "-2,-1,-1,-1": ((-2, -1), (-1, -1)),
             "2,1,3,2": ((2, 1), (3, 2)), "3,1,2,1": ((3, 1), (2, 1))}
+CAT = MATRICES["2,1,1,1"]
 
 
 # -- integer orbit walks in Python ints, one weight call per orbit point -----
 
 
-def _step(torus, nu, sign):
+def _step(f, nu, sign):
     """f^T nu (sign +1) or (f^T)^{-1} nu (sign -1), exactly; det f = 1."""
-    (a, b), (c, d) = torus.f
+    (a, b), (c, d) = f
     if sign > 0:
         return (a * nu[0] + c * nu[1], b * nu[0] + d * nu[1])
     return (d * nu[0] - c * nu[1], -b * nu[0] + a * nu[1])
@@ -39,29 +39,29 @@ def _key(nu):
     return (nu[0] ** 2 + nu[1] ** 2, nu)
 
 
-def _in_box_segment(torus, nu, nu_max):
+def _in_box_segment(f, nu, nu_max):
     """The orbit points of nu inside |.|_inf <= nu_max, walked both ways."""
     seg = []
     for sign in (1, -1):
         cur = nu
         while max(abs(cur[0]), abs(cur[1])) <= nu_max:
             seg.append(cur)
-            cur = _step(torus, cur, sign)
+            cur = _step(f, cur, sign)
     return set(seg)
 
 
-def _walk_representatives(torus, nu_max):
+def _walk_representatives(f, nu_max):
     seen, reps = set(), set()
     for a in range(-nu_max, nu_max + 1):
         for b in range(-nu_max, nu_max + 1):
             if (a, b) != (0, 0) and (a, b) not in seen:
-                seg = _in_box_segment(torus, (a, b), nu_max)
+                seg = _in_box_segment(f, (a, b), nu_max)
                 seen |= seg
                 reps.add(min(seg, key=_key))
     return sorted(reps, key=_key)
 
 
-def _walk_window(torus, nu, p):
+def _walk_window(f, nu, p):
     """Orbit points of nu from the first j <= -1 to the first j >= 0 with
     |Xi_*|_g > 10, at most 200 each way."""
     def past_threshold(q):
@@ -69,86 +69,77 @@ def _walk_window(torus, nu, p):
         return delta_perp(en, p) * en > 10.0
 
     ends = []
-    for sign, start in ((1, nu), (-1, _step(torus, nu, -1))):
+    for sign, start in ((1, nu), (-1, _step(f, nu, -1))):
         pts = [start]
         while not past_threshold(pts[-1]):
             assert len(pts) < 200
-            pts.append(_step(torus, pts[-1], sign))
+            pts.append(_step(f, pts[-1], sign))
         ends.append(pts)
     return ends[1][::-1] + ends[0]
 
 
-def _walk_bound(torus, nu, p):
-    split = torus.dual_splitting()
+def _walk_bound(f, nu, p):
+    split = DualSplitting.from_matrix(np.transpose(f))
     ws = [weight(*split.decompose(2.0 * np.pi * np.asarray(q, dtype=float)),
-                 0.0, split, CFG, p) for q in _walk_window(torus, nu, p)]
+                 0.0, split, CFG, p) for q in _walk_window(f, nu, p)]
     return max(b / a for a, b in zip(ws, ws[1:]))
 
 
-def _assert_match_walks(torus, nu_max, p):
-    res = full_spectrum(0, nu_max, CFG, float(np.exp(-3.0)), torus, p)
-    reps = _walk_representatives(torus, nu_max)
-    assert [c["nu"] for c in res.certificates] == reps
-    assert orbit_representatives(torus, nu_max).tolist() == \
+def _assert_match_walks(f, nu_max, p):
+    _, certs = full_spectrum(0, nu_max, CFG, float(np.exp(-3.0)), f, p)
+    reps = _walk_representatives(f, nu_max)
+    assert [c["nu"] for c in certs] == reps
+    assert orbit_representatives(f, nu_max).tolist() == \
         [list(nu) for nu in reps]
-    for c in res.certificates:
+    for c in certs:
         assert c["norm_bound"] == pytest.approx(
-            _walk_bound(torus, c["nu"], p), rel=1e-12, abs=0.0)
+            _walk_bound(f, c["nu"], p), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha_perp", [0.5, 0.67, 0.9])
 @pytest.mark.parametrize("f", MATRICES.values(), ids=MATRICES.keys())
 def test_certificates_match_integer_walks(f, alpha_perp):
-    _assert_match_walks(MappingTorus(f), 6, MetricParams(1.0, alpha_perp, 0.0))
+    _assert_match_walks(f, 6, MetricParams(1.0, alpha_perp, 0.0))
 
 
 def test_certificates_match_walks_past_int64():
     """At alpha_perp 0.95 the windows leave the int64 range."""
-    torus, p = MappingTorus(), MetricParams(1.0, 0.95, 0.0)
-    assert max(abs(v) for q in _walk_window(torus, (1, 0), p) for v in q) \
+    p = MetricParams(1.0, 0.95, 0.0)
+    assert max(abs(v) for q in _walk_window(CAT, (1, 0), p) for v in q) \
         > 2 ** 63
-    _assert_match_walks(torus, 3, p)
+    _assert_match_walks(CAT, 3, p)
 
 
 def test_orbit_window_past_200_steps_is_a_resolution_error(tmp_path):
     with pytest.raises(ResolutionError):
-        full_spectrum(0, 2, CFG, 0.1, MappingTorus(),
-                      MetricParams(1.0, 0.99, 0.0))
+        full_spectrum(0, 2, CFG, 0.1, CAT_MAP, MetricParams(1.0, 0.99, 0.0))
     out = tmp_path / "s"
     assert main(["suspension", "--alpha-perp", "0.99",
                  "--output-dir", str(out)]) == 3
     assert not out.exists()
 
 
-def test_mapping_torus_validation():
-    with pytest.raises(ValueError):
-        MappingTorus(f=((1, 1), (0, 1)))       # parabolic
-    with pytest.raises(ValueError):
-        MappingTorus(f=((2, 1), (1, 2)))       # det 3
-    with pytest.raises(ValueError):
-        MappingTorus(f=((2, 1), (1, 1), (0, 0)))   # not 2x2
-
-
 def test_lambda_value():
     # eigenvalue of [[2,1],[1,1]] by hand: (3 + sqrt 5)/2, and -(3 + sqrt 5)/2
     # for its negative
-    for f in (((2, 1), (1, 1)), ((-2, -1), (-1, -1))):
-        assert MappingTorus(f).dual_splitting().lam == pytest.approx(
+    for f in (CAT_MAP, -CAT_MAP):
+        assert DualSplitting.from_matrix(f.T).lam == pytest.approx(
             np.log((3 + np.sqrt(5)) / 2), abs=1e-14)
+    with pytest.raises(ValueError):    # CAT_MAP is read-only
+        CAT_MAP[0, 0] = 3
 
 
 def test_zero_sector_k0():
     spec = zero_sector_spectrum(0)
-    assert len(spec.entries) == 1
-    assert spec.entries[0].im == 0.0 and spec.entries[0].re == 0.0
+    assert spec.tolist() == [0j]
 
 
 def test_zero_sector_k3():
+    """Increasing k, each real part +0.0 (as in spectrum.json), the
+    imaginary parts bitwise 2 pi k."""
     spec = zero_sector_spectrum(3)
-    got = sorted(e.im for e in spec.entries)
-    expect = sorted(2 * np.pi * k for k in range(-3, 4))
-    assert np.allclose(got, expect, atol=0)
-    assert all(e.re == 0.0 for e in spec.entries)
+    assert spec.imag.tolist() == [2.0 * np.pi * k for k in range(-3, 4)]
+    assert np.all(spec.real == 0.0) and not np.any(np.signbit(spec.real))
     assert max(generator_residual(k) for k in range(-3, 4)) <= 1e-12
 
 
@@ -156,7 +147,7 @@ def test_zero_sector_k3():
 def test_transfer_eigenfunction(t):
     grid = TorusGrid(0, 256, length=1.0)
     for k in (-2, 0, 3):
-        u = zero_sector_eigenfunction(k, grid.axis)
+        u = np.exp(1j * 2.0 * np.pi * k * grid.axis)
         lt = FlowModel((1.0,)).transfer(u, grid, t)
         assert np.max(np.abs(lt - np.exp(1j * 2 * np.pi * k * t) * u)) <= 1e-12
 
@@ -167,21 +158,20 @@ def test_generator_residual():
 
 def test_sector_decomposition_exact():
     """L^1 on a two-orbit superposition: zero cross-orbit leakage (grid)."""
-    torus = MappingTorus()
     npts = 64
     rng = np.random.default_rng(0)
     nu_a = (1, 0)
     # pick nu_b genuinely off the orbit of nu_a
     nu_b = (2, 0)
-    assert nu_b not in _walk_window(torus, nu_a, P)
+    assert nu_b not in _walk_window(CAT, nu_a, P)
     x1, x2 = np.meshgrid(np.arange(npts) / npts, np.arange(npts) / npts,
                          indexing="ij")
     ca, cb = rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal()
     u = ca * np.exp(2j * np.pi * (nu_a[0] * x1 + nu_a[1] * x2)) \
         + cb * np.exp(2j * np.pi * (nu_b[0] * x1 + nu_b[1] * x2))
-    moved = transfer_time1_grid(u, torus)
+    moved = transfer_time1_grid(u, CAT_MAP)
     coef = np.fft.fft2(moved) / npts**2
-    ft = torus.matrix.T
+    ft = CAT_MAP.T
     ia = tuple((ft @ np.array(nu_a)) % npts)
     ib = tuple((ft @ np.array(nu_b)) % npts)
     assert abs(coef[ia] - ca) <= 1e-12
@@ -192,17 +182,15 @@ def test_sector_decomposition_exact():
 
 def test_orbit_entries_asymptotic_rate():
     """Far unstable end: entry ratio -> e^{-lam (1-gamma)(1-alpha) R_u}."""
-    split = MappingTorus().dual_splitting()
-    xi_u, xi_s = split.decompose(2.0 * np.pi * np.array([1.0, 0.0]))
-    xu, xs, _ = lifted_flow(xi_u, xi_s, 0.0, np.arange(40), split)
-    star = np.linalg.norm(split.compose(xu, xs), axis=-1)
+    xi_u, xi_s = CAT_SPLIT.decompose(2.0 * np.pi * np.array([1.0, 0.0]))
+    xu, xs, _ = lifted_flow(xi_u, xi_s, 0.0, np.arange(40), CAT_SPLIT)
+    star = np.linalg.norm(CAT_SPLIT.compose(xu, xs), axis=-1)
     end = int(np.argmax(delta_perp(star, P) * star > 40.0))
-    ws = weight(xu[:end + 1], xs[:end + 1], 0.0, split, CFG, P)
-    target = np.exp(-split.lam * (1 - 0.0) * (1 - 0.5) * 8.0)
+    ws = weight(xu[:end + 1], xs[:end + 1], 0.0, CAT_SPLIT, CFG, P)
+    target = np.exp(-CAT_SPLIT.lam * (1 - 0.0) * (1 - 0.5) * 8.0)
     assert ws[-1] / ws[-2] == pytest.approx(target, rel=0.05)
-    res = full_spectrum(0, 1, CFG, 0.1)
-    bound = next(c["norm_bound"] for c in res.certificates
-                 if c["nu"] == (1, 0))
+    _, certs = full_spectrum(0, 1, CFG, 0.1, CAT_MAP, P)
+    bound = next(c["norm_bound"] for c in certs if c["nu"] == (1, 0))
     assert bound <= target + 2e-3 or bound <= np.exp(-3.0)
 
 
@@ -210,47 +198,44 @@ def test_orbit_operator_unweighted_is_isometry():
     """R = 0 limit (no weight): all entries 1.  EscapeConfig requires
     positive exponents, so emulate with equal tiny R against W ~ 1."""
     cfg = EscapeConfig(r_u=1e-9, r_s=1e-9, gamma=0.0)
-    res = full_spectrum(0, 6, cfg, 2.0, MappingTorus(), P)
-    assert max(abs(c["norm_bound"] - 1.0) for c in res.certificates) <= 1e-6
+    _, certs = full_spectrum(0, 6, cfg, 2.0, CAT_MAP, P)
+    assert max(abs(c["norm_bound"] - 1.0) for c in certs) <= 1e-6
 
 
 def test_orbit_representatives_partition():
     """Each orbit meeting the box is listed once, by its least point there."""
-    torus = MappingTorus()
-    reps = orbit_representatives(torus, 6)
+    reps = orbit_representatives(CAT_MAP, 6)
     assert reps.shape[1] == 2
     seen = set()
     for rep in map(tuple, reps.tolist()):
-        seg = _in_box_segment(torus, rep, 6)
+        seg = _in_box_segment(CAT, rep, 6)
         assert min(seg, key=_key) == rep
         assert not (seg & seen)
         seen |= seg
     box = {(a, b) for a in range(-6, 7) for b in range(-6, 7)} - {(0, 0)}
     assert seen == box
-    assert orbit_representatives(torus, 0).shape == (0, 2)
+    assert orbit_representatives(CAT_MAP, 0).shape == (0, 2)
 
 
 def test_full_spectrum_counts_and_certificates():
-    res = full_spectrum(5, 8, CFG, float(np.exp(-3.0)))
-    assert len(res.entries) == 11    # 2K + 1
-    assert all(c["pass"] for c in res.certificates)
-    res0 = full_spectrum(2, 0, CFG, float(np.exp(-3.0)))
-    assert len(res0.certificates) == 0 and len(res0.entries) == 5
+    spec, certs = full_spectrum(5, 8, CFG, float(np.exp(-3.0)), CAT_MAP, P)
+    assert len(spec) == 11    # 2K + 1
+    assert all(c["pass"] for c in certs)
+    spec0, certs0 = full_spectrum(2, 0, CFG, float(np.exp(-3.0)), CAT_MAP, P)
+    assert len(certs0) == 0 and len(spec0) == 5
 
 
 def test_full_spectrum_tight_threshold_fails():
     """Below e^{-Lambda} some orbit fails its certificate, and says so."""
-    lam = MappingTorus().dual_splitting().lam
-    tight = 0.5 * np.exp(-lam * 0.5 * 8.0)   # below e^{-Lambda}
-    res = full_spectrum(1, 4, CFG, float(tight))
-    assert not all(c["pass"] for c in res.certificates)
-    assert all(c["pass"] == (c["norm_bound"] <= tight)
-               for c in res.certificates)
+    tight = 0.5 * np.exp(-CAT_SPLIT.lam * 0.5 * 8.0)   # below e^{-Lambda}
+    _, certs = full_spectrum(1, 4, CFG, float(tight), CAT_MAP, P)
+    assert not all(c["pass"] for c in certs)
+    assert all(c["pass"] == (c["norm_bound"] <= tight) for c in certs)
 
 
 def test_weyl_count_examples():
     spec = zero_sector_spectrum(5)
-    assert weyl_count(SpectrumResult(entries=[]), -1.0, 0.0) == 0
+    assert weyl_count(np.empty(0, dtype=complex), -1.0, 0.0) == 0
     # window straddling 2 pi k: count 1 (spacing 2 pi > 1)
     for k in (1, 3, 5):
         assert weyl_count(spec, -1.0, 2 * np.pi * k - 0.5) == 1
@@ -268,8 +253,7 @@ def test_weyl_density_flat():
 
 
 def test_wavefront_peak_and_offsets():
-    torus = MappingTorus()
-    split = torus.dual_splitting()
+    split = CAT_SPLIT
     k = 3
     om0 = 2 * np.pi * k
     peak = wavefront_value(k, 0.0, 0.0, om0, split, P)
@@ -310,7 +294,7 @@ def test_wavefront_exponents_are_the_frozen_keys():
 # the frequency condition at seed 3, the transverse one at seed 4
 @pytest.mark.parametrize("seed", [3, 4])
 def test_wavefront_extrema_match_scalar_loop(seed):
-    split = MappingTorus().dual_splitting()
+    split = CAT_SPLIT
     cfg = EscapeConfig(r_u=4.0, r_s=4.0, gamma=0.0)
     k = 3
     om0 = 2 * np.pi * k
