@@ -43,8 +43,6 @@ def test_dual_splitting_roundtrip(split):
 def test_dual_splitting_rejects_elliptic():
     with pytest.raises(ValueError):
         DualSplitting.from_matrix([[0, -1], [1, 0]])
-    with pytest.raises(ValueError):
-        DualSplitting.from_matrix([[1, 1], [0, 1]])    # parabolic
 
 
 def test_escape_config_validation():

@@ -119,6 +119,19 @@ def test_orbit_window_past_200_steps_is_a_resolution_error(tmp_path):
     assert not out.exists()
 
 
+def test_mapping_torus_validation():
+    # the suspension's matrix is the read-only cat map; the dual splitting
+    # that every certificate reads refuses any other kind of matrix
+    with pytest.raises(ValueError):
+        CAT_MAP[0, 0] = 3
+    with pytest.raises(ValueError):
+        DualSplitting.from_matrix(((1, 1), (0, 1)))       # parabolic
+    with pytest.raises(ValueError):
+        DualSplitting.from_matrix(((2, 1), (1, 2)))       # det 3
+    with pytest.raises(ValueError):
+        DualSplitting.from_matrix(((2, 1), (1, 1), (0, 0)))   # not 2x2
+
+
 def test_lambda_value():
     # eigenvalue of [[2,1],[1,1]] by hand: (3 + sqrt 5)/2, and -(3 + sqrt 5)/2
     # for its negative
