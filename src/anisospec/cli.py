@@ -182,7 +182,8 @@ RESOLUTION_DEFAULTS = dict(points=128, length=float(np.pi), band=2,
 
 def run_resolution_check(cfg):
     from .bracket_metric import MetricParams
-    from .wavepackets import BargmannTransform, TorusGrid, band_limited_field
+    from .wavepackets import (BargmannTransform, TorusGrid, band_limited_field,
+                              field_norm)
 
     _require("band", cfg["band"], cfg["band"] >= 0, "must be >= 0")
     _require("seed", cfg["seed"], cfg["seed"] >= 0, "must be >= 0")
@@ -197,7 +198,7 @@ def run_resolution_check(cfg):
     recs = BargmannTransform(g, p, window=max(windows)).op_apply(
         u, windows=windows)
     levels = [{"window": win,
-               "residual": float(np.linalg.norm(rec - u) / np.linalg.norm(u))}
+               "residual": field_norm(rec - u) / field_norm(u)}
               for win, rec in zip(windows, recs)]
     decreasing = all(levels[i + 1]["residual"] < levels[i]["residual"]
                      for i in range(len(levels) - 1))

@@ -26,9 +26,11 @@ from .bracket_metric import (MetricParams, PhasePoint, delta_par, delta_perp,
 from .errors import ResolutionError
 
 TWO_PI = 2.0 * np.pi
-# Byte budget of one batch array: a complex (c,) + grid array of the
-# transform kernel, a float (block, nodes^d) array of m_gauss_hermite.
+# Byte budget of one batch array of the transform kernel, a complex
+# (c,) + grid array.
 _BATCH_BYTES = 2**20
+# Byte budget of m_gauss_hermite's float (block,) + (nodes,) * d node buffer.
+_NODE_BLOCK_BYTES = 2**19
 _NORM_POINTS = 97  # trapezoid nodes per axis of packet_norm_sq_continuous
 
 
@@ -83,6 +85,17 @@ class TorusGrid:
         """Wrap displacements into [-length/2, length/2)."""
         return (np.asarray(disp, dtype=float) + 0.5 * self.length) % self.length \
             - 0.5 * self.length
+
+
+def field_norm(x) -> float:
+    """sqrt(sum |x|^2) by numpy's own summation, bitwise the same whatever
+    the BLAS thread count: np.linalg.norm reduces a large array through a
+    BLAS dot, which splits the sum across threads.  The squares are added
+    in place, one field-sized temporary fewer."""
+    x = np.asarray(x)
+    sq = x.real**2
+    sq += x.imag**2
+    return float(np.sqrt(np.sum(sq)))
 
 
 def check_band(grid: TorusGrid, band: int):
@@ -146,27 +159,42 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     en = np.linalg.norm(pts, axis=1)
     scales = np.stack([delta_perp(en, p)] * (d - 1) + [delta_par(en, p)],
                       axis=1)  # (M, d)
-    offs = np.stack([g.ravel() for g in np.meshgrid(*([t] * d), indexing="ij")],
-                    axis=1)  # (nodes^d, d)
-    logww = sum(np.meshgrid(*([logw] * d), indexing="ij")).ravel()
+    logww = sum(np.meshgrid(*([logw] * d), indexing="ij"))  # (nodes,) * d
+
+    def along(a, ax):  # a (block, nodes) array on node axis ax of the buffer
+        return a.reshape((-1,) + (1,) * ax + (t.size,) + (1,) * (d - 1 - ax))
 
     out = np.empty(pts.shape[0])
-    # blocks of points with every node: one (block, nodes^d) float array
-    # holds at most _BATCH_BYTES, so the temporaries stay in cache
-    block = max(1, _BATCH_BYTES // (8 * offs.shape[0]))
+    # blocks of points with every node: the node buffer and its scratch
+    # twin hold at most _NODE_BLOCK_BYTES each and are reused, so the
+    # arithmetic runs in cache without fresh temporaries
+    block = max(1, _NODE_BLOCK_BYTES // (8 * t.size**d))
+    buf = np.empty((min(block, pts.shape[0]),) + logww.shape)
+    scratch = np.empty_like(buf)
     for start in range(0, pts.shape[0], block):
-        sl = slice(start, start + block)
-        c, s = pts[sl, :, None], scales[sl, :, None]  # (block, d, 1)
-        # one (block, nodes^d) array per axis; adding the squares in axis
-        # order is bitwise what np.linalg.norm(..., axis=-1) gives for d <= 3
-        eta = [c[:, ax] - offs[:, ax] / s[:, ax] for ax in range(d)]
-        en_i = np.sqrt(sum(e * e for e in eta))
+        c, s = pts[start:start + block], scales[start:start + block]
+        b, tmp = buf[:len(c)], scratch[:len(c)]
+        # the node coordinates eta_ax = c_ax - t / s_ax, (block, nodes) each
+        eta = [c[:, ax, None] - t / s[:, ax, None] for ax in range(d)]
+        # adding the squares in axis order is bitwise what
+        # np.linalg.norm(..., axis=-1) gives for d <= 3
+        np.copyto(b, along(eta[0] * eta[0], 0))
+        for ax in range(1, d):
+            b += along(eta[ax] * eta[ax], ax)
+        en_i = np.sqrt(b, out=b)
         # |prof0|^2 = exp(-(dp (xi - xi'))^2 - (dl (om - om'))^2)
         dl = delta_par(en_i, p)  # one power for both deltas when they agree
         dp = dl if p.alpha_perp == p.alpha_par else delta_perp(en_i, p)
-        q = sum((dk * (eta[ax] - c[:, ax])) ** 2
-                for ax, dk in enumerate([dp] * (d - 1) + [dl]))
-        out[sl] = np.exp(logww - q).sum(axis=1)
+        # q, the sum of the squares in axis order, overwrites |eta|
+        for ax, dk in enumerate([dp] * (d - 1) + [dl]):
+            term = tmp if ax else b
+            np.multiply(dk, along(eta[ax] - c[:, ax, None], ax), out=term)
+            np.square(term, out=term)
+            if ax:
+                b += term
+        np.subtract(logww, b, out=b)
+        out[start:start + len(c)] = np.exp(b, out=b).reshape(len(c), -1) \
+            .sum(axis=1)
     out /= np.prod(scales, axis=1)
     out = out.reshape(eta_primes.shape[:-1])
     return float(out) if single else out

@@ -3,8 +3,11 @@
 import collections
 import importlib
 import json
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -14,6 +17,7 @@ from anisospec import fractal_count
 from anisospec.cli import SUBCOMMANDS, main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -222,6 +226,27 @@ def test_determinism(tmp_path):
     run(["toy", "--w0", "0.7", "--r", "0.5", "--output-dir", out_a])
     run(["toy", "--w0", "0.7", "--r", "0.5", "--output-dir", out_b])
     assert (out_a / "toy.json").read_bytes() == (out_b / "toy.json").read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: BLAS runs one thread whatever is asked")
+def test_resolution_check_independent_of_blas_threads(tmp_path):
+    """resolution-check at its defaults writes the same bytes under 1 and 2
+    BLAS threads: its residual norms on the 128^2 field must not reduce
+    through a threaded BLAS dot."""
+    written = []
+    for threads in ("1", "2"):
+        env = {**os.environ, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            threads)}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "anisospec", "resolution-check",
+                        "--output-dir", str(out)], env=env, check=True,
+                       capture_output=True)
+        written.append((out / "resolution.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_config_file_and_override(tmp_path):

@@ -276,38 +276,48 @@ def test_lipschitz_frozen_and_sharpness():
     for b0, c_frozen in frozen.LIPSCHITZ_C.items():
         assert worst[b0] <= c_frozen, (b0, worst[b0])
     form = synth_holder(0.5, seed=7)
-    p_bad = MetricParams(1.0, 1.0 / 1.5 - 0.1, 0.0)
-    rep_bad = lipschitz_unit_scale_test(form, p_bad, n_pairs=3000, seed=4,
-                                        c_frozen=frozen.LIPSCHITZ_C[0.5])
+    p_good, p_bad = (MetricParams(1.0, 1.0 / 1.5 - shift, 0.0)
+                     for shift in (0.0, 0.1))
+    rep_good, rep_bad = lipschitz_unit_scale_test(
+        form, [p_good, p_bad], n_pairs=3000, seed=4,
+        c_frozen=frozen.LIPSCHITZ_C[0.5])
+    # the shared draw gives each metric the report of its own call
+    assert rep_good.max_ratio == worst[0.5] and rep_good.violations == 0
     assert rep_bad.violations > 0
     assert rep_bad.max_ratio > worst[0.5]
 
 
 def test_lipschitz_matches_scalar_reference():
-    """The array sampler equals a pair-by-pair loop over phase points."""
+    """Each report of the array sampler equals a pair-by-pair loop over
+    phase points at its metric."""
     form = synth_holder(0.5, seed=7)
-    p = MetricParams(1.0, 1.0 / 1.5 - 0.1, 0.0)
+    ps = [MetricParams(1.0, 1.0 / 1.5 - 0.1, 0.0), MetricParams(0.5, 0.6, 0.3)]
     c = frozen.LIPSCHITZ_C[0.5]
-    rep = lipschitz_unit_scale_test(form, p, n_pairs=300, seed=4, c_frozen=c)
-    rng = np.random.default_rng(4)
-    ratios = []
-    for _ in range(300):
-        om = np.exp(rng.uniform(np.log(10.0), np.log(1.0e6)))
-        x = rng.uniform(0.0, 1.0, size=1)
-        xi = rng.normal(size=1) * om * 0.1
-        rho = phase_point(x=x, z=rng.uniform(0, 1), xi=xi, omega=om)
-        dp = delta_perp(rho.eta_norm, p)
-        dl = delta_par(rho.eta_norm, p)
-        dx = rng.normal(size=1)
-        dx *= rng.uniform(0.2, 3.0) / np.linalg.norm(dx) * dp
-        dxi = rng.normal(size=1) * rng.uniform(0.0, 2.0) / dp
-        dz = rng.normal() * dl
-        dom = rng.normal() / dl
-        rho_p = phase_point(x=x + dx, z=rho.z + dz, xi=xi + dxi, omega=om + dom)
-        phi, phi_p = (_point(straighten_phi(form, r.coords()))
-                      for r in (rho, rho_p))
-        ratios.append(jbracket(g_norm(phi, phi_p.coords() - phi.coords(), p))
-                      / jbracket(g_norm(rho, rho_p.coords() - rho.coords(), p)))
-    ratios = np.array(ratios)
-    np.testing.assert_allclose(rep.ratios, ratios, rtol=1e-12, atol=0.0)
-    assert rep.violations == np.count_nonzero(ratios > c) > 0
+    reps = lipschitz_unit_scale_test(form, ps, n_pairs=300, seed=4, c_frozen=c)
+    assert len(reps) == len(ps)
+    for p, rep in zip(ps, reps):
+        rng = np.random.default_rng(4)
+        ratios = []
+        for _ in range(300):
+            om = np.exp(rng.uniform(np.log(10.0), np.log(1.0e6)))
+            x = rng.uniform(0.0, 1.0, size=1)
+            xi = rng.normal(size=1) * om * 0.1
+            rho = phase_point(x=x, z=rng.uniform(0, 1), xi=xi, omega=om)
+            dp = delta_perp(rho.eta_norm, p)
+            dl = delta_par(rho.eta_norm, p)
+            dx = rng.normal(size=1)
+            dx *= rng.uniform(0.2, 3.0) / np.linalg.norm(dx) * dp
+            dxi = rng.normal(size=1) * rng.uniform(0.0, 2.0) / dp
+            dz = rng.normal() * dl
+            dom = rng.normal() / dl
+            rho_p = phase_point(x=x + dx, z=rho.z + dz, xi=xi + dxi,
+                                omega=om + dom)
+            phi, phi_p = (_point(straighten_phi(form, r.coords()))
+                          for r in (rho, rho_p))
+            ratios.append(
+                jbracket(g_norm(phi, phi_p.coords() - phi.coords(), p))
+                / jbracket(g_norm(rho, rho_p.coords() - rho.coords(), p)))
+        ratios = np.array(ratios)
+        np.testing.assert_allclose(rep.ratios, ratios, rtol=1e-12, atol=0.0)
+        assert rep.violations == np.count_nonzero(ratios > c)
+    assert reps[0].violations > 0

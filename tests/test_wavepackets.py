@@ -1,5 +1,7 @@
 """Grids, packets, and the wave-packet transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from calibrate_constants import packet_constants
@@ -9,7 +11,8 @@ from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
                                       distortion_from_eta_norm, jbracket,
                                       phase_point)
 from anisospec.errors import ResolutionError
-from anisospec.wavepackets import (_BATCH_BYTES, _NORM_POINTS, TWO_PI,
+from anisospec.wavepackets import (_BATCH_BYTES, _NODE_BLOCK_BYTES,
+                                   _NORM_POINTS, TWO_PI,
                                    BargmannTransform, TorusGrid, _m_lattice,
                                    _profile0,
                                    _samples_from_profile, band_limited_field,
@@ -97,20 +100,35 @@ def _m_gauss_hermite_reference(pts, p, d, nodes=32):
     return np.exp(logww[None, :] - q).sum(axis=1) / np.prod(scales, axis=1)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_m_gauss_hermite_bitwise_per_axis(d):
     """Bitwise the one-temporary reference across several point blocks, and
     each point's value is independent of the other points in the call."""
-    count = {2: 520, 3: 42}[d]
-    assert count > _BATCH_BYTES // (8 * 32**d)  # more than one block
+    count = {1: 2100, 2: 520, 3: 42}[d]
+    assert count > _NODE_BLOCK_BYTES // (8 * 32**d)  # more than one block
     rng = np.random.default_rng(d)
     pts = rng.normal(size=(count, d)) * rng.uniform(0.0, 300.0,
                                                     size=(count, 1))
+    pts[0] = 0.0  # the power |eta|^-alpha is +inf at eta = 0
     mask = rng.uniform(size=count) < 0.6
     for p in (MetricParams(1.0, 0.5, 0.5), MetricParams(1.0, 0.6, 0.2)):
         got = m_gauss_hermite(pts, p, d)
         assert np.array_equal(got, _m_gauss_hermite_reference(pts, p, d))
         assert np.array_equal(m_gauss_hermite(pts[mask], p, d), got[mask])
+
+
+@pytest.mark.parametrize("d, count", [(2, 2000), (3, 50)])
+def test_m_gauss_hermite_peak_memory(d, count):
+    """The reused node buffers bound the kernel's peak allocation at
+    criterion 3's metric (2.7-2.8 MiB here), whatever the point count."""
+    pts = np.random.default_rng(d).normal(size=(count, d)) * 100.0
+    tracemalloc.start()
+    try:
+        m_gauss_hermite(pts, MetricParams(1.0, 0.5, 0.5), d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
 
 
 def _m_lattice_dense(g, p):
