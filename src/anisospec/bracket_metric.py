@@ -38,7 +38,7 @@ class MetricParams:
     """Admissible metric parameters (delta0, alpha_perp, alpha_par).
 
     Chart-change equivalence of the metric forces 1/2 <= alpha_perp < 1 and
-    0 <= alpha_par <= alpha_perp; delta0 > 0 caps the box size.
+    0 <= alpha_par <= alpha_perp; a finite delta0 > 0 caps the box size.
     """
 
     delta0: float = 1.0
@@ -46,8 +46,9 @@ class MetricParams:
     alpha_par: float = 0.0
 
     def __post_init__(self):
-        if not self.delta0 > 0:
-            raise ValueError(f"delta0 must be positive, got {self.delta0}")
+        if not 0 < self.delta0 < np.inf:
+            raise ValueError(
+                f"delta0 must be positive and finite, got {self.delta0}")
         if not 0.5 <= self.alpha_perp < 1.0:
             raise ValueError(
                 f"alpha_perp must lie in [1/2, 1), got {self.alpha_perp}"

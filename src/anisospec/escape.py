@@ -168,8 +168,8 @@ def projective_average(xi_u, xi_s, cfg: EscapeConfig, split: DualSplitting):
     ts = np.linspace(-cfg.t_avg, cfg.t_avg, 65)
     xi_u, xi_s = np.broadcast_arrays(np.asarray(xi_u, float),
                                      np.asarray(xi_s, float))
-    xu, xs, _ = lifted_flow(xi_u, xi_s, None,
-                            ts.reshape((-1,) + (1,) * xi_u.ndim), split)
+    xu, xs = lifted_flow(xi_u, xi_s, ts.reshape((-1,) + (1,) * xi_u.ndim),
+                         split)
     theta = np.mod(np.arctan2(xs, xu), np.pi)
     out = np.trapezoid(_a0_profile(theta), ts, axis=0) / (2.0 * cfg.t_avg)
     return float(out) if np.ndim(out) == 0 else out
@@ -188,16 +188,16 @@ def weight(xi_u, xi_s, omega, split: DualSplitting, cfg: EscapeConfig,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def lifted_flow(xi_u, xi_s, omega, t, split: DualSplitting):
-    """Linear-model lifted flow: Xi_u grows, Xi_s shrinks, omega is frozen."""
+def lifted_flow(xi_u, xi_s, t, split: DualSplitting):
+    """Linear-model lifted flow (xu, xs): Xi_u grows, Xi_s shrinks."""
     e = np.exp(split.lam * np.asarray(t, float))
-    return np.asarray(xi_u, float) * e, np.asarray(xi_s, float) / e, omega
+    return np.asarray(xi_u, float) * e, np.asarray(xi_s, float) / e
 
 
 def decay_rate_fit(xi_u, xi_s, omega, ts, split, cfg, p):
     """OLS slope of log W(phi^t rho)/W(rho) against t (the measured -Lambda)."""
     ts = np.asarray(ts, dtype=float)
-    w = weight(*lifted_flow(xi_u, xi_s, omega, np.append(0.0, ts), split),
+    w = weight(*lifted_flow(xi_u, xi_s, np.append(0.0, ts), split), omega,
                split, cfg, p)
     return float(np.polyfit(ts, np.log(w[1:] / w[0]), 1)[0])
 
@@ -260,7 +260,8 @@ def lower_bound_report(split: DualSplitting, cfg: EscapeConfig, p: MetricParams,
         mag_u = np.exp(rng.uniform(0.0, np.log(1e4)))
         mag_s = np.exp(rng.uniform(0.0, np.log(1e4)))
         rho[i] = (mag_u, mag_s, rng.uniform(-50.0, 50.0))
-    xu, xs, om = lifted_flow(rho[:, :1], rho[:, 1:2], rho[:, 2:], ts, split)
+    xu, xs = lifted_flow(rho[:, :1], rho[:, 1:2], ts, split)
+    om = rho[:, 2:]
     w = weight(xu, xs, om, split, cfg, p)
     ratio = w / w[:, :1]
     uniform_viol = int(np.count_nonzero(

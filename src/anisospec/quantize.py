@@ -16,7 +16,6 @@ estimate of the residual norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,35 +40,12 @@ def product_symbol(a, b):
     return lambda sg, eta: np.asarray(a(sg, eta)) * np.asarray(b(sg, eta))
 
 
-@dataclass(frozen=True)
-class FlowModel:
-    """Translation probe flow in flow-box coordinates.
-
-    vel is the velocity of -X, so the transfer operator e^{-tX} pulls back
-    by y -> y + t * vel and the lifted flow moves packet centers to
-    y - t * vel with frozen frequency.  vel = (1.0,) is the rotation of the
-    z-circle (n = 0).
-    """
-
-    vel: tuple
-
-    def transfer(self, u, grid: TorusGrid, t: float):
-        """e^{-tX} u by spectral interpolation (exact on grid functions)."""
-        if len(self.vel) != grid.d:
-            raise ValueError("flow dimension does not match the grid")
-        c = grid.fcoef(u)
-        fg = grid.freq_grids()
-        phase = sum(fg[ax] * (t * self.vel[ax]) for ax in range(grid.d))
-        return grid.finv(c * np.exp(1j * phase))
-
-    def lift(self, rho: PhasePoint, t: float) -> PhasePoint:
-        y = np.concatenate([rho.x, [rho.z]]) - t * np.asarray(self.vel)
-        return phase_point(x=y[:-1], z=y[-1], xi=rho.xi, omega=rho.omega)
-
-    def compose_symbol(self, a, t: float):
-        """a o (lifted flow at time t): shift the spatial arguments."""
-        return lambda sg, eta: a([sg[ax] - t * self.vel[ax]
-                                  for ax in range(len(sg))], eta)
+def rotate(u, grid: TorusGrid, t: float):
+    """e^{-tX} u for the rotation of the flow circle: u(y) -> u(y + t e_z)
+    by spectral interpolation (exact on grid functions).  Its lifted flow
+    moves a packet center z to z - t with frozen frequency."""
+    fg = grid.freq_grids()
+    return grid.finv(grid.fcoef(u) * np.exp(1j * (fg[-1] * t)))
 
 
 # -- operator machinery ----------------------------------------------------
@@ -191,53 +167,41 @@ def composition_residual(a, b, h_b: float, space: WeightedSpace,
     return est, c_frozen * (h_b * sup)
 
 
-def egorov_residual(a, h_a: float, t: float, flow: FlowModel,
-                    space: WeightedSpace, c_frozen: float):
+def egorov_residual(a, h_a: float, t: float, space: WeightedSpace,
+                    c_frozen: float):
     """(estimate of ||e^{-tX} Op(a o phi^t) - Op(a) e^{-tX}||_{H_W},
-    bound C_t ||(W o phi^t / W) h_a||_inf), h_a the certificate of a."""
+    bound C_t ||(W o phi^t / W) h_a||_inf), h_a the certificate of a and
+    e^{-tX} the rotation of the flow circle."""
     _check_certificate(h_a)
     tr = space.transform
-    at = flow.compose_symbol(a, t)
+    at = lambda sg, eta: a([*sg[:-1], sg[-1] - t], eta)  # a o phi^t
 
     def t_apply(u):
-        return flow.transfer(tr.op_apply(u, at), tr.grid, t) \
-            - tr.op_apply(flow.transfer(u, tr.grid, t), a)
+        return rotate(tr.op_apply(u, at), tr.grid, t) \
+            - tr.op_apply(rotate(u, tr.grid, t), a)
 
     est = hw_operator_norm(t_apply, space)
     sg = tr.grid.space_grids()
-    sgt = [sg[ax] - t * flow.vel[ax] for ax in range(tr.grid.d)]
+    sgt = [*sg[:-1], sg[-1] - t]
     sup = max(float(np.max(np.asarray(space.weight(sgt, eta), dtype=float)
                            / np.asarray(space.weight(sg, eta), dtype=float)))
               for eta in tr.centers)
     return est, c_frozen * (h_a * sup)
 
 
-@dataclass
-class MicrolocalityReport:
-    distances: np.ndarray
-    magnitudes: np.ndarray
-    fitted_exponent: float
-    peak_value: float
+def microlocality_probe(rho: PhasePoint, t: float, probes,
+                        transform: BargmannTransform, fit_range):
+    """Decay of |<phi_rho', e^{-tX} phi_rho>| against the bracketed
+    g-distance of rho' from the transported center phi^t(rho), e^{-tX} the
+    rotation of the flow circle.
 
-    def off_graph_ratio(self, min_distance: float) -> float:
-        mask = self.distances >= min_distance
-        if not np.any(mask):
-            raise ValueError("no probe beyond the requested distance")
-        return float(self.peak_value / np.max(self.magnitudes[mask]))
-
-
-def microlocality_probe(rho: PhasePoint, t: float, flow: FlowModel,
-                        probes, transform: BargmannTransform,
-                        fit_range=(1.5, np.inf)) -> MicrolocalityReport:
-    """Decay of |<phi_rho', L^t phi_rho>| against the bracketed g-distance
-    of rho' from the transported center phi^t(rho).
-
-    Returns the OLS slope of log|value| vs log<dist> (sign-flipped: the
-    fitted N of the <dist>^-N bound).
-    """
+    Returns (N, peak, dists, mags): N the sign-flipped OLS slope of
+    log|value| vs log<dist> over the probes with dist in fit_range (the
+    fitted N of the <dist>^-N bound), peak the value at phi^t(rho), and
+    per probe its distance and |value|."""
     g = transform.grid
-    moved = flow.transfer(transform.packet_samples(rho), g, t)
-    center = flow.lift(rho, t)
+    moved = rotate(transform.packet_samples(rho), g, t)
+    center = phase_point(x=rho.x, z=rho.z - t, xi=rho.xi, omega=rho.omega)
     dists = np.array([g_dist_periodic(rp, center, transform.p, g.length)
                       for rp in probes])
     mags = np.abs(transform.forward_at(moved, probes))
@@ -249,8 +213,7 @@ def microlocality_probe(rho: PhasePoint, t: float, flow: FlowModel,
     slope = np.polyfit(np.log(jbracket(dists[mask])),
                        np.log(mags[mask] + 1e-300), 1)[0]
     peak = float(abs(transform.forward_at(moved, [center])[0]))
-    return MicrolocalityReport(distances=dists, magnitudes=mags,
-                               fitted_exponent=float(-slope), peak_value=peak)
+    return float(-slope), peak, dists, mags
 
 
 # -- auxiliary identities ---------------------------------------------------

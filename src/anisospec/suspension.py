@@ -131,7 +131,7 @@ def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
     found = np.zeros((2, len(reps)), dtype=bool)
     for k in range(200):
         js = np.array([[k], [-1 - k]])
-        xu, xs, _ = lifted_flow(xi_u, xi_s, 0.0, js, split)
+        xu, xs = lifted_flow(xi_u, xi_s, js, split)
         star = np.linalg.norm(split.compose(xu, xs), axis=-1)
         hit = ~found & (delta_perp(star, p) * star > 10.0)
         ends, found = np.where(hit, js, ends), found | hit
@@ -141,7 +141,7 @@ def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
         raise ResolutionError("orbit window failed to reach the decay regime")
     fwd, bwd = ends[:, :, None]
     js = np.arange(bwd.min(), fwd.max() + 1)
-    ws = weight(*lifted_flow(xi_u[:, None], xi_s[:, None], 0.0, js, split),
+    ws = weight(*lifted_flow(xi_u[:, None], xi_s[:, None], js, split), 0.0,
                 split, cfg, p)
     bounds = np.max(ws[:, 1:] / ws[:, :-1], axis=1, initial=-np.inf,
                     where=(js[:-1] >= bwd) & (js[:-1] < fwd))

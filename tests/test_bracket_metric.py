@@ -35,6 +35,8 @@ def test_metric_params_validation():
     with pytest.raises(ValueError):
         MetricParams(0.0, 0.5, 0.0)
     with pytest.raises(ValueError):
+        MetricParams(np.inf, 0.5, 0.0)   # an unbounded zero-frequency box
+    with pytest.raises(ValueError):
         MetricParams(1.0, 0.4, 0.0)      # alpha_perp below 1/2
     with pytest.raises(ValueError):
         MetricParams(1.0, 1.0, 0.0)      # alpha_perp must be < 1

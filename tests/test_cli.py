@@ -359,7 +359,12 @@ def test_malformed_config_rejected(tmp_path):
                  ["escape-sweep", "--grid-max", "inf"],
                  ["escape-sweep", "--omega", "nan"],
                  ["quantize-probes", "--weight-order", "nan"],
-                 ["quantize-probes", "--weight-order", "inf"]):
+                 ["quantize-probes", "--weight-order", "inf"],
+                 ["quantize-probes", "--points", "2050"],
+                 ["quantize-probes", "--points", "100000000"],
+                 ["resolution-check", "--points", "514"],
+                 ["resolution-check", "--points", "100000000"],
+                 ["resolution-check", "--delta0", "inf"]):
         assert run(args + ["--output-dir", tmp_path / "y"]) == 2
         assert not (tmp_path / "y").exists()
 

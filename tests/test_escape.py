@@ -80,8 +80,8 @@ def test_weight_on_trapped_set(split, p_metric):
     for om in (0.0, 1.0, 100.0):
         assert weight(0.0, 0.0, om, split, cfg, p_metric) == pytest.approx(1.0)
     # the lifted flow keeps the trapped set, so the decay ratio there is 1
-    xu, xs, om = lifted_flow(0.0, 0.0, 5.0, np.array([0.5, 1.0, 3.0]), split)
-    assert weight(xu, xs, om, split, cfg, p_metric) \
+    xu, xs = lifted_flow(0.0, 0.0, np.array([0.5, 1.0, 3.0]), split)
+    assert weight(xu, xs, 5.0, split, cfg, p_metric) \
         / weight(0.0, 0.0, 5.0, split, cfg, p_metric) == pytest.approx(1.0)
 
 
@@ -102,8 +102,7 @@ def test_pure_stable_order_slope(split, p_metric):
 
 
 def test_lifted_flow_freezes_omega(split):
-    xu, xs, om = lifted_flow(2.0, 3.0, 7.0, 1.5, split)
-    assert om == 7.0
+    xu, xs = lifted_flow(2.0, 3.0, 1.5, split)
     assert xu == pytest.approx(2.0 * np.exp(split.lam * 1.5))
     assert xs == pytest.approx(3.0 * np.exp(-split.lam * 1.5))
 

@@ -7,11 +7,10 @@ from calibrate_constants import (bracket_space, composition_constant,
 
 from anisospec import frozen
 from anisospec.bracket_metric import g_dist_periodic, jbracket, phase_point
-from anisospec.quantize import (BandSubspace, FlowModel, WeightedSpace,
-                                bump_symbol, composition_residual,
-                                constant_symbol, egorov_residual,
-                                hw_operator_norm, microlocality_probe,
-                                trace_phase_sum)
+from anisospec.quantize import (BandSubspace, WeightedSpace, bump_symbol,
+                                composition_residual, constant_symbol,
+                                egorov_residual, hw_operator_norm,
+                                microlocality_probe, rotate, trace_phase_sum)
 from anisospec.wavepackets import BargmannTransform, TorusGrid
 
 # the two symbols of `anisospec quantize-probes` and their slow-variation
@@ -191,12 +190,11 @@ def test_composition_corollary_sweep():
 
 def test_egorov_trivial_cases(setup):
     _, _, space = setup
-    flow = FlowModel(vel=(1.0,))
     a = bump_symbol(*PROBE_A)
-    est0, _ = egorov_residual(a, H_PROBE, 0.0, flow, space, 1.0)
+    est0, _ = egorov_residual(a, H_PROBE, 0.0, space, 1.0)
     assert est0 <= 1e-10
     c = constant_symbol(3.0)
-    estc, _ = egorov_residual(c, 0.0, 1.0, flow, space, 1.0)
+    estc, _ = egorov_residual(c, 0.0, 1.0, space, 1.0)
     assert estc <= 1e-10
 
 
@@ -207,7 +205,7 @@ def test_residual_probes_reject_bad_certificate(setup, h):
     with pytest.raises(ValueError, match="certificate"):
         composition_residual(a, a, h, space, frozen.COMPOSITION_C)
     with pytest.raises(ValueError, match="certificate"):
-        egorov_residual(a, h, 1.0, FlowModel(vel=(1.0,)), space, 1.0)
+        egorov_residual(a, h, 1.0, space, 1.0)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -215,45 +213,36 @@ def test_egorov_bounded(setup, t):
     """Bump in omega on the circle rotation: residual below C_t ||h||_inf
     (translation flows make the commutator vanish to round-off)."""
     _, _, space = setup
-    flow = FlowModel(vel=(1.0,))
     a = lambda sg, eta: np.exp(-((eta[-1] - 4.0) / 6.0) ** 2 / 2) \
         * np.ones_like(sg[0])
-    est, bound = egorov_residual(a, 0.2, t, flow, space, frozen.EGOROV_CT[t])
+    est, bound = egorov_residual(a, 0.2, t, space, frozen.EGOROV_CT[t])
     assert est <= bound
     assert est <= 1e-10
 
 
-def test_flow_models():
-    flow = FlowModel(vel=(0.5, 1.0))
+def test_rotate_shifts_z_only():
+    """On a 1+1 grid, rotate moves e^{i(x + 2z)} to e^{i(x + 2(z + t))}."""
     g = TorusGrid(1, 32)
     xg, zg = g.space_grids()
-    u = np.exp(1j * (xg + 2 * zg))
     t = 0.3
-    moved = flow.transfer(u, g, t)
-    expect = np.exp(1j * ((xg + 0.5 * t) + 2 * (zg + t)))
-    assert np.max(np.abs(moved - expect)) <= 1e-10
-    rho = phase_point(x=[1.0], z=2.0, xi=[3.0], omega=4.0)
-    lifted = flow.lift(rho, t)
-    assert lifted.z == pytest.approx(2.0 - t)
-    assert lifted.x[0] == pytest.approx(1.0 - 0.5 * t)
-    assert lifted.omega == rho.omega
+    moved = rotate(np.exp(1j * (xg + 2 * zg)), g, t)
+    assert np.max(np.abs(moved - np.exp(1j * (xg + 2 * (zg + t))))) <= 1e-10
 
 
 def test_microlocality_t0_peak(circle_transform):
     tr = circle_transform
-    flow = FlowModel(vel=(1.0,))
     rho = phase_point(z=2.0, omega=6.0)
     probes = [phase_point(z=2.0 + s, omega=6.0 + w)
               for s, w in [(1.0, 0.0), (1.5, 2.0), (2.0, 8.0), (0.0, 12.0)]]
-    rep = microlocality_probe(rho, 0.0, flow, probes, tr, fit_range=(1.5, 50))
-    assert abs(rep.peak_value - 1.0) <= 0.1
+    _, peak, _, _ = microlocality_probe(rho, 0.0, probes, tr,
+                                        fit_range=(1.5, 50))
+    assert abs(peak - 1.0) <= 0.1
 
 
 def test_microlocality_illposed_probe_grid(circle_transform):
     tr = circle_transform
-    flow = FlowModel(vel=(1.0,))
     rho = phase_point(z=2.0, omega=6.0)
     near = [phase_point(z=2.0 + 0.01 * k, omega=6.0) for k in range(4)]
     with pytest.raises(ValueError):
-        microlocality_probe(rho, 0.0, flow, near, tr, fit_range=(1.5, np.inf))
+        microlocality_probe(rho, 0.0, near, tr, fit_range=(1.5, np.inf))
 

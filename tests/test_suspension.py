@@ -9,7 +9,7 @@ from anisospec.bracket_metric import MetricParams, delta_perp, jbracket
 from anisospec.cli import main
 from anisospec.errors import ResolutionError
 from anisospec.escape import DualSplitting, EscapeConfig, lifted_flow, weight
-from anisospec.quantize import FlowModel
+from anisospec.quantize import rotate
 from anisospec.suspension import (CAT_MAP, CAT_SPLIT, full_spectrum,
                                   generator_residual, orbit_representatives,
                                   transfer_time1_grid, wavefront_value,
@@ -161,7 +161,7 @@ def test_transfer_eigenfunction(t):
     grid = TorusGrid(0, 256, length=1.0)
     for k in (-2, 0, 3):
         u = np.exp(1j * 2.0 * np.pi * k * grid.axis)
-        lt = FlowModel((1.0,)).transfer(u, grid, t)
+        lt = rotate(u, grid, t)
         assert np.max(np.abs(lt - np.exp(1j * 2 * np.pi * k * t) * u)) <= 1e-12
 
 
@@ -196,7 +196,7 @@ def test_sector_decomposition_exact():
 def test_orbit_entries_asymptotic_rate():
     """Far unstable end: entry ratio -> e^{-lam (1-gamma)(1-alpha) R_u}."""
     xi_u, xi_s = CAT_SPLIT.decompose(2.0 * np.pi * np.array([1.0, 0.0]))
-    xu, xs, _ = lifted_flow(xi_u, xi_s, 0.0, np.arange(40), CAT_SPLIT)
+    xu, xs = lifted_flow(xi_u, xi_s, np.arange(40), CAT_SPLIT)
     star = np.linalg.norm(CAT_SPLIT.compose(xu, xs), axis=-1)
     end = int(np.argmax(delta_perp(star, P) * star > 40.0))
     ws = weight(xu[:end + 1], xs[:end + 1], 0.0, CAT_SPLIT, CFG, P)

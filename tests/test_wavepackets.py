@@ -1,5 +1,9 @@
 """Grids, packets, and the wave-packet transform."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +38,33 @@ def test_fcoef_finv_roundtrip():
     assert abs(c[2, -1] - g.length**2) < 1e-8
     c[2, -1] = 0.0
     assert np.max(np.abs(c)) < 1e-8
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: BLAS runs one thread whatever is asked")
+def test_inner_and_norm_independent_of_blas_threads():
+    """TorusGrid.inner and TorusGrid.norm on a 128^2 field pair give the
+    same bits under 1 and 2 BLAS threads: they must not reduce through a
+    threaded BLAS dot."""
+    code = ("import numpy as np\n"
+            "from anisospec.wavepackets import TorusGrid\n"
+            "g = TorusGrid(1, 128)\n"
+            "rng = np.random.default_rng(0)\n"
+            "f, u = (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)"
+            " for _ in range(2))\n"
+            "print(repr(g.inner(f, u)), repr(g.norm(f)), repr(g.norm(u)))\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            threads)}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        printed.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert printed[0] == printed[1]
 
 
 def test_band_limited_field_draw_order():
