@@ -22,8 +22,8 @@ import numpy as np
 from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, delta_par,
                                       distortion_from_eta_norm,
-                                      fit_power_constant, g_dist, g_norm,
-                                      jbracket, phase_point)
+                                      fit_power_constant, frequency_norm,
+                                      g_dist, g_norm, jbracket, phase_point)
 from anisospec.escape import EscapeConfig, temperate_ratio_samples
 from anisospec.fractal_count import lipschitz_unit_scale_test, synth_holder
 from anisospec.quantize import (BandSubspace, WeightedSpace, bump_symbol,
@@ -61,8 +61,8 @@ def metric_temperate(n, seed):
             r1, r2 = _random_pair(rng)
             v = rng.normal(size=4)
             ratio = g_norm(r2, v, QUARTER) / g_norm(r1, v, QUARTER)
-            br = jbracket(distortion_from_eta_norm(r1.eta_norm, QUARTER)
-                          ** gamma * g_dist(r1, r2, QUARTER))
+            delta = distortion_from_eta_norm(frequency_norm(r1), QUARTER)
+            br = jbracket(delta**gamma * g_dist(r1, r2, QUARTER))
             worst[gamma] = max(worst[gamma], ratio / br**n_exp)
     return worst
 

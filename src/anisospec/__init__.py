@@ -21,12 +21,11 @@ import numpy.ma  # noqa: F401
 import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .bracket_metric import MetricParams, PhasePoint, jbracket, phase_point
+from .bracket_metric import MetricParams, jbracket, phase_point
 from .errors import ResolutionError
 
 __all__ = [
     "MetricParams",
-    "PhasePoint",
     "jbracket",
     "phase_point",
     "ResolutionError",

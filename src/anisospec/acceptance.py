@@ -305,16 +305,16 @@ def criterion_9() -> CriterionResult:
     p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(0, 512)
     tr = BargmannTransform(g, p, window=8)
-    rho = phase_point(z=2.0, omega=8.0)
-    t_flow = 0.7
+    z0, om0, t_flow = 2.0, 8.0, 0.7
+    rho = phase_point(z=z0, omega=om0)
     # phi^t(rho) under the rotation of the flow circle
-    center = phase_point(z=rho.z - t_flow, omega=rho.omega)
-    dl = delta_par(center.eta_norm, p)
+    zc = z0 - t_flow
+    dl = delta_par(om0, p)  # |eta| = om0 on the flow circle
     probes = []
     ds = np.arange(3.0, 6.6, 0.5)
-    for d, omp in zip(ds, _par_offset(center.omega, ds, p)):
-        probes.append(phase_point(z=center.z, omega=omp))
-        probes.append(phase_point(z=center.z + d * dl, omega=center.omega))
+    for d, omp in zip(ds, _par_offset(om0, ds, p)):
+        probes.append(phase_point(z=zc, omega=omp))
+        probes.append(phase_point(z=zc + d * dl, omega=om0))
     n_fit, peak, dists, mags = microlocality_probe(rho, t_flow, probes, tr,
                                                    fit_range=(3.0, 6.6))
     ratio = float(peak / np.max(mags[dists >= 6.0]))

@@ -3,6 +3,7 @@
 The bracket <s> = sqrt(1+s^2) regularizes |s|; the metric on phase space
 (y, eta) = ((x, z), (xi, omega)) has transverse box size dperp(eta) and
 flow-direction box size dpar(eta), both shrinking like powers of |eta|.
+A phase point is a flat row (x, z, xi, omega), as phase_point builds it.
 All functions are vectorized over numpy arrays unless stated otherwise.
 """
 
@@ -87,91 +88,53 @@ def distortion_from_eta_norm(eta_norm, p: MetricParams):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A phase-space point rho = ((x, z), (xi, omega)) in flow-box coordinates.
-
-    x and xi are length-n vectors (n >= 0); z and omega are the flow
-    coordinate and flow frequency.
-    """
-
-    x: np.ndarray
-    z: float
-    xi: np.ndarray
-    omega: float
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        if x.shape != xi.shape or x.ndim != 1:
-            raise ValueError("x and xi must be 1-d vectors of equal length")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "omega", float(self.omega))
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    @property
-    def eta(self) -> np.ndarray:
-        """Full frequency vector (xi, omega)."""
-        return np.concatenate([self.xi, [self.omega]])
-
-    @property
-    def eta_norm(self) -> float:
-        return float(np.linalg.norm(self.eta))
-
-    def coords(self) -> np.ndarray:
-        """Flat coordinates ordered (x, z, xi, omega), length 2(n+1)."""
-        return np.concatenate([self.x, [self.z], self.xi, [self.omega]])
+def phase_point(x=(), z=0.0, xi=(), omega=0.0) -> np.ndarray:
+    """The phase point rho = ((x, z), (xi, omega)) in flow-box coordinates as
+    the flat row (x, z, xi, omega) of length 2(n+1); empty x and xi give the
+    n = 0 (circle) case.  x and xi of different lengths are a ValueError."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    if x.size != xi.size:
+        raise ValueError("x and xi must be 1-d vectors of equal length")
+    return np.concatenate([x, [float(z)], xi, [float(omega)]])
 
 
-def phase_point(x=(), z=0.0, xi=(), omega=0.0) -> PhasePoint:
-    """Convenience constructor; empty x/xi give the n = 0 (circle) case."""
-    return PhasePoint(x=np.asarray(x, dtype=float).reshape(-1), z=z,
-                      xi=np.asarray(xi, dtype=float).reshape(-1), omega=omega)
+def frequency_norm(rho) -> float:
+    """|eta| = |(xi, omega)| of one phase-point row."""
+    return float(np.linalg.norm(rho[len(rho) // 2:]))
 
 
-def g_norm_rows(eta_norm, v, p: MetricParams):
-    """g_norm over the leading axes: tangent vectors v of shape (..., 2(n+1))
-    at base points whose frequency norms |eta| are eta_norm, shape (...)."""
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1] // 2 - 1
-    dp, dl = delta_perp(eta_norm, p), delta_par(eta_norm, p)
-    vx, vz = v[..., :n], v[..., n]
-    vxi, vom = v[..., n + 1 : 2 * n + 1], v[..., 2 * n + 1]
-    return np.sqrt(np.sum(vx * vx, axis=-1) / dp**2
-                   + dp**2 * np.sum(vxi * vxi, axis=-1)
-                   + vz**2 / dl**2 + dl**2 * vom**2)
-
-
-def g_norm(rho: PhasePoint, v, p: MetricParams) -> float:
-    """Norm of a tangent vector v (ordered x, z, xi, omega) in the metric at rho.
+def g_norm(rho, v, p: MetricParams):
+    """Norm of tangent vectors v in the metric at phase points rho, rows of
+    shape (..., 2(n+1)) over their leading axes; a float for one point.
 
     g = (dx/dperp)^2 + (dperp dxi)^2 + (dz/dpar)^2 + (dpar domega)^2.
     """
-    if np.size(v) != 2 * (rho.n + 1):
-        raise ValueError(f"tangent vector must have length {2 * (rho.n + 1)}, got {np.size(v)}")
-    return float(g_norm_rows(rho.eta_norm, v, p))
+    rho, v = np.asarray(rho, dtype=float), np.asarray(v, dtype=float)
+    if v.shape[-1] != rho.shape[-1]:
+        raise ValueError(f"tangent vectors of length {v.shape[-1]} at "
+                         f"phase points of length {rho.shape[-1]}")
+    n = rho.shape[-1] // 2 - 1
+    eta_norm = np.linalg.norm(rho[..., n + 1:], axis=-1)
+    dp, dl = delta_perp(eta_norm, p), delta_par(eta_norm, p)
+    vx, vz = v[..., :n], v[..., n]
+    vxi, vom = v[..., n + 1 : 2 * n + 1], v[..., 2 * n + 1]
+    out = np.sqrt(np.sum(vx * vx, axis=-1) / dp**2
+                  + dp**2 * np.sum(vxi * vxi, axis=-1)
+                  + vz**2 / dl**2 + dl**2 * vom**2)
+    return float(out) if out.ndim == 0 else out
 
 
-def g_dist(rho0: PhasePoint, rho1: PhasePoint, p: MetricParams) -> float:
-    """||rho1 - rho0|| measured in the metric at rho0 (asymmetric in general)."""
-    if rho0.n != rho1.n:
-        raise ValueError("phase points have different transverse dimension")
-    return g_norm(rho0, rho1.coords() - rho0.coords(), p)
+def g_dist(rho0, rho1, p: MetricParams):
+    """|rho1 - rho0| measured in the metric at rho0 (asymmetric in general)."""
+    return g_norm(rho0, np.subtract(rho1, rho0), p)
 
 
-def g_dist_periodic(rho0: PhasePoint, rho1: PhasePoint, p: MetricParams,
-                    length: float) -> float:
+def g_dist_periodic(rho0, rho1, p: MetricParams, length: float):
     """g_dist with spatial displacements wrapped to [-length/2, length/2)."""
-    if rho0.n != rho1.n:
-        raise ValueError("phase points have different transverse dimension")
-    d = rho1.coords() - rho0.coords()
-    n = rho0.n
-    d[: n + 1] = (d[: n + 1] + 0.5 * length) % length - 0.5 * length
+    d = np.subtract(rho1, rho0, dtype=float)
+    half = d.shape[-1] // 2
+    d[..., :half] = (d[..., :half] + 0.5 * length) % length - 0.5 * length
     return g_norm(rho0, d, p)
 
 

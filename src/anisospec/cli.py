@@ -357,7 +357,9 @@ def run_weyl_boxes(cfg):
              "alphas must lie in [0.5, 1)")
     beta0, om_min, om_max = cfg["beta0"], cfg["omega_min"], cfg["omega_max"]
     _require("beta0", beta0, 0.0 < beta0 <= 1.0, "must lie in (0, 1]")
-    _require("n", cfg["n"], cfg["n"] >= 1, "must be >= 1")
+    # a counted cell has omega <= 2^34 (FINEST_CELL), which keeps a count
+    # over 16 axes a finite float; about 4 s and 60 MB at the bound
+    _require("n", cfg["n"], 1 <= cfg["n"] <= 16, "must lie in [1, 16]")
     _require("seed", cfg["seed"], cfg["seed"] >= 0, "must be >= 0")
     _require("omega_min", om_min, om_min >= 4.0, "must be >= 4")
     limit = om_max * (1 + 1e-9)

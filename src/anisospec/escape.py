@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket_metric import (MetricParams, delta_perp, g_norm_rows, jbracket,
+from .bracket_metric import (MetricParams, delta_perp, g_norm, jbracket,
                              smoothstep)
 
 A0_WIDTH = 0.2  # radians; transition width of the projective profile
@@ -320,10 +320,10 @@ def temperate_ratio_samples(split, cfg, p, n_samples=2000, seed=0):
     ratios = weight(xu1, xs1, om1, split, cfg, p) \
         / weight(xu0, xs0, om0, split, cfg, p)
     xi0, xi1 = split.compose(xu0, xs0), split.compose(xu1, xs1)
-    eta0 = np.sqrt(np.sum(xi0**2, axis=-1) + om0**2)
-    disp = np.concatenate([np.zeros((n, xi0.shape[-1] + 1)), xi1 - xi0,
-                           (om1 - om0)[:, None]], axis=1)
+    base = np.zeros((n, xi0.shape[-1] + 1))
+    rho0, rho1 = (np.concatenate([base, xi, om[:, None]], axis=1)
+                  for xi, om in ((xi0, om0), (xi1, om1)))
     _, _, star0 = _gnorm_quantities(xu0, xs0, om0, split, p)
     h = h_gamma_perp(star0, cfg, gamma=cfg.gamma_prime)
-    return ratios, jbracket(h * g_norm_rows(eta0, disp, p))
+    return ratios, jbracket(h * g_norm(rho0, rho1 - rho0, p))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bracket_metric import (MetricParams, delta_par, delta_perp, g_norm_rows,
+from .bracket_metric import (MetricParams, delta_par, delta_perp, g_norm,
                              jbracket)
 from .errors import ResolutionError
 
@@ -170,8 +170,9 @@ def growth_slopes(counts: dict, omega_list, alpha_grid) -> np.ndarray:
     slopes = []
     for al in alpha_grid:
         oms = _fit_omegas([om for om in omega_list if (om, al) in counts], al)
-        slopes.append(np.polyfit(np.log(oms),
-                                 np.log([counts[om, al] for om in oms]), 1)[0])
+        # float counts: one above 2^63 would make an object array
+        slopes.append(np.polyfit(np.log(oms), np.log(np.array(
+            [counts[om, al] for om in oms], dtype=float)), 1)[0])
     return np.asarray(slopes)
 
 
@@ -189,8 +190,8 @@ def optimal_alpha(counts: dict, omega_list, alpha_grid):
 
 
 def straighten_phi(form: HolderForm, rows):
-    """Phi(x, z, xi, omega) = (x, z, xi - omega w(x), omega) on flat
-    coordinate rows of shape (..., 2n+2), ordered as PhasePoint.coords."""
+    """Phi(x, z, xi, omega) = (x, z, xi - omega w(x), omega) on flat rows
+    of shape (..., 2n+2), ordered as phase_point returns them."""
     n = form.n
     rows = np.array(rows, dtype=float)
     if rows.shape[-1] != 2 * (n + 1):
@@ -234,7 +235,6 @@ def lipschitz_unit_scale_test(
         dxi = gdxi * sdxi / dp
         rho_p = np.hstack([x + dx, z + gdz * dl, xi + dxi, om + gdom / dl])
         phi, phi_p = np.split(straighten_phi(form, np.vstack([rho, rho_p])), 2)
-        num = jbracket(g_norm_rows(np.linalg.norm(phi[:, n + 1 :], axis=1),
-                                   phi_p - phi, p))
-        out.append(num / jbracket(g_norm_rows(en[:, 0], rho_p - rho, p)))
+        out.append(jbracket(g_norm(phi, phi_p - phi, p))
+                   / jbracket(g_norm(rho, rho_p - rho, p)))
     return out

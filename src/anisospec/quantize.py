@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bracket_metric import PhasePoint, g_dist_periodic, jbracket, phase_point
+from .bracket_metric import g_dist_periodic, jbracket
 from .wavepackets import TWO_PI, BargmannTransform, TorusGrid, check_band
 
 
@@ -74,8 +74,8 @@ class BandSubspace:
             self._basis[i] = np.exp(1j * phase) / norm
 
     def from_grid(self, u):
-        h = self.grid.h ** self.grid.d
-        return np.array([np.vdot(self._basis[i], u) * h for i in range(self.size)])
+        """Coefficients <b_i, u> of u on the modes, each by TorusGrid.inner."""
+        return np.array([self.grid.inner(b, u) for b in self._basis])
 
     def matrix(self, apply_fn) -> np.ndarray:
         """Compression P T P of an operator, as a size x size matrix."""
@@ -189,11 +189,12 @@ def egorov_residual(a, h_a: float, t: float, space: WeightedSpace,
     return est, c_frozen * (h_a * sup)
 
 
-def microlocality_probe(rho: PhasePoint, t: float, probes,
+def microlocality_probe(rho, t: float, probes,
                         transform: BargmannTransform, fit_range):
     """Decay of |<phi_rho', e^{-tX} phi_rho>| against the bracketed
     g-distance of rho' from the transported center phi^t(rho), e^{-tX} the
-    rotation of the flow circle.
+    rotation of the flow circle; rho and the probes rho' are phase-point
+    rows.
 
     Returns (N, peak, dists, mags): N the sign-flipped OLS slope of
     log|value| vs log<dist> over the probes with dist in fit_range (the
@@ -201,15 +202,15 @@ def microlocality_probe(rho: PhasePoint, t: float, probes,
     per probe its distance and |value|."""
     g = transform.grid
     moved = rotate(transform.packet_samples(rho), g, t)
-    center = phase_point(x=rho.x, z=rho.z - t, xi=rho.xi, omega=rho.omega)
-    dists = np.array([g_dist_periodic(rp, center, transform.p, g.length)
-                      for rp in probes])
+    center = np.array(rho, dtype=float)
+    center[g.n] -= t
+    dists = g_dist_periodic(np.asarray(probes), center, transform.p, g.length)
     mags = np.abs(transform.forward_at(moved, probes))
     lo, hi = fit_range
     mask = (dists >= lo) & (dists <= hi)
     if np.count_nonzero(mask) < 3:
-        raise ValueError("probe grid has too few points beyond distance 1; "
-                         "the decay fit is ill-posed")
+        raise ValueError(f"fewer than 3 probes at a distance in "
+                         f"fit_range {fit_range}; the decay fit is ill-posed")
     slope = np.polyfit(np.log(jbracket(dists[mask])),
                        np.log(mags[mask] + 1e-300), 1)[0]
     peak = float(abs(transform.forward_at(moved, [center])[0]))

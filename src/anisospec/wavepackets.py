@@ -1,7 +1,8 @@
 """Wave packets and the wave-packet (Bargmann) transform.
 
-Everything lives on periodic grids.  A packet centered at rho = (y, eta) is
-built from the frequency Gaussian
+Everything lives on periodic grids.  A packet centered at rho = (y, eta), a
+row (x, z, xi, omega) as bracket_metric.phase_point returns it, is built
+from the frequency Gaussian
 
     prof0(eta; eta') = exp(-1/2 |dperp(eta) (xi'-xi)|^2
                            - 1/2 |dpar(eta) (omega'-omega)|^2)
@@ -21,8 +22,8 @@ import itertools
 
 import numpy as np
 
-from .bracket_metric import (MetricParams, PhasePoint, delta_par, delta_perp,
-                             smoothstep)
+from .bracket_metric import (MetricParams, delta_par, delta_perp,
+                             frequency_norm, smoothstep)
 from .errors import ResolutionError
 
 TWO_PI = 2.0 * np.pi
@@ -201,11 +202,11 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     return float(out) if single else out
 
 
-def _check_packet(grid: TorusGrid, p: MetricParams, eta_norm: float, n=None):
-    """ValueError when n, a packet's transverse dimension, is not the grid's;
-    ResolutionError when a packet at frequency norm eta_norm is narrower
-    than 4 grid cells."""
-    if n is not None and n != grid.n:
+def _check_packet(grid: TorusGrid, p: MetricParams, eta_norm, rho=None):
+    """ValueError when rho, a packet's phase point, is not of the grid's
+    dimension; ResolutionError when a packet at frequency norm eta_norm is
+    narrower than 4 grid cells."""
+    if rho is not None and len(rho) != 2 * grid.d:
         raise ValueError("phase point dimension does not match the grid")
     dp = delta_perp(eta_norm, p) if grid.n else np.inf
     dl = delta_par(eta_norm, p)
@@ -215,16 +216,16 @@ def _check_packet(grid: TorusGrid, p: MetricParams, eta_norm: float, n=None):
         )
 
 
-def gaussian_packet(rho: PhasePoint, p: MetricParams, grid: TorusGrid):
+def gaussian_packet(rho, p: MetricParams, grid: TorusGrid):
     """Grid samples of the Gaussian packet at rho, L^2-normalized on the grid.
 
     A C-infinity cutoff in y' - y, 1 inside half the box radius and 0 at the
     edge, makes it periodic.
     """
-    _check_packet(grid, p, rho.eta_norm, rho.n)
-    y = np.concatenate([rho.x, [rho.z]])
-    eta = rho.eta
-    dp, dl = delta_perp(rho.eta_norm, p), delta_par(rho.eta_norm, p)
+    en = frequency_norm(rho)
+    _check_packet(grid, p, en, rho)
+    y, eta = rho[:grid.d], rho[grid.d:]
+    dp, dl = delta_perp(en, p), delta_par(en, p)
     sg = grid.space_grids()
     phase = np.zeros(grid.shape)
     q = np.zeros(grid.shape)
@@ -239,29 +240,29 @@ def gaussian_packet(rho: PhasePoint, p: MetricParams, grid: TorusGrid):
     return out / grid.norm(out)
 
 
-def _samples_from_profile(grid: TorusGrid, rho: PhasePoint, prof):
+def _samples_from_profile(grid: TorusGrid, rho, prof):
     """Grid samples of the packet at rho with normalized frequency profile prof.
 
     The constant phase e^{i eta.y} aligns the packet with the absolute-phase
     convention of the Gaussian packet (rank-one projectors are unaffected).
     """
-    y = np.concatenate([rho.x, [rho.z]])
+    y, eta = rho[:grid.d], rho[grid.d:]
     fg = grid.freq_grids()
     coef = np.exp(-1j * sum(fg[ax] * y[ax] for ax in range(grid.d))) * prof
-    phase = np.exp(1j * float(np.dot(rho.eta, y)))
+    phase = np.exp(1j * float(np.dot(eta, y)))
     return TWO_PI ** (grid.d / 2.0) * phase * grid.finv(coef)
 
 
-def exact_packet(rho: PhasePoint, p: MetricParams, grid: TorusGrid):
+def exact_packet(rho, p: MetricParams, grid: TorusGrid):
     """Grid samples of the exact packet at rho: the inverse lattice Fourier
     transform of prof0 / sqrt(m), with m by Gauss-Hermite.
 
     m is evaluated only where prof0 >= 1e-40, the cut of the m-lattice; the
     profile is 0 elsewhere, which moves no sample beyond rounding.
     """
-    _check_packet(grid, p, rho.eta_norm, rho.n)
+    _check_packet(grid, p, frequency_norm(rho), rho)
     fg = grid.freq_grids()
-    prof = _profile0(grid, [rho.eta], p)[0]
+    prof = _profile0(grid, [rho[grid.d:]], p)[0]
     keep = prof >= 1e-40
     prof[~keep] = 0.0
     prof[keep] /= np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1)[keep], p,
@@ -393,11 +394,12 @@ class BargmannTransform:
         """Normalized frequency profile prof0 / sqrt(m) of the packet."""
         return _profile0(self.grid, [eta_center], self.p)[0] / self._msqrt
 
-    def packet_samples(self, rho: PhasePoint):
+    def packet_samples(self, rho):
         """Grid samples of the exact packet as the transform normalizes it."""
-        if rho.n != self.grid.n:
+        if len(rho) != 2 * self.grid.d:
             raise ValueError("phase point dimension does not match the grid")
-        return _samples_from_profile(self.grid, rho, self.profile(rho.eta))
+        return _samples_from_profile(self.grid, rho,
+                                     self.profile(rho[self.grid.d:]))
 
     # -- the kernel ------------------------------------------------------
 

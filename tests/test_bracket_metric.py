@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anisospec import frozen
-from anisospec.bracket_metric import (MetricParams, PhasePoint, delta_par,
-                                      delta_perp, distortion_from_eta_norm,
-                                      fit_power_constant, g_dist, g_norm,
+from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
+                                      distortion_from_eta_norm,
+                                      fit_power_constant, frequency_norm,
+                                      g_dist, g_dist_periodic, g_norm,
                                       jbracket, phase_point)
 
 finite = st.floats(min_value=-1e8, max_value=1e8,
@@ -77,13 +78,41 @@ def test_g_norm_dimension_mismatch(params_half):
     rho = phase_point(x=[0.0], z=0.0, xi=[0.0], omega=0.0)
     with pytest.raises(ValueError):
         g_norm(rho, np.zeros(6), params_half)
+    with pytest.raises(ValueError):
+        g_norm(np.stack([rho, rho]), np.zeros((2, 2)), params_half)
+    for dist in (g_dist, lambda a, b, p: g_dist_periodic(a, b, p, 1.0)):
+        with pytest.raises(ValueError):
+            dist(rho, phase_point(z=0.5, omega=1.0), params_half)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_g_norm_on_a_stack_equals_its_rows(n, params_half):
+    """g_norm, g_dist and g_dist_periodic over the leading axes of (N, 2n+2)
+    rows give, bit for bit, their per-row scalar values."""
+    rng = np.random.default_rng(n)
+    rho = rng.normal(scale=20.0, size=(12, 2 * n + 2))
+    v = rng.normal(size=(12, 2 * n + 2))
+    center = rng.normal(scale=20.0, size=2 * n + 2)
+    stacked = g_norm(rho, v, params_half)
+    assert stacked.shape == (12,)
+    assert np.array_equal(stacked, [g_norm(r, w, params_half)
+                                    for r, w in zip(rho, v)])
+    assert all(isinstance(g_norm(r, w, params_half), float)
+               for r, w in zip(rho, v))
+    assert np.array_equal(g_norm(rho.reshape(3, 4, -1), v.reshape(3, 4, -1),
+                                 params_half), stacked.reshape(3, 4))
+    assert np.array_equal(g_dist(rho, center, params_half),
+                          [g_dist(r, center, params_half) for r in rho])
+    assert np.array_equal(
+        g_dist_periodic(rho, center, params_half, 2.0),
+        [g_dist_periodic(r, center, params_half, 2.0) for r in rho])
 
 
 def test_g_dist_examples(params_half):
     a = phase_point(x=[0.2], z=0.1, xi=[3.0], omega=1.0)
     assert g_dist(a, a, params_half) == 0.0
     # pure z-shift by dpar(eta) has distance exactly 1
-    dl = delta_par(a.eta_norm, params_half)
+    dl = delta_par(frequency_norm(a), params_half)
     b = phase_point(x=[0.2], z=0.1 + dl, xi=[3.0], omega=1.0)
     assert g_dist(a, b, params_half) == pytest.approx(1.0)
 
@@ -100,12 +129,13 @@ def test_distortion_examples():
     assert distortion_from_eta_norm(0.0, p) == pytest.approx(1.0)
     # hand oracle: 256^{-1/2} = 1/16
     rho = phase_point(x=[0.0], z=0.0, xi=[0.0], omega=256.0)
-    assert distortion_from_eta_norm(rho.eta_norm, p) == pytest.approx(0.0625)
+    assert distortion_from_eta_norm(frequency_norm(rho), p) \
+        == pytest.approx(0.0625)
     # Delta decreases as delta0 decreases at fixed rho
     small = MetricParams(0.3, 0.5, 0.0)
     rho1 = phase_point(x=[0.0], z=0.0, xi=[1.0], omega=0.0)
-    assert distortion_from_eta_norm(rho1.eta_norm, small) \
-        < distortion_from_eta_norm(rho1.eta_norm, p)
+    assert distortion_from_eta_norm(frequency_norm(rho1), small) \
+        < distortion_from_eta_norm(frequency_norm(rho1), p)
 
 
 def test_metric_moderate_temperate_frozen():
@@ -116,12 +146,17 @@ def test_metric_moderate_temperate_frozen():
 
 
 def test_phase_point_roundtrip():
+    """A phase point is the flat float row (x, z, xi, omega); its slices
+    build the same row again."""
     rho = phase_point(x=[1.0, 2.0], z=3.0, xi=[4.0, 5.0], omega=6.0)
-    c = rho.coords()
-    assert np.array_equal(c, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    back = PhasePoint(x=c[:2], z=c[2], xi=c[3:5], omega=c[5])
-    assert np.array_equal(back.coords(), c)
-    assert rho.eta_norm == pytest.approx(np.sqrt(16 + 25 + 36))
+    assert rho.dtype == float
+    assert np.array_equal(rho, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    back = phase_point(x=rho[:2], z=rho[2], xi=rho[3:5], omega=rho[5])
+    assert np.array_equal(back, rho)
+    assert frequency_norm(rho) == pytest.approx(np.sqrt(16 + 25 + 36))
+    assert np.array_equal(phase_point(z=1.0, omega=2.0), [1.0, 2.0])
+    with pytest.raises(ValueError):
+        phase_point(x=[1.0, 2.0], xi=[4.0])
 
 
 def test_fit_power_constant():

@@ -324,6 +324,7 @@ def test_malformed_config_rejected(tmp_path):
                  ["weyl-boxes", "--alpha-grid", "0.3:0.9:0.1"],
                  ["weyl-boxes", "--beta0", "0"],
                  ["weyl-boxes", "--n", "0"],
+                 ["weyl-boxes", "--n", "17"],
                  ["weyl-boxes", "--omega-max", "100"],
                  ["weyl-boxes", "--omega-max", "inf"],
                  ["quantize-probes", "--band", "-1"],

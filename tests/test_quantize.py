@@ -139,8 +139,8 @@ def test_power_iteration_close_to_dense(setup, weight):
 
 def _at(fn, rho):
     """fn(space_grids, eta) at the phase point rho, on one-point grids."""
-    sg = [np.array([c]) for c in np.concatenate([rho.x, [rho.z]])]
-    return np.asarray(fn(sg, rho.eta)).ravel()[0]
+    d = len(rho) // 2
+    return np.asarray(fn([np.array([c]) for c in rho[:d]], rho[d:])).ravel()[0]
 
 
 def test_symbol_certificate_sampling(params_half):
@@ -243,6 +243,6 @@ def test_microlocality_illposed_probe_grid(circle_transform):
     tr = circle_transform
     rho = phase_point(z=2.0, omega=6.0)
     near = [phase_point(z=2.0 + 0.01 * k, omega=6.0) for k in range(4)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fewer than 3 probes"):
         microlocality_probe(rho, 0.0, near, tr, fit_range=(1.5, np.inf))
 

@@ -12,8 +12,8 @@ from calibrate_constants import packet_constants
 
 from anisospec import frozen
 from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
-                                      distortion_from_eta_norm, jbracket,
-                                      phase_point)
+                                      distortion_from_eta_norm, frequency_norm,
+                                      jbracket, phase_point)
 from anisospec.errors import ResolutionError
 from anisospec.wavepackets import (_BATCH_BYTES, _NODE_BLOCK_BYTES,
                                    _NORM_POINTS, TWO_PI,
@@ -43,16 +43,18 @@ def test_fcoef_finv_roundtrip():
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="one core: BLAS runs one thread whatever is asked")
 def test_inner_and_norm_independent_of_blas_threads():
-    """TorusGrid.inner and TorusGrid.norm on a 128^2 field pair give the
-    same bits under 1 and 2 BLAS threads: they must not reduce through a
-    threaded BLAS dot."""
+    """TorusGrid.inner, TorusGrid.norm and the band coefficients of
+    BandSubspace.from_grid on a 128^2 field pair give the same bits under 1
+    and 2 BLAS threads: they must not reduce through a threaded BLAS dot."""
     code = ("import numpy as np\n"
+            "from anisospec.quantize import BandSubspace\n"
             "from anisospec.wavepackets import TorusGrid\n"
             "g = TorusGrid(1, 128)\n"
             "rng = np.random.default_rng(0)\n"
             "f, u = (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)"
             " for _ in range(2))\n"
-            "print(repr(g.inner(f, u)), repr(g.norm(f)), repr(g.norm(u)))\n")
+            "print(repr(g.inner(f, u)), repr(g.norm(f)), repr(g.norm(u)))\n"
+            "print(BandSubspace(g, 2).from_grid(u).tolist())\n")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     printed = []
     for threads in ("1", "2"):
@@ -274,9 +276,9 @@ def test_exact_samples_match_full_grid_m(params_half, n, points, length, xi,
     g = TorusGrid(n, points, length)
     rho = phase_point(x=[1.0] * n, z=2.0, xi=xi, omega=omega)
     fg = g.freq_grids()
-    assert 0 < np.count_nonzero(_profile0(g, [rho.eta], p) < 1e-40)
+    assert 0 < np.count_nonzero(_profile0(g, [rho[g.d:]], p) < 1e-40)
     m = m_gauss_hermite(np.stack(fg, axis=-1), p, g.d)
-    prof = _profile0(g, [rho.eta], p)[0] / np.sqrt(m)
+    prof = _profile0(g, [rho[g.d:]], p)[0] / np.sqrt(m)
     ref = _samples_from_profile(g, rho, prof)
     ex = exact_packet(rho, p, g)
     assert np.max(np.abs(ex - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -321,10 +323,10 @@ def test_packet_norm_mask_matches_full_evaluation(params_half, e):
 def test_packet_spatial_decay_exponent(params_half):
     """|phi(y')| <= C_N <dist>^-N with fitted N >= 6 at distance >= 3."""
     g = TorusGrid(0, 1024)
-    rho = phase_point(z=np.pi, omega=16.0)
-    ex = exact_packet(rho, params_half, g)
-    dl = delta_par(rho.eta_norm, params_half)
-    dz = (g.axis - rho.z + np.pi) % (2 * np.pi) - np.pi
+    z0, om0 = np.pi, 16.0
+    ex = exact_packet(phase_point(z=z0, omega=om0), params_half, g)
+    dl = delta_par(om0, params_half)
+    dz = (g.axis - z0 + np.pi) % (2 * np.pi) - np.pi
     dist = np.abs(dz) / dl
     mask = (dist >= 3.0) & (dist <= 5.0)
     n_fit = -np.polyfit(np.log(jbracket(dist[mask])),
@@ -334,11 +336,11 @@ def test_packet_spatial_decay_exponent(params_half):
 
 def test_packet_frequency_decay_exponent(params_half):
     g = TorusGrid(0, 1024)
-    rho = phase_point(z=np.pi, omega=16.0)
-    ex = exact_packet(rho, params_half, g)
+    om0 = 16.0
+    ex = exact_packet(phase_point(z=np.pi, omega=om0), params_half, g)
     fhat = g.fcoef(ex)
-    dl = delta_par(rho.eta_norm, params_half)
-    dist = np.abs(g.freqs_1d - rho.omega) * dl
+    dl = delta_par(om0, params_half)
+    dist = np.abs(g.freqs_1d - om0) * dl
     mask = (dist >= 3.0) & (dist <= 5.0)
     n_fit = -np.polyfit(np.log(jbracket(dist[mask])),
                         np.log(np.abs(fhat[mask]) + 1e-300), 1)[0]
@@ -354,7 +356,7 @@ def test_forward_of_packet_is_near_one(circle_transform):
     rho = phase_point(z=2.0, omega=6.0)
     pk = tr.packet_samples(rho)
     val = abs(tr.forward_at(pk, [rho])[0])
-    delta = distortion_from_eta_norm(rho.eta_norm, tr.p)
+    delta = distortion_from_eta_norm(frequency_norm(rho), tr.p)
     assert abs(val - 1.0) <= frozen.PACKET_NORM_DEFECT_C * delta + 1e-6
 
 
