@@ -381,7 +381,8 @@ def criterion_11() -> CriterionResult:
              for shift in shifts],
             n_pairs=10000, seed=4)
         for b0, shifts in ((0.5, (0.0, 0.1)), (0.8, (0.0,))))
-    v5, v8, v_bad = (np.count_nonzero(r > frozen.LIPSCHITZ_C[b0])
+    # a NaN ratio counts as a violation
+    v5, v8, v_bad = (np.count_nonzero(~(r <= frozen.LIPSCHITZ_C[b0]))
                      for r, b0 in ((r5, 0.5), (r8, 0.8), (r_bad, 0.5)))
     ok = v5 == 0 and v8 == 0 and v_bad > 0
     details = [f"b0=0.5: viol {v5}", f"b0=0.8: viol {v8}",

@@ -6,15 +6,14 @@ plus command-line overrides; unknown keys are rejected, and every value is
 cast to the type of its key's default.  Each runner returns its verdict and
 its artifacts; `main` writes them with a manifest echoing the resolved
 config and the library version.  Exit codes:
-0 success, 1 assertion/certification failure, 2 config parse error,
-3 resolution error.  RUELLE_THREADS caps the parallelism of verify-all.
+0 success, 1 assertion/certification failure, 2 config error (a value
+out of float64 too), 3 resolution error.  RUELLE_THREADS caps verify-all.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import pathlib
 import sys
@@ -135,25 +134,17 @@ def run_toy(cfg):
         _require(key, cfg[key], cfg[key] != 0, "must be nonzero")
     for key in ("w0", "w1", "r"):
         _require(key, cfg[key], np.isfinite(cfg[key]), "must be finite")
-    _require("window", cfg["window"], cfg["window"] >= 2, "must be >= 2")
+    # 2 window + 1 entries per sequence: about 0.5 s and 150 MB at the bound
+    _require("window", cfg["window"], 2 <= cfg["window"] <= 10**6,
+             "must lie in [2, 1000000]")
     # the section's dense eigvals take time like section_n^3: 9 s at 2000
     _require("section_n", cfg["section_n"], 10 <= cfg["section_n"] <= 2000,
              "must lie in [10, 2000]")
-    half = cfg["window"]
-    # the eigenvector tails c / w0^j (2 <= j <= window) and c w1^(|j|+1)
-    # (1 <= |j| <= window), c = 1 - w0/w1, and their powers of w0 and w1
-    # must stay inside the normal float64 range; their log-magnitudes are
-    # linear in j, so the ends of the window decide
-    logs = [-j * math.log(abs(cfg["w0"])) for j in (2, half)] \
-        + [j * math.log(abs(cfg["w1"])) for j in (2, half + 1)]
-    c = abs(1.0 - cfg["w0"] / cfg["w1"])
-    logs += [v + math.log(c) for v in logs] if c else []
-    lo, hi = (math.log(v) for v in (np.finfo(float).tiny, np.finfo(float).max))
-    _require("window", half, all(lo <= v <= hi for v in logs),
-             "must keep the eigenvector entries inside the float64 range")
     model = ShiftModel(w0=cfg["w0"], w1=cfg["w1"], r=cfg["r"],
-                       window=(-half, half))
-    seq_u, seq_v = eigvec_U(model), eigvec_V(model)
+                       window=(-cfg["window"], cfg["window"]))
+    # an eigenvector entry below the normal float64 range is refused too
+    with np.errstate(under="raise"):
+        seq_u, seq_v = eigvec_U(model), eigvec_V(model)
     report = finite_section_report(model, cfg["section_n"])
     out = {
         "memberships": {
@@ -187,7 +178,6 @@ def run_resolution_check(cfg):
 
     # points^2 grid points: about 45 s and 94 MB at the bound
     _require("points", cfg["points"], cfg["points"] <= 512, "must be <= 512")
-    _require("band", cfg["band"], cfg["band"] >= 0, "must be >= 0")
     _require("seed", cfg["seed"], cfg["seed"] >= 0, "must be >= 0")
     p = _validated(MetricParams, cfg["delta0"], cfg["alpha_perp"],
                    cfg["alpha_par"])
@@ -195,7 +185,8 @@ def run_resolution_check(cfg):
     # strictly increasing, as the decreasing verdict compares neighbours
     windows = _parse_list("windows", cfg["windows"], int,
                           lambda ws: min(ws) >= 0 and ws == sorted(set(ws)))
-    u = band_limited_field(g, cfg["band"], np.random.default_rng(cfg["seed"]))
+    u = _validated(band_limited_field, g, cfg["band"],
+                   np.random.default_rng(cfg["seed"]))
     # one pass over the largest window's centers serves every window
     recs = BargmannTransform(g, p, window=max(windows)).op_apply(
         u, windows=windows)
@@ -224,18 +215,16 @@ def run_quantize_probes(cfg):
     # about 1 s and 45 MB at the bound, at the default window and band
     _require("points", cfg["points"], cfg["points"] <= 2048,
              "must be <= 2048")
-    for key in ("window", "band"):
-        _require(key, cfg[key], cfg[key] >= 0, "must be >= 0")
     _require("weight_order", cfg["weight_order"],
              np.isfinite(cfg["weight_order"]), "must be finite")
     p = MetricParams(1.0, 0.5, 0.5)
     g = _validated(TorusGrid, 0, cfg["points"])
-    tr = BargmannTransform(g, p, window=cfg["window"])
+    tr = _validated(BargmannTransform, g, p, window=cfg["window"])
     r_ord = cfg["weight_order"]
     space = _validated(
         WeightedSpace, weight=lambda sg, eta: jbracket(eta[-1]) ** r_ord
         * np.ones_like(sg[0]), transform=tr,
-        band=BandSubspace(g, cfg["band"]))
+        band=_validated(BandSubspace, g, cfg["band"]))
 
     base_params = {"points": cfg["points"], "window": cfg["window"],
                    "band": cfg["band"], "weight_order": cfg["weight_order"]}
@@ -356,7 +345,6 @@ def run_weyl_boxes(cfg):
              0.5 <= alphas[0] and alphas[-1] < 1.0,
              "alphas must lie in [0.5, 1)")
     beta0, om_min, om_max = cfg["beta0"], cfg["omega_min"], cfg["omega_max"]
-    _require("beta0", beta0, 0.0 < beta0 <= 1.0, "must lie in (0, 1]")
     # a counted cell has omega <= 2^34 (FINEST_CELL), which keeps a count
     # over 16 axes a finite float; about 4 s and 60 MB at the bound
     _require("n", cfg["n"], 1 <= cfg["n"] <= 16, "must lie in [1, 16]")
@@ -370,7 +358,7 @@ def run_weyl_boxes(cfg):
         omegas.append(omegas[-1] * 2.0)
     _require("omega_max", om_max, len(omegas) >= 6,
              "must leave at least 6 dyadic omegas from omega_min")
-    form = synth_holder(beta0, seed=cfg["seed"], n=cfg["n"])
+    form = _validated(synth_holder, beta0, seed=cfg["seed"], n=cfg["n"])
     counts = box_counts(form, omegas, alphas)
     a_star, e_star = optimal_alpha(counts, omegas, alphas)
     return True, {
@@ -439,13 +427,15 @@ def main(argv=None) -> int:
     A runner returns (ok, artifacts), artifacts mapping each file name to a
     JSON object or, for a .csv name, to its rows, header first.  Nothing is
     written when the config or the run fails before the runner returns; an
-    output directory that cannot be written is a config error too.
+    unwritable output directory and a value leaving float64 (an overflow,
+    invalid operation or division by zero) are config errors too.
     """
     args = build_parser().parse_args(argv)
     defaults, runner = SUBCOMMANDS[args.command]
     try:
         cfg = resolve_config(args, defaults)
-        ok, artifacts = runner(cfg)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ok, artifacts = runner(cfg)
         outdir = pathlib.Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         manifest = {"command": args.command, "config": cfg,
@@ -457,6 +447,9 @@ def main(argv=None) -> int:
                            default=_json_default) + "\n")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"config error: a value leaves float64: {exc}", file=sys.stderr)
         return 2
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)

@@ -29,30 +29,18 @@ class DualSplitting:
 
     e_u_dual / e_s_dual are unit covectors spanning the transverse plane,
     the Anosov one-form is the flow covector dz (A(X) = 1, kernel the
-    transverse plane), and lam is the hyperbolicity exponent.
+    transverse plane), and lam > 0 is the hyperbolicity exponent.
     """
 
     e_u_dual: np.ndarray
     e_s_dual: np.ndarray
     lam: float
 
-    def __post_init__(self):
-        eu = np.asarray(self.e_u_dual, dtype=float)
-        es = np.asarray(self.e_s_dual, dtype=float)
-        if eu.shape != es.shape or eu.ndim != 1:
-            raise ValueError("dual directions must be 1-d vectors of equal length")
-        for name, e in (("e_u_dual", eu), ("e_s_dual", es)):
-            e = e / np.linalg.norm(e)
-            e.setflags(write=False)  # one splitting is shared by many callers
-            object.__setattr__(self, name, e)
-        if not self.lam > 0:
-            raise ValueError("need lam > 0")
-
     @classmethod
     def from_matrix(cls, m) -> "DualSplitting":
         """Splitting from a hyperbolic 2x2 matrix acting on frequencies.
 
-        Eigenvectors are normalized to unit length with positive first
+        Read-only eigenvectors, normalized to unit length with positive first
         coordinate; the expanding one is the unstable dual direction.
         """
         m = np.asarray(m, dtype=float)
@@ -69,7 +57,9 @@ class DualSplitting:
             e = v[:, i]
             if e[0] < 0 or (e[0] == 0 and e[1] < 0):
                 e = -e
-            vecs.append(e / np.linalg.norm(e))
+            e = e / np.linalg.norm(e)
+            e.setflags(write=False)  # one splitting is shared by many callers
+            vecs.append(e)
         return cls(e_u_dual=vecs[0], e_s_dual=vecs[1],
                    lam=float(np.log(np.abs(w[iu]))))
 
@@ -108,19 +98,13 @@ class EscapeConfig:
     def __post_init__(self):
         if self.variant not in ("W_lemma42", "W2"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not all(math.isfinite(v)
+        if not all(0.0 < v < math.inf
                    for v in (self.r_u, self.r_s, self.h0, self.t_avg)):
-            raise ValueError("r_u, r_s, h0 and t_avg must be finite")
-        if not (self.r_u > 0 and self.r_s > 0):
-            raise ValueError("r_u and r_s must be positive")
+            raise ValueError("r_u, r_s, h0 and t_avg must lie in (0, inf)")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 <= self.gamma_prime <= self.gamma:
             raise ValueError("gamma_prime must lie in [0, gamma]")
-        if not self.h0 > 0:
-            raise ValueError("h0 must be positive")
-        if not self.t_avg > 0:
-            raise ValueError("t_avg must be positive")
 
 
 def _gnorm_quantities(xi_u, xi_s, omega, split: DualSplitting, p: MetricParams):

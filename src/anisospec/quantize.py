@@ -199,7 +199,7 @@ def microlocality_probe(rho, t: float, probes,
     Returns (N, peak, dists, mags): N the sign-flipped OLS slope of
     log|value| vs log<dist> over the probes with dist in fit_range (the
     fitted N of the <dist>^-N bound), peak the value at phi^t(rho), and
-    per probe its distance and |value|."""
+    per probe its distance, in the metric at that probe, and |value|."""
     g = transform.grid
     moved = rotate(transform.packet_samples(rho), g, t)
     center = np.array(rho, dtype=float)

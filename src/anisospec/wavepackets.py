@@ -101,8 +101,10 @@ def field_norm(x) -> float:
 
 
 def check_band(grid: TorusGrid, band: int):
-    """ResolutionError when the 2 band + 1 lattice modes per axis exceed the
-    grid's points: beyond them the modes alias."""
+    """ValueError for band < 0, ResolutionError when its 2 band + 1 modes
+    per axis exceed the grid's points: beyond them the modes alias."""
+    if band < 0:
+        raise ValueError(f"band must be >= 0, got {band!r}")
     if 2 * band + 1 > grid.points:
         raise ResolutionError("band exceeds the grid's DFT lattice")
 
@@ -110,7 +112,7 @@ def check_band(grid: TorusGrid, band: int):
 def band_limited_field(grid: TorusGrid, band: int, rng):
     """sum_k c_k e^{i k.y} over the lattice modes with |k_i| <= band, with
     c_k = normal + i normal drawn from rng, modes in row-major order.
-    An aliasing band is a ResolutionError (check_band)."""
+    The band is checked by check_band."""
     check_band(grid, band)
     sg = grid.space_grids()
     u = np.zeros(grid.shape, dtype=complex)

@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 import anisospec
+from anisospec import acceptance
 from anisospec.acceptance import ALL_CRITERIA, _par_offset
 from anisospec.bracket_metric import MetricParams, delta_par
 
@@ -25,6 +26,16 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criterion_11_counts_a_nan_ratio(monkeypatch):
+    """A NaN ratio is a violation: it is not below the frozen constant.
+    The sharpness case keeps its violation, so only the NaN can fail it."""
+    def one_nan_ratio(form, metrics, n_pairs, seed):
+        return [np.array([0.5, np.nan]), np.array([1e3])][:len(metrics)]
+
+    monkeypatch.setattr(acceptance, "lipschitz_unit_scale_test", one_nan_ratio)
+    assert not acceptance.criterion_11().passed
 
 
 def _offset_cases():

@@ -1,6 +1,9 @@
 """Every frozen constant is measured by scripts/calibrate_constants.py, or
 named here with the reason it is not."""
 
+import numpy as np
+
+import calibrate_constants
 from calibrate_constants import CALIBRATION
 
 from anisospec import frozen
@@ -24,3 +27,13 @@ def test_every_frozen_constant_is_calibrated_or_named():
                   for name in measured}
     assert not calibrated & UNCALIBRATED.keys()
     assert calibrated | UNCALIBRATED.keys() == constants
+
+
+def test_nan_extremum_reaches_its_constant(monkeypatch, capsys):
+    """A NaN measurement is not below its frozen constant, so main fails."""
+    monkeypatch.setattr(calibrate_constants, "CALIBRATION", {
+        lambda: np.nan: ({}, ["GDIST_EQUIV_C"], lambda v: [
+            calibrate_constants._at_least("nan: C", v,
+                                          frozen.GDIST_EQUIV_C)])})
+    assert calibrate_constants.main() == 1
+    assert "frozen constant reached: nan: C >= nan" in capsys.readouterr().out

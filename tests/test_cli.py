@@ -343,6 +343,7 @@ def test_malformed_config_rejected(tmp_path):
                  ["toy", "--window", "1100"],
                  ["toy", "--w1", "0.001", "--window", "1023"],
                  ["toy", "--window", "100000000"],
+                 ["toy", "--w0", "1", "--w1", "1", "--window", "1000001"],
                  ["resolution-check", "--points", "7"],
                  ["resolution-check", "--delta0", "0"],
                  ["resolution-check", "--length", "0"],
@@ -365,9 +366,32 @@ def test_malformed_config_rejected(tmp_path):
                  ["quantize-probes", "--points", "100000000"],
                  ["resolution-check", "--points", "514"],
                  ["resolution-check", "--points", "100000000"],
-                 ["resolution-check", "--delta0", "inf"]):
+                 ["resolution-check", "--delta0", "inf"],
+                 # configs that drive a value out of float64
+                 ["toy", "--r", "800"],
+                 ["toy", "--r", "-800"],
+                 ["toy", "--r", "710"],
+                 ["toy", "--r", "-355"],
+                 ["escape-sweep", "--r-u", "1e300"],
+                 ["escape-sweep", "--h0", "1e300"],
+                 ["escape-sweep", "--omega", "1e200"],
+                 ["escape-sweep", "--variant", "W2", "--t-avg", "1e300"],
+                 ["suspension", "--R", "300"]):
         assert run(args + ["--output-dir", tmp_path / "y"]) == 2
         assert not (tmp_path / "y").exists()
+
+
+def test_float64_overflow_is_a_config_error(tmp_path, monkeypatch, capsys):
+    """Any runner whose arithmetic leaves float64 exits 2, writing nothing."""
+    def overflowing_runner(cfg):
+        return True, {"toy.json": float(np.exp(np.array(1000.0)))}
+
+    monkeypatch.setitem(SUBCOMMANDS, "toy",
+                        (SUBCOMMANDS["toy"][0], overflowing_runner))
+    assert run(["toy", "--output-dir", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: a value leaves float64: overflow")
+    assert not (tmp_path / "x").exists()
 
 
 def test_unwritable_output_dir_exits_2(tmp_path, capsys):

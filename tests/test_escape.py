@@ -55,7 +55,7 @@ def test_escape_config_validation():
     with pytest.raises(ValueError):
         EscapeConfig(r_u=0.0)
     for bad in (dict(t_avg=0.0), dict(t_avg=np.nan), dict(r_u=np.inf),
-                dict(r_s=np.nan), dict(h0=np.inf)):
+                dict(r_s=np.nan), dict(h0=np.inf), dict(h0=0.0)):
         with pytest.raises(ValueError):
             EscapeConfig(**bad)
 

@@ -120,10 +120,13 @@ def test_orbit_window_past_200_steps_is_a_resolution_error(tmp_path):
 
 
 def test_mapping_torus_validation():
-    # the suspension's matrix is the read-only cat map; the dual splitting
-    # that every certificate reads refuses any other kind of matrix
+    # the suspension's matrix is the read-only cat map, and its dual
+    # splitting, which every certificate reads, is read-only too; the
+    # splitting refuses any other kind of matrix
     with pytest.raises(ValueError):
         CAT_MAP[0, 0] = 3
+    with pytest.raises(ValueError):
+        CAT_SPLIT.e_u_dual[0] = 1.0
     with pytest.raises(ValueError):
         DualSplitting.from_matrix(((1, 1), (0, 1)))       # parabolic
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
                                       distortion_from_eta_norm, frequency_norm,
                                       jbracket, phase_point)
 from anisospec.errors import ResolutionError
+from anisospec.quantize import BandSubspace
 from anisospec.wavepackets import (_BATCH_BYTES, _NODE_BLOCK_BYTES,
                                    _NORM_POINTS, TWO_PI,
                                    BargmannTransform, TorusGrid, _m_lattice,
@@ -531,6 +532,15 @@ def test_phase_window_guard(params_half):
     g = TorusGrid(0, 64)
     with pytest.raises(ResolutionError):
         BargmannTransform(g, params_half, window=40)
+
+
+def test_negative_band_rejected():
+    """A negative band is a ValueError, not an empty band or a zero field."""
+    g = TorusGrid(0, 16)
+    with pytest.raises(ValueError):
+        BandSubspace(g, -1)
+    with pytest.raises(ValueError):
+        band_limited_field(g, -1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("window", [(2, 3, 4), (3,), -1, 2.7, (3, 1.5), 1.9,
