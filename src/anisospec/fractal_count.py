@@ -9,6 +9,7 @@ growth exponent is minimized at alpha = 1/(1+beta0).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -202,26 +203,29 @@ def straighten_phi(form: HolderForm, rows):
 
 
 def lipschitz_unit_scale_test(
-        form: HolderForm, ps: Sequence[MetricParams], n_pairs: int = 10000,
-        seed: int = 0) -> list[np.ndarray]:
+        cases: Sequence[tuple[HolderForm, MetricParams]],
+        n_pairs: int = 10000, seed: int = 0) -> list[np.ndarray]:
     """Sampled check of <|Phi(rho') - Phi(rho)|_g(Phi rho)> <= C <|rho'-rho|_g(rho)>:
-    per metric of ps, the array of per-pair ratios of the two sides, all on
-    one draw of pairs.
+    per (form, metric) case, the array of per-pair ratios of the two sides,
+    all on one draw of pairs; cases whose forms differ in n are a ValueError.
 
     Pairs are drawn with base offsets at the metric scale dperp(eta) and
     log-uniform frequencies from 10 up to 1e6, which is where a too-small
-    alpha_perp is expected to break the bound.  The draws do not depend on
-    the metric, so each array is that of a call with its metric alone.
+    alpha_perp is expected to break the bound.  The draws, streamed pair by
+    pair into one table, depend on neither the form nor the metric, so each
+    array is that of a call with its case alone.
     """
-    n = form.n
+    if len(ns := {form.n for form, _ in cases}) != 1:
+        raise ValueError(f"the forms of the cases must share one n, got {ns}")
+    (n,) = ns
     rng = np.random.default_rng(seed)
     # per pair, in draw order: log omega, x, xi, z, dx, |dx|, dxi, |dxi|, dz, domega
-    draws = np.array([np.hstack([
+    draws = np.fromiter(itertools.chain.from_iterable((
         rng.uniform(np.log(10.0), np.log(1.0e6)),
-        rng.uniform(0.0, 1.0, size=n), rng.normal(size=n), rng.uniform(0, 1),
-        rng.normal(size=n), rng.uniform(0.2, 3.0),
-        rng.normal(size=n), rng.uniform(0.0, 2.0), rng.normal(), rng.normal()])
-        for _ in range(n_pairs)]).reshape(n_pairs, 4 * n + 6)
+        *rng.uniform(0.0, 1.0, size=n), *rng.normal(size=n), rng.uniform(0, 1),
+        *rng.normal(size=n), rng.uniform(0.2, 3.0),
+        *rng.normal(size=n), rng.uniform(0.0, 2.0), rng.normal(), rng.normal())
+        for _ in range(n_pairs)), float).reshape(n_pairs, 4 * n + 6)
     log_om, x, gxi, z, gdx, sdx, gdxi, sdxi, gdz, gdom = np.split(
         draws, np.cumsum([1, n, n, 1, n, 1, n, 1, 1]), axis=1)
     om = np.exp(log_om)
@@ -229,7 +233,7 @@ def lipschitz_unit_scale_test(
     en = np.linalg.norm(np.hstack([xi, om]), axis=1, keepdims=True)
     rho = np.hstack([x, z, xi, om])
     out = []
-    for p in ps:
+    for form, p in cases:
         dp, dl = delta_perp(en, p), delta_par(en, p)
         dx = gdx * (sdx / np.linalg.norm(gdx, axis=1, keepdims=True) * dp)
         dxi = gdxi * sdxi / dp

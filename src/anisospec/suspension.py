@@ -200,8 +200,8 @@ def wavefront_extrema(k: int, split: DualSplitting, p: MetricParams,
     over covectors whose xi_u, xi_s, omega - 2 pi k are normal * U(0, 30)."""
     om0 = 2.0 * np.pi * k
     rng = np.random.default_rng(seed)
-    xu, xs, dom = np.array([[rng.normal() * rng.uniform(0, 30) for _ in range(3)]
-                            for _ in range(n_samples)]).reshape(-1, 3).T
+    xu, xs, dom = np.fromiter((rng.normal() * rng.uniform(0, 30) for _ in
+                               range(3 * n_samples)), float).reshape(-1, 3).T
     om = om0 + dom
     val = wavefront_value(k, xu, xs, om, split, p)
     w = weight(xu, xs, om, split, cfg, p)

@@ -17,7 +17,6 @@ truncation of the phase window).
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -168,6 +167,11 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     def along(a, ax):  # a (block, nodes) array on node axis ax of the buffer
         return a.reshape((-1,) + (1,) * ax + (t.size,) + (1,) * (d - 1 - ax))
 
+    def node_delta(en_i, alpha, delta):  # the power -1/2 as 1/sqrt
+        with np.errstate(divide="ignore"):
+            return np.minimum(p.delta0, 1.0 / np.sqrt(en_i)) if alpha == 0.5 \
+                else delta(en_i, p)
+
     out = np.empty(pts.shape[0])
     # blocks of points with every node: the node buffer and its scratch
     # twin hold at most _NODE_BLOCK_BYTES each and are reused, so the
@@ -187,8 +191,9 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
             b += along(eta[ax] * eta[ax], ax)
         en_i = np.sqrt(b, out=b)
         # |prof0|^2 = exp(-(dp (xi - xi'))^2 - (dl (om - om'))^2)
-        dl = delta_par(en_i, p)  # one power for both deltas when they agree
-        dp = dl if p.alpha_perp == p.alpha_par else delta_perp(en_i, p)
+        dl = node_delta(en_i, p.alpha_par, delta_par)  # one when they agree
+        dp = dl if p.alpha_perp == p.alpha_par \
+            else node_delta(en_i, p.alpha_perp, delta_perp)
         # q, the sum of the squares in axis order, overwrites |eta|
         for ax, dk in enumerate([dp] * (d - 1) + [dl]):
             term = tmp if ax else b
@@ -311,7 +316,10 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
     1e-40, which cannot round a sum holding the center's own term 1.  On the
     fftshifted (sorted) lattice a box is a slice; the centers are added in
     lattice order into one accumulator per chunk of 64, as in the dense sum,
-    so the result is bitwise that of the dense sum.
+    so the result is bitwise that of the dense sum.  Up to 8 consecutive
+    centers share a buffer over their boxes' bounding window: the
+    accumulator in row 0, then a Gaussian per row, exactly 0 off its box, and
+    a sum over axis 0 adds the rows in order, as one center at a time would.
     """
     full = np.stack([f.ravel() for f in g.freq_grids()], axis=1)
     freqs = np.fft.fftshift(g.freqs_1d)
@@ -323,17 +331,23 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
         # box center and half-width in lattice steps
         ks = np.rint(cs / g.d_eta).astype(int) + g.points // 2
         rs = (np.sqrt(np.log(1e40)) / g.d_eta / scales).astype(int) + 1
-        # negated squared distances per center and axis; negation is exact,
-        # so exp of their sum is bitwise exp of minus the sum of squares
-        # (at d = 1 the in-place exp writes into the center's own row of
-        # nsq, which is not read again)
+        lo, hi = np.maximum(ks - rs, 0), np.minimum(ks + rs + 1, g.points)
+        # negated squared distances per center and axis, -inf off the box;
+        # negation is exact, so exp of their sum is bitwise exp of minus the
+        # sum of squares, and exp(-inf) = 0 adds nothing
         nsq = -(scales[:, :, None] * (freqs - cs[:, :, None])) ** 2
+        nsq[abs(np.arange(g.points) - ks[..., None]) > rs[..., None]] = -np.inf
         acc = np.zeros(g.shape)
-        for rows, k, r in zip(nsq, ks, rs):
-            box = [slice(max(a - b, 0), a + b + 1) for a, b in zip(k, r)]
-            term = functools.reduce(np.add.outer,
-                                    [row[b] for row, b in zip(rows, box)])
-            acc[tuple(box)] += np.exp(term, out=term)
+        for s8 in (slice(i, i + 8) for i in range(0, cs.shape[0], 8)):
+            win = tuple(map(slice, lo[s8].min(axis=0), hi[s8].max(axis=0)))
+            buf = np.empty((len(nsq[s8]) + 1,) + acc[win].shape)
+            for ax, w in enumerate(win):  # the outer sums from 0, axis by axis
+                np.add(buf[1:] if ax else 0.0, nsq[s8, ax, w].reshape(
+                    (len(buf) - 1,) + (1,) * ax + (-1,) + (1,) * (g.d - 1 - ax)),
+                    out=buf[1:])
+            np.exp(buf[1:], out=buf[1:])
+            buf[0] = acc[win]
+            np.sum(buf, axis=0, out=acc[win])
         out += acc
     return np.fft.ifftshift(out) * g.d_eta**g.d
 

@@ -17,6 +17,7 @@ import anisospec
 from anisospec import acceptance
 from anisospec.acceptance import ALL_CRITERIA, _par_offset
 from anisospec.bracket_metric import MetricParams, delta_par
+from anisospec.fractal_count import lipschitz_unit_scale_test
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,
@@ -31,11 +32,34 @@ def test_criterion(criterion):
 def test_criterion_11_counts_a_nan_ratio(monkeypatch):
     """A NaN ratio is a violation: it is not below the frozen constant.
     The sharpness case keeps its violation, so only the NaN can fail it."""
-    def one_nan_ratio(form, metrics, n_pairs, seed):
-        return [np.array([0.5, np.nan]), np.array([1e3])][:len(metrics)]
+    def one_nan_ratio(cases, n_pairs, seed):
+        # b0 = 0.5, its sharpness case, then b0 = 0.8
+        return [np.array([0.5, np.nan]), np.array([1e3]),
+                np.array([0.5, np.nan])]
 
     monkeypatch.setattr(acceptance, "lipschitz_unit_scale_test", one_nan_ratio)
     assert not acceptance.criterion_11().passed
+
+
+def test_criterion_11_shares_one_draw(monkeypatch):
+    """Criterion 11's three cases come from one call, and each array is
+    bitwise that of a call with its case alone."""
+    calls = []
+
+    def recorded(cases, n_pairs, seed):
+        out = lipschitz_unit_scale_test(cases, n_pairs, seed)
+        calls.append((cases, n_pairs, seed, out))
+        return out
+
+    monkeypatch.setattr(acceptance, "lipschitz_unit_scale_test", recorded)
+    assert acceptance.criterion_11().passed
+    [(cases, n_pairs, seed, arrays)] = calls
+    assert [p for _, p in cases] == [
+        MetricParams(1.0, 1.0 / (1.0 + b0) - shift, 0.0)
+        for b0, shift in ((0.5, 0.0), (0.5, 0.1), (0.8, 0.0))]
+    for case, got in zip(cases, arrays):
+        assert np.array_equal(
+            got, lipschitz_unit_scale_test([case], n_pairs, seed)[0])
 
 
 def _offset_cases():

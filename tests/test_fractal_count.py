@@ -282,7 +282,7 @@ def test_lipschitz_frozen_and_sharpness():
     form = synth_holder(0.5, seed=7)
     p_good, p_bad = (MetricParams(1.0, 1.0 / 1.5 - shift, 0.0)
                      for shift in (0.0, 0.1))
-    good, bad = lipschitz_unit_scale_test(form, [p_good, p_bad],
+    good, bad = lipschitz_unit_scale_test([(form, p_good), (form, p_bad)],
                                           n_pairs=3000, seed=4)
     # the shared draw gives each metric the ratios of its own call
     assert np.max(good) == worst[0.5]
@@ -293,33 +293,45 @@ def test_lipschitz_frozen_and_sharpness():
 
 def test_lipschitz_matches_scalar_reference():
     """Each ratio array of the sampler equals a pair-by-pair loop over
-    phase points at its metric."""
-    form = synth_holder(0.5, seed=7)
+    phase points at its case, drawing each pair's values as arrays of size
+    n, in the order of the sampler's table."""
     ps = [MetricParams(1.0, 1.0 / 1.5 - 0.1, 0.0), MetricParams(0.5, 0.6, 0.3)]
     c = frozen.LIPSCHITZ_C[0.5]
-    arrays = lipschitz_unit_scale_test(form, ps, n_pairs=300, seed=4)
-    assert len(arrays) == len(ps)
-    for p, got in zip(ps, arrays):
-        rng = np.random.default_rng(4)
-        ratios = []
-        for _ in range(300):
-            om = np.exp(rng.uniform(np.log(10.0), np.log(1.0e6)))
-            x = rng.uniform(0.0, 1.0, size=1)
-            xi = rng.normal(size=1) * om * 0.1
-            rho = phase_point(x=x, z=rng.uniform(0, 1), xi=xi, omega=om)
-            dp = delta_perp(frequency_norm(rho), p)
-            dl = delta_par(frequency_norm(rho), p)
-            dx = rng.normal(size=1)
-            dx *= rng.uniform(0.2, 3.0) / np.linalg.norm(dx) * dp
-            dxi = rng.normal(size=1) * rng.uniform(0.0, 2.0) / dp
-            dz = rng.normal() * dl
-            dom = rng.normal() / dl
-            rho_p = phase_point(x=x + dx, z=rho[1] + dz, xi=xi + dxi,
-                                omega=om + dom)
-            phi, phi_p = (straighten_phi(form, r) for r in (rho, rho_p))
-            ratios.append(jbracket(g_norm(phi, phi_p - phi, p))
-                          / jbracket(g_norm(rho, rho_p - rho, p)))
-        ratios = np.array(ratios)
-        np.testing.assert_allclose(got, ratios, rtol=1e-12, atol=0.0)
-        assert np.count_nonzero(got > c) == np.count_nonzero(ratios > c)
-    assert np.count_nonzero(arrays[0] > c) > 0
+    for n in (1, 2):
+        form = synth_holder(0.5, seed=7, n=n)
+        arrays = lipschitz_unit_scale_test([(form, p) for p in ps],
+                                           n_pairs=300, seed=4)
+        assert len(arrays) == len(ps)
+        for p, got in zip(ps, arrays):
+            rng = np.random.default_rng(4)
+            ratios = []
+            for _ in range(300):
+                om = np.exp(rng.uniform(np.log(10.0), np.log(1.0e6)))
+                x = rng.uniform(0.0, 1.0, size=n)
+                xi = rng.normal(size=n) * om * 0.1
+                rho = phase_point(x=x, z=rng.uniform(0, 1), xi=xi, omega=om)
+                dp = delta_perp(frequency_norm(rho), p)
+                dl = delta_par(frequency_norm(rho), p)
+                dx = rng.normal(size=n)
+                dx *= rng.uniform(0.2, 3.0) / np.linalg.norm(dx) * dp
+                dxi = rng.normal(size=n) * rng.uniform(0.0, 2.0) / dp
+                dz = rng.normal() * dl
+                dom = rng.normal() / dl
+                rho_p = phase_point(x=x + dx, z=rho[n] + dz, xi=xi + dxi,
+                                    omega=om + dom)
+                phi, phi_p = (straighten_phi(form, r) for r in (rho, rho_p))
+                ratios.append(jbracket(g_norm(phi, phi_p - phi, p))
+                              / jbracket(g_norm(rho, rho_p - rho, p)))
+            ratios = np.array(ratios)
+            np.testing.assert_allclose(got, ratios, rtol=1e-12, atol=0.0)
+            assert np.count_nonzero(got > c) == np.count_nonzero(ratios > c)
+        assert np.count_nonzero(arrays[0] > c) > 0
+
+
+def test_lipschitz_cases_share_one_n():
+    """One draw table serves one n: forms of different n are a ValueError."""
+    p = MetricParams(1.0, 1.0 / 1.5, 0.0)
+    with pytest.raises(ValueError, match="share one n"):
+        lipschitz_unit_scale_test([(synth_holder(0.5, seed=7), p),
+                                   (synth_holder(0.5, seed=7, n=2), p)],
+                                  n_pairs=10)

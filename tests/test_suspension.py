@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from calibrate_constants import wavefront_constants
 
-from anisospec import frozen
+from anisospec import frozen, suspension
 from anisospec.bracket_metric import MetricParams, delta_perp, jbracket
 from anisospec.cli import main
 from anisospec.errors import ResolutionError
@@ -304,6 +304,27 @@ def test_wavefront_exponents_are_the_frozen_keys():
     assert frozen.WAVEFRONT_CN.keys() == frozen.WAVEFRONT_OUTSIDE_CAL.keys()
     _, worst, worst_out = wavefront_constants(n=10, seed=8)
     assert worst.keys() == worst_out.keys() == frozen.WAVEFRONT_CN.keys()
+
+
+def test_wavefront_covectors_are_the_nested_draw(monkeypatch):
+    """The streamed covector table of criterion 10, 3000 samples at seed 13,
+    is bitwise the nested-list draw: per sample xi_u, xi_s, omega - 2 pi k,
+    each normal * U(0, 30)."""
+    seen = []
+
+    def recorded(k, xi_u, xi_s, omega, split, p):
+        seen.append((xi_u, xi_s, omega))
+        return wavefront_value(k, xi_u, xi_s, omega, split, p)
+
+    monkeypatch.setattr(suspension, "wavefront_value", recorded)
+    suspension.wavefront_extrema(3, CAT_SPLIT, P, CFG, 1.0, n_samples=3000,
+                                 seed=13)
+    rng = np.random.default_rng(13)
+    ref = np.array([[rng.normal() * rng.uniform(0, 30) for _ in range(3)]
+                    for _ in range(3000)])
+    [(xu, xs, om)] = seen
+    assert np.array_equal(xu, ref[:, 0]) and np.array_equal(xs, ref[:, 1])
+    assert np.array_equal(om, 2.0 * np.pi * 3 + ref[:, 2])
 
 
 # each vicinity condition decides the outside maximum of one of the seeds:

@@ -113,9 +113,19 @@ def test_m_gauss_hermite_vs_lattice(params_half):
     assert rel <= 0.05
 
 
-def _m_gauss_hermite_reference(pts, p, d, nodes=32):
+def _node_delta(en_i, p, alpha, delta):
+    """min(delta0, |eta|^-alpha) as m_gauss_hermite takes it at its nodes:
+    the exponent 1/2 as 1/sqrt, any other by delta's power."""
+    if alpha != 0.5:
+        return delta(en_i, p)
+    with np.errstate(divide="ignore"):
+        return np.minimum(p.delta0, 1.0 / np.sqrt(en_i))
+
+
+def _m_gauss_hermite_reference(pts, p, d, nodes=32, half_power=True):
     """m_gauss_hermite as one (M, nodes^d, d) temporary and np.linalg.norm,
-    every point's node terms summed in one row."""
+    every point's node terms summed in one row; half_power False takes the
+    node deltas by delta_perp and delta_par, the ** form."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
     logw = np.log(w) + t**2
     en = np.linalg.norm(pts, axis=1)
@@ -126,7 +136,11 @@ def _m_gauss_hermite_reference(pts, p, d, nodes=32):
     logww = sum(np.meshgrid(*([logw] * d), indexing="ij")).ravel()
     eta = pts[:, None, :] - offs[None, :, :] / scales[:, None, :]
     en_i = np.linalg.norm(eta, axis=2)
-    dp, dl = delta_perp(en_i, p), delta_par(en_i, p)
+    if half_power:
+        dp = _node_delta(en_i, p, p.alpha_perp, delta_perp)
+        dl = _node_delta(en_i, p, p.alpha_par, delta_par)
+    else:
+        dp, dl = delta_perp(en_i, p), delta_par(en_i, p)
     q = np.zeros_like(en_i)
     for ax in range(d - 1):
         q += (dp * (eta[..., ax] - pts[:, None, ax])) ** 2
@@ -137,7 +151,9 @@ def _m_gauss_hermite_reference(pts, p, d, nodes=32):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_m_gauss_hermite_bitwise_per_axis(d):
     """Bitwise the one-temporary reference across several point blocks, and
-    each point's value is independent of the other points in the call."""
+    each point's value is independent of the other points in the call.
+    Taking |eta|^-1/2 as 1/sqrt moves m from the ** form by rounding only,
+    and an exponent other than 1/2 keeps the ** form bit for bit."""
     count = {1: 2100, 2: 520, 3: 42}[d]
     assert count > _NODE_BLOCK_BYTES // (8 * 32**d)  # more than one block
     rng = np.random.default_rng(d)
@@ -149,6 +165,11 @@ def test_m_gauss_hermite_bitwise_per_axis(d):
         got = m_gauss_hermite(pts, p, d)
         assert np.array_equal(got, _m_gauss_hermite_reference(pts, p, d))
         assert np.array_equal(m_gauss_hermite(pts[mask], p, d), got[mask])
+        power = _m_gauss_hermite_reference(pts, p, d, half_power=False)
+        if p.alpha_par == 0.5:
+            assert np.max(np.abs(got - power) / power) <= 1e-15
+        else:
+            assert np.array_equal(got, power)
 
 
 @pytest.mark.parametrize("d, count", [(2, 2000), (3, 50)])
@@ -187,11 +208,28 @@ def _m_lattice_dense(g, p):
     (0, 256, TWO_PI, MetricParams(1.0, 0.5, 0.5)),
     (2, 16, np.pi, MetricParams(0.5, 0.9, 0.2)),
     (1, 24, 7.3, MetricParams(2.0, 0.7, 0.3)),
+    # criteria 9 and 10's grids
+    (0, 512, TWO_PI, MetricParams(1.0, 0.5, 0.5)),
+    (0, 2048, 1.0, MetricParams(1.0, 0.5, 0.5)),
 ])
 def test_m_lattice_window_is_bitwise_dense(n, points, length, p):
     """Leaving out the terms below 1e-40 changes no bit of m."""
     g = TorusGrid(n, points, length)
     assert np.array_equal(_m_lattice(g, p), _m_lattice_dense(g, p))
+
+
+def test_m_lattice_peak_memory():
+    """At the 128^2 grid of criterion 2 and resolution-check, sub-batches of
+    8 centers keep the build's peak allocation at 1.7 MiB here; one window
+    for all 64 centers of a chunk would take about 8 MiB."""
+    g = TorusGrid(1, 128, np.pi)
+    tracemalloc.start()
+    try:
+        _m_lattice(g, MetricParams(1.0, 0.5, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, peak
 
 
 # -- packets -----------------------------------------------------------------
