@@ -79,6 +79,14 @@ def delta_par(eta_norm, p: MetricParams):
     return _delta(eta_norm, p.delta0, p.alpha_par)
 
 
+def box_sizes(eta_norm, p: MetricParams, d: int):
+    """The box sizes at |eta| = eta_norm, shape eta_norm.shape + (d,): dperp
+    on the first d - 1 (transverse) axes, dpar on the last (the flow)."""
+    dl = delta_par(eta_norm, p)
+    dp = delta_perp(eta_norm, p) if d > 1 else dl
+    return np.stack([dp] * (d - 1) + [dl], axis=-1)
+
+
 def distortion_from_eta_norm(eta_norm, p: MetricParams):
     """Distortion min(delta0^(1/alpha_perp), |eta|^-1)^(1-alpha_perp)."""
     eta_norm = np.asarray(eta_norm, dtype=float)
@@ -130,11 +138,17 @@ def g_dist(rho0, rho1, p: MetricParams):
     return g_norm(rho0, np.subtract(rho1, rho0), p)
 
 
+def wrap(disp, length: float):
+    """Displacements on a circle of circumference length, in [-length/2,
+    length/2)."""
+    return np.add(disp, 0.5 * length) % length - 0.5 * length
+
+
 def g_dist_periodic(rho0, rho1, p: MetricParams, length: float):
     """g_dist with spatial displacements wrapped to [-length/2, length/2)."""
     d = np.subtract(rho1, rho0, dtype=float)
     half = d.shape[-1] // 2
-    d[..., :half] = (d[..., :half] + 0.5 * length) % length - 0.5 * length
+    d[..., :half] = wrap(d[..., :half], length)
     return g_norm(rho0, d, p)
 
 

@@ -107,18 +107,17 @@ class EscapeConfig:
             raise ValueError("gamma_prime must lie in [0, gamma]")
 
 
-def _gnorm_quantities(xi_u, xi_s, omega, split: DualSplitting, p: MetricParams):
-    """(|Xi_u|_g, |Xi_s|_g, |Xi_*|_g) for covector components.
+def covector_norms(xi_u, xi_s, omega, split: DualSplitting):
+    """(|Xi_*|, |eta|) at covector components, eta = (Xi_*, omega); |eta|
+    by np.hypot, which does not overflow while |eta| is a float64."""
+    xi_star = np.linalg.norm(split.compose(xi_u, xi_s), axis=-1)
+    return xi_star, np.hypot(xi_star, omega)
 
-    The fiber part of the metric scales covectors by dperp(|eta|) where
-    eta = (Xi_*, omega) is the full frequency vector.
-    """
-    xi_u = np.asarray(xi_u, dtype=float)
-    xi_s = np.asarray(xi_s, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    xi_vec = split.compose(xi_u, xi_s)
-    xi_star = np.linalg.norm(xi_vec, axis=-1)
-    eta_norm = np.sqrt(xi_star**2 + omega**2)
+
+def _gnorm_quantities(xi_u, xi_s, omega, split: DualSplitting, p: MetricParams):
+    """(|Xi_u|_g, |Xi_s|_g, |Xi_*|_g) for covector components: the fiber
+    metric scales covectors by dperp(|eta|), eta = (Xi_*, omega)."""
+    xi_star, eta_norm = covector_norms(xi_u, xi_s, omega, split)
     dp = delta_perp(eta_norm, p)
     return dp * np.abs(xi_u), dp * np.abs(xi_s), dp * xi_star
 
@@ -256,7 +255,7 @@ def lower_bound_report(split: DualSplitting, cfg: EscapeConfig, p: MetricParams,
     # power); past this point the decay rate is ~ lam (1-g)(1-a) R_u.
     xu, xs, om = xu[n_samples:], xs[n_samples:], om[n_samples:]
     _, ns, star = _gnorm_quantities(xu, xs, om, split, p)
-    xi_norm = np.linalg.norm(split.compose(xu, xs), axis=-1)
+    xi_norm, _ = covector_norms(xu, xs, om, split)
     sat = (h_gamma_perp(star, cfg) * ns <= 0.3) & (xi_norm >= 3.0 * np.abs(om))
     i0 = np.argmax(sat, axis=1)[:, None]
     rows = sat.any(axis=1) & (ts[i0[:, 0]] < ts[-2])

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bracket_metric import g_dist_periodic, jbracket
-from .wavepackets import TWO_PI, BargmannTransform, TorusGrid, check_band
+from .wavepackets import TWO_PI, BargmannTransform, TorusGrid, lattice_cube
 
 
 def bump_symbol(z0, om0, wz, wom):
@@ -52,7 +52,7 @@ def rotate(u, grid: TorusGrid, t: float):
 
 
 class BandSubspace:
-    """Orthonormal plane-wave modes |k|_inf <= kmax (lattice units).
+    """Orthonormal plane-wave modes |k|_inf <= kmax: lattice_cube(grid, kmax).
 
     Probe operators are compressed to this subspace; kmax is chosen well
     inside the transform's phase window so the compression loses only
@@ -60,11 +60,8 @@ class BandSubspace:
     """
 
     def __init__(self, grid: TorusGrid, kmax: int):
-        check_band(grid, kmax)
         self.grid = grid
-        ks = [np.arange(-kmax, kmax + 1)] * grid.d
-        mesh = np.meshgrid(*ks, indexing="ij")
-        self.modes = np.stack([m.ravel() for m in mesh], axis=1)
+        self.modes = lattice_cube(grid, kmax)
         self.size = self.modes.shape[0]
         sg = grid.space_grids()
         norm = grid.length ** (grid.d / 2.0)

@@ -18,7 +18,8 @@ import numpy as np
 from . import frozen
 from .bracket_metric import MetricParams, delta_par, delta_perp, jbracket
 from .errors import ResolutionError
-from .escape import DualSplitting, EscapeConfig, lifted_flow, weight
+from .escape import (DualSplitting, EscapeConfig, covector_norms,
+                     lifted_flow, weight)
 from .wavepackets import m_gauss_hermite
 
 CAT_MAP = np.array([[2, 1], [1, 1]], dtype=np.int64)
@@ -132,8 +133,8 @@ def full_spectrum(k_max: int, nu_max: int, cfg: EscapeConfig,
     for k in range(200):
         js = np.array([[k], [-1 - k]])
         xu, xs = lifted_flow(xi_u, xi_s, js, split)
-        star = np.linalg.norm(split.compose(xu, xs), axis=-1)
-        hit = ~found & (delta_perp(star, p) * star > 10.0)
+        star, en = covector_norms(xu, xs, 0.0, split)  # hypot(s, 0) == s
+        hit = ~found & (delta_perp(en, p) * star > 10.0)
         ends, found = np.where(hit, js, ends), found | hit
         if found.all():
             break
@@ -181,12 +182,9 @@ def wavefront_value(k: int, xi_u, xi_s, omega, split: DualSplitting,
     a Gaussian in the probe's offset from eta0 at the probe's own scales.
     """
     om0 = 2.0 * np.pi * k
-    omega = np.asarray(omega, dtype=float)
-    xi_vec = split.compose(xi_u, xi_s)
-    xi_sq = np.sum(xi_vec**2, axis=-1)
-    en = np.sqrt(xi_sq + omega**2)
+    xi_star, en = covector_norms(xi_u, xi_s, omega, split)
     dp, dl = delta_perp(en, p), delta_par(en, p)
-    q = dp**2 * xi_sq + dl**2 * (omega - om0) ** 2
+    q = dp**2 * xi_star**2 + dl**2 * (omega - om0) ** 2
     m_eta0 = m_gauss_hermite(np.array([0.0, 0.0, om0]), p, 3)
     out = (2.0 * np.pi) ** 1.5 * np.exp(-0.5 * q) / np.sqrt(m_eta0)
     return float(out) if np.ndim(out) == 0 else out
@@ -205,7 +203,7 @@ def wavefront_extrema(k: int, split: DualSplitting, p: MetricParams,
     om = om0 + dom
     val = wavefront_value(k, xu, xs, om, split, p)
     w = weight(xu, xs, om, split, cfg, p)
-    eta = np.hypot(np.linalg.norm(split.compose(xu, xs), axis=-1), om)
+    _, eta = covector_norms(xu, xs, om, split)
     gs = eta ** (-p.alpha_perp) * np.abs(xs)
     r = np.maximum(eta, 2.0) ** 0.4
     outside = ~((jbracket(om - om0) <= r) & (jbracket(gs) <= r))

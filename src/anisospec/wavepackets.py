@@ -17,12 +17,12 @@ truncation of the phase window).
 
 from __future__ import annotations
 
-import itertools
+import numbers
 
 import numpy as np
 
-from .bracket_metric import (MetricParams, delta_par, delta_perp,
-                             frequency_norm, smoothstep)
+from .bracket_metric import (MetricParams, box_sizes, delta_par, delta_perp,
+                             frequency_norm, smoothstep, wrap)
 from .errors import ResolutionError
 
 TWO_PI = 2.0 * np.pi
@@ -82,11 +82,6 @@ class TorusGrid:
     def norm(self, f):
         return field_norm(f) * self.h ** (self.d / 2)
 
-    def wrap(self, disp):
-        """Wrap displacements into [-length/2, length/2)."""
-        return (np.asarray(disp, dtype=float) + 0.5 * self.length) % self.length \
-            - 0.5 * self.length
-
 
 def field_norm(x) -> float:
     """sqrt(sum |x|^2) by numpy's own summation, bitwise the same whatever
@@ -99,23 +94,30 @@ def field_norm(x) -> float:
     return float(np.sqrt(np.sum(sq)))
 
 
-def check_band(grid: TorusGrid, band: int):
-    """ValueError for band < 0, ResolutionError when its 2 band + 1 modes
-    per axis exceed the grid's points: beyond them the modes alias."""
-    if band < 0:
-        raise ValueError(f"band must be >= 0, got {band!r}")
-    if 2 * band + 1 > grid.points:
-        raise ResolutionError("band exceeds the grid's DFT lattice")
+def lattice_cube(grid: TorusGrid, radius):
+    """The lattice modes k with |k|_inf <= radius, a ((2 radius + 1)^d, d)
+    int array in row-major order: the phase window's centers and the band's
+    modes.  A radius that is not a non-negative integer is a ValueError,
+    and one whose 2 radius + 1 modes per axis alias on the grid's points a
+    ResolutionError."""
+    if not (isinstance(radius, numbers.Real) and float(radius).is_integer()
+            and radius >= 0):
+        raise ValueError(f"window or band {radius!r} is not a non-negative "
+                         f"integer")
+    r = int(radius)
+    if 2 * r + 1 > grid.points:
+        raise ResolutionError(f"window or band {r} exceeds the grid's DFT "
+                              f"lattice ({2 * r + 1} > {grid.points} points)")
+    mesh = np.meshgrid(*([np.arange(-r, r + 1)] * grid.d), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def band_limited_field(grid: TorusGrid, band: int, rng):
-    """sum_k c_k e^{i k.y} over the lattice modes with |k_i| <= band, with
-    c_k = normal + i normal drawn from rng, modes in row-major order.
-    The band is checked by check_band."""
-    check_band(grid, band)
+    """sum_k c_k e^{i k.y} over the modes of lattice_cube(grid, band), with
+    c_k = normal + i normal drawn from rng in the cube's row-major order."""
     sg = grid.space_grids()
     u = np.zeros(grid.shape, dtype=complex)
-    for ks in itertools.product(range(-band, band + 1), repeat=grid.d):
+    for ks in lattice_cube(grid, band):
         u += (rng.normal() + 1j * rng.normal()) \
             * np.exp(1j * grid.d_eta * sum(k * s for k, s in zip(ks, sg)))
     return u
@@ -132,13 +134,11 @@ def _profile0(grid: TorusGrid, eta_centers, p: MetricParams):
     """
     cs = np.asarray(eta_centers, dtype=float)
     # norms one row at a time: np.linalg.norm(cs, axis=1) rounds differently
-    en = [float(np.linalg.norm(eta)) for eta in cs]
-    dp = np.array([delta_perp(e, p) for e in en])[:, None]
-    dl = np.array([delta_par(e, p) for e in en])[:, None]
+    scales = box_sizes(np.array([np.linalg.norm(eta) for eta in cs]), p,
+                       grid.d)
     q = np.zeros((cs.shape[0],) + grid.shape)
     for ax in range(grid.d):
-        dk = dp if ax < grid.n else dl
-        sq = (dk * (grid.freqs_1d - cs[:, ax, None])) ** 2  # (c, points)
+        sq = (scales[:, ax, None] * (grid.freqs_1d - cs[:, ax, None])) ** 2
         q += sq.reshape((-1,) + (1,) * ax + (grid.points,)
                         + (1,) * (grid.d - 1 - ax))
     return np.exp(-0.5 * q)
@@ -159,9 +159,7 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     pts = eta_primes.reshape(-1, d)
     t, w = np.polynomial.hermite.hermgauss(32)
     logw = np.log(w) + t**2  # w_i e^{t_i^2}, kept in log for stability
-    en = np.linalg.norm(pts, axis=1)
-    scales = np.stack([delta_perp(en, p)] * (d - 1) + [delta_par(en, p)],
-                      axis=1)  # (M, d)
+    scales = box_sizes(np.linalg.norm(pts, axis=1), p, d)  # (M, d)
     logww = sum(np.meshgrid(*([logw] * d), indexing="ij"))  # (nodes,) * d
 
     def along(a, ax):  # a (block, nodes) array on node axis ax of the buffer
@@ -215,12 +213,10 @@ def _check_packet(grid: TorusGrid, p: MetricParams, eta_norm, rho=None):
     narrower than 4 grid cells."""
     if rho is not None and len(rho) != 2 * grid.d:
         raise ValueError("phase point dimension does not match the grid")
-    dp = delta_perp(eta_norm, p) if grid.n else np.inf
-    dl = delta_par(eta_norm, p)
-    if min(dp, dl) < 4.0 * grid.h:
+    width = np.min(box_sizes(eta_norm, p, grid.d))
+    if width < 4.0 * grid.h:
         raise ResolutionError(
-            f"packet width {min(dp, dl):.4g} under 4 grid cells (h = {grid.h:.4g})"
-        )
+            f"packet width {width:.4g} under 4 grid cells (h = {grid.h:.4g})")
 
 
 def gaussian_packet(rho, p: MetricParams, grid: TorusGrid):
@@ -232,15 +228,15 @@ def gaussian_packet(rho, p: MetricParams, grid: TorusGrid):
     en = frequency_norm(rho)
     _check_packet(grid, p, en, rho)
     y, eta = rho[:grid.d], rho[grid.d:]
-    dp, dl = delta_perp(en, p), delta_par(en, p)
+    sizes = box_sizes(en, p, grid.d)
     sg = grid.space_grids()
     phase = np.zeros(grid.shape)
     q = np.zeros(grid.shape)
     r2 = np.zeros(grid.shape)
     for ax in range(grid.d):
-        w = grid.wrap(sg[ax] - y[ax])
+        w = wrap(sg[ax] - y[ax], grid.length)
         phase += eta[ax] * sg[ax]
-        q += (w / (dp if ax < grid.n else dl)) ** 2
+        q += (w / sizes[ax]) ** 2
         r2 += w**2
     s = np.sqrt(r2) / (0.5 * grid.length)
     out = (1.0 - smoothstep((s - 0.5) * 2.0)) * np.exp(1j * phase - 0.5 * q)
@@ -287,19 +283,14 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams) -> float:
     """
     eta_center = np.asarray(eta_center, dtype=float)
     d = len(eta_center)
-    en = float(np.linalg.norm(eta_center))
-    dp, dl = delta_perp(en, p), delta_par(en, p)
-    axes = []
-    for ax in range(d):
-        scale = dp if ax < d - 1 else dl
-        axes.append(eta_center[ax] + np.linspace(-10.0, 10.0,
-                                                 _NORM_POINTS) / scale)
+    sizes = box_sizes(float(np.linalg.norm(eta_center)), p, d)
+    axes = [c + np.linspace(-10.0, 10.0, _NORM_POINTS) / s
+            for c, s in zip(eta_center, sizes)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack(mesh, axis=-1)
     q = np.zeros(pts.shape[:-1])
-    for ax in range(d - 1):
-        q += (dp * (mesh[ax] - eta_center[ax])) ** 2
-    q += (dl * (mesh[-1] - eta_center[-1])) ** 2
+    for ax in range(d):
+        q += (sizes[ax] * (mesh[ax] - eta_center[ax])) ** 2
     vals = np.exp(-q)
     keep = vals >= 1e-40
     vals[~keep] = 0.0
@@ -326,8 +317,7 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
     out = np.zeros(g.shape)
     for start in range(0, full.shape[0], 64):
         cs = full[start : start + 64]
-        en = np.linalg.norm(cs, axis=1)
-        scales = np.stack([delta_perp(en, p)] * g.n + [delta_par(en, p)], axis=1)
+        scales = box_sizes(np.linalg.norm(cs, axis=1), p, g.d)
         # box center and half-width in lattice steps
         ks = np.rint(cs / g.d_eta).astype(int) + g.points // 2
         rs = (np.sqrt(np.log(1e40)) / g.d_eta / scales).astype(int) + 1
@@ -352,22 +342,13 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
     return np.fft.ifftshift(out) * g.d_eta**g.d
 
 
-def _as_window(window, d: int):
-    """A phase window as d ints >= 0; an int is the same on every axis.  An
-    entry that is not an integer value (2.7, inf, nan) is a ValueError."""
-    win = (window,) * d if np.isscalar(window) else tuple(window)
-    if len(win) != d or not all(float(w).is_integer() and w >= 0 for w in win):
-        raise ValueError(f"window {window!r} is not {d} non-negative integers")
-    return tuple(int(w) for w in win)
-
-
 class BargmannTransform:
     """Wave-packet transform on a periodic grid with a finite phase window.
 
     The phase grid is (all spatial grid points) x (frequency-lattice centers
-    eta with |k_i| <= window_i in lattice units).  m(eta') is the trapezoid
-    sum over the full DFT center lattice, so B* B - Id measures exactly the
-    window truncation.
+    eta = k d_eta, k in lattice_cube(grid, window)); the window is one
+    non-negative integer.  m(eta') is the trapezoid sum over the full DFT
+    center lattice, so B* B - Id measures exactly the window truncation.
 
     `forward_at` gives B u at any phase point as packet inner products.
     `op_apply` (the anti-Wick Op(a) = B* a B), `identity_symbol_sum` and
@@ -394,12 +375,8 @@ class BargmannTransform:
     def __init__(self, grid: TorusGrid, p: MetricParams, window):
         self.grid = grid
         self.p = p
-        self.window = _as_window(window, grid.d)
-        if any(2 * w + 1 > grid.points for w in self.window):
-            raise ResolutionError("phase window exceeds the grid's DFT lattice")
-        ks = [np.arange(-w, w + 1) for w in self.window]
-        mesh = np.meshgrid(*ks, indexing="ij")
-        self._lattice = np.stack([m.ravel() for m in mesh], axis=1)
+        self._lattice = lattice_cube(grid, window)
+        self.window = int(window)
         self.centers = self._lattice * grid.d_eta
         worst = float(np.max(np.linalg.norm(self.centers, axis=1)))
         _check_packet(grid, p, worst)
@@ -445,17 +422,16 @@ class BargmannTransform:
             yield sl, prof, v
 
     def _picks(self, windows):
-        """Per window of windows, the boolean pick of the window's centers
-        that lie inside it; windows None is [None], every center."""
+        """Per window of windows, each an integer in [0, self.window], the
+        boolean pick of the centers inside it; windows None is [None]."""
         if windows is None:
             return [None]
         picks = []
         for window in windows:
-            win = _as_window(window, self.grid.d)
-            if any(w > top for w, top in zip(win, self.window)):
-                raise ValueError(f"window {window!r} is not inside the "
-                                 f"transform's window {self.window}")
-            picks.append(np.all(np.abs(self._lattice) <= win, axis=1))
+            if window not in range(self.window + 1):
+                raise ValueError(f"window {window!r} is not an integer in "
+                                 f"[0, {self.window}]")
+            picks.append(np.all(np.abs(self._lattice) <= window, axis=1))
         return picks
 
     def _fold(self, batches, picks, dtype=float):
@@ -487,8 +463,8 @@ class BargmannTransform:
         symbol(Y, ETA) must accept a list of spatial meshgrids Y (d arrays)
         and a frequency center vector ETA, returning the symbol on the
         spatial grid for that center; None means the identity symbol.
-        windows, a sequence of windows inside the transform's own (each an
-        int or a d-tuple, as for the constructor), gives a list with one
+        windows, a sequence of windows inside the transform's own (each a
+        non-negative integer, as for the constructor), gives a list with one
         result per window, each bitwise that of a transform built at that
         window; a larger window is a ValueError.
         """

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anisospec import frozen
-from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
-                                      distortion_from_eta_norm,
+from anisospec.bracket_metric import (MetricParams, box_sizes, delta_par,
+                                      delta_perp, distortion_from_eta_norm,
                                       fit_power_constant, frequency_norm,
                                       g_dist, g_dist_periodic, g_norm,
                                       jbracket, phase_point)
@@ -211,3 +211,17 @@ class TestInequalityFuzz:
         rhs = c * jbracket(np.abs(self.t - self.s)
                            / jbracket(self.t) ** theta) ** (1.0 / (1.0 - theta))
         assert np.all(lhs <= rhs * (1 + 1e-14))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_sizes_per_axis(d):
+    """box_sizes is dperp on the d - 1 transverse axes and dpar on the last,
+    bit for bit, for one norm and for an array of them."""
+    p = MetricParams(1.0, 0.6, 0.3)
+    for en in (7.5, np.array([[0.0, 0.5], [3.0, 1e300]])):
+        want = np.stack([delta_perp(en, p)] * (d - 1) + [delta_par(en, p)],
+                        axis=-1)
+        got = box_sizes(en, p, d)
+        assert got.shape == np.shape(en) + (d,)
+        assert np.array_equal(got, want)
+    assert box_sizes(7.5, p, 1).tolist() == [delta_par(7.5, p)]

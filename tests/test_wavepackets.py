@@ -21,7 +21,7 @@ from anisospec.wavepackets import (_BATCH_BYTES, _NODE_BLOCK_BYTES,
                                    BargmannTransform, TorusGrid, _m_lattice,
                                    _profile0,
                                    _samples_from_profile, band_limited_field,
-                                   exact_packet, gaussian_packet,
+                                   exact_packet, gaussian_packet, lattice_cube,
                                    m_gauss_hermite, packet_norm_sq_continuous)
 
 
@@ -488,11 +488,12 @@ def test_kernel_batches_do_not_change_results(torus_transform):
 def test_nested_windows_are_bitwise(fixture, request):
     """One pass over the transform's centers gives, for each sub-window,
     bitwise the result of a transform built at that window alone: windows
-    unsorted, repeated, 0 and a per-axis tuple."""
+    unsorted, repeated and 0."""
     tr = request.getfixturevalue(fixture)
     g = tr.grid
-    top = tr.window[0]
-    windows = [5, 0, top, 3, 5, (top,) + (2,) * (g.d - 1)]
+    top = tr.window
+    assert isinstance(top, int)
+    windows = [5, 0, top, 3, 5]
     separate = [BargmannTransform(g, tr.p, w) for w in windows]
     rng = np.random.default_rng(12)
     u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
@@ -508,8 +509,6 @@ def test_nested_windows_are_bitwise(fixture, request):
         assert np.array_equal(got, one.identity_symbol_sum())
     with pytest.raises(ValueError):
         tr.op_apply(u, windows=[3, top + 1])
-    with pytest.raises(ValueError):
-        tr.identity_symbol_sum(windows=[(top,) * g.d + (1,)])
 
 
 @pytest.mark.parametrize("fixture", ["torus_transform", "circle_transform"])
@@ -566,29 +565,33 @@ def test_mode_count_trace(circle_transform):
     assert total == pytest.approx(n_modes, rel=0.05)
 
 
-def test_phase_window_guard(params_half):
-    g = TorusGrid(0, 64)
-    with pytest.raises(ResolutionError):
-        BargmannTransform(g, params_half, window=40)
-
-
-def test_negative_band_rejected():
-    """A negative band is a ValueError, not an empty band or a zero field."""
-    g = TorusGrid(0, 16)
-    with pytest.raises(ValueError):
-        BandSubspace(g, -1)
-    with pytest.raises(ValueError):
-        band_limited_field(g, -1, np.random.default_rng(0))
+def test_lattice_cube_rows():
+    """The cube's rows are the modes |k|_inf <= radius in row-major order,
+    the order in which band_limited_field draws its coefficients."""
+    cube = lattice_cube(TorusGrid(1, 16), 2)
+    assert cube.shape == (25, 2) and cube.dtype.kind == "i"
+    assert cube.tolist() == [[i, j] for i in range(-2, 3)
+                             for j in range(-2, 3)]
+    assert lattice_cube(TorusGrid(0, 16), 0).tolist() == [[0]]
 
 
 @pytest.mark.parametrize("window", [(2, 3, 4), (3,), -1, 2.7, (3, 1.5), 1.9,
-                                    float("inf"), float("nan")])
+                                    float("inf"), float("nan"), 8])
 def test_malformed_window_rejected(torus_transform, window):
-    """A window has one non-negative integer entry per axis, for the
-    transform and for its sub-windows alike; a non-integer entry is not
-    truncated."""
+    """A phase window and a band are each one non-negative integer radius
+    whose 2 r + 1 modes per axis fit the grid's points (16 here): anything
+    else is refused, for the transform, its sub-windows, the band subspace
+    and the band-limited field alike, not truncated, emptied or aliased."""
+    g = TorusGrid(1, 16, length=np.pi)
     tr = torus_transform
-    with pytest.raises(ValueError):
-        BargmannTransform(tr.grid, tr.p, window=window)
-    with pytest.raises(ValueError):
-        tr.identity_symbol_sum(windows=[window])
+    err = ResolutionError if window == 8 else ValueError
+    for make in (lambda: lattice_cube(g, window),
+                 lambda: BargmannTransform(g, tr.p, window=window),
+                 lambda: BandSubspace(g, window),
+                 lambda: band_limited_field(g, window,
+                                            np.random.default_rng(0))):
+        with pytest.raises(err):
+            make()
+    if err is ValueError:
+        with pytest.raises(ValueError):
+            tr.identity_symbol_sum(windows=[window])
