@@ -575,6 +575,15 @@ def test_lattice_cube_rows():
     assert lattice_cube(TorusGrid(0, 16), 0).tolist() == [[0]]
 
 
+def test_negative_band_rejected():
+    """A negative band is a ValueError, not an empty band or a zero field."""
+    g = TorusGrid(0, 16)
+    with pytest.raises(ValueError):
+        BandSubspace(g, -1)
+    with pytest.raises(ValueError):
+        band_limited_field(g, -1, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("window", [(2, 3, 4), (3,), -1, 2.7, (3, 1.5), 1.9,
                                     float("inf"), float("nan"), 8])
 def test_malformed_window_rejected(torus_transform, window):
