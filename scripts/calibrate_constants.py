@@ -126,8 +126,7 @@ def bracket_space():
     """H_<omega> on the 128-point z-circle, band 4: the space of
     `anisospec quantize-probes`."""
     tr = BargmannTransform(TorusGrid(0, 128), HALF, window=16)
-    return WeightedSpace(weight=lambda sg, eta: jbracket(eta[-1])
-                         * np.ones_like(sg[0]),
+    return WeightedSpace(weight=lambda eta: jbracket(eta[-1]),
                          transform=tr, band=BandSubspace(tr.grid, 4))
 
 

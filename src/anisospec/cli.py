@@ -222,9 +222,8 @@ def run_quantize_probes(cfg):
     tr = _validated(BargmannTransform, g, p, window=cfg["window"])
     r_ord = cfg["weight_order"]
     space = _validated(
-        WeightedSpace, weight=lambda sg, eta: jbracket(eta[-1]) ** r_ord
-        * np.ones_like(sg[0]), transform=tr,
-        band=_validated(BandSubspace, g, cfg["band"]))
+        WeightedSpace, weight=lambda eta: jbracket(eta[-1]) ** r_ord,
+        transform=tr, band=_validated(BandSubspace, g, cfg["band"]))
 
     base_params = {"points": cfg["points"], "window": cfg["window"],
                    "band": cfg["band"], "weight_order": cfg["weight_order"]}

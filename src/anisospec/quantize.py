@@ -6,10 +6,11 @@ grids sg at the frequency center eta, as BargmannTransform.op_apply takes it;
 a slow-variation certificate is a number h >= 0 with
 |a(rho') - a(rho)| <= h <d_g(rho, rho')>, d_g the g-distance.  Weighted
 operator norms are taken on an explicit band-limited subspace (plane-wave
-modes well inside the phase window, where the discrete H_W inner product is
-positive definite).  A WeightedSpace builds the band Gram G = L L^H of
-<u, Op(W^2) v> once; the H_W norm of T is then the spectral norm of
-L^H T L^{-H}, estimated by power iteration.  Power iteration approaches the
+modes inside the phase window).  A weight W(eta) depends on the frequency
+alone, so Op(W^2) is a Fourier multiplier and the band's plane waves are
+H_W-orthogonal: a WeightedSpace keeps one scale s_k = <b_k, Op(W^2) b_k>^(1/2)
+per mode, and the H_W norm of T is the spectral norm of S T S^-1, S =
+diag(s), estimated by power iteration.  Power iteration approaches the
 largest singular value from below, so a residual estimate is a lower
 estimate of the residual norm.
 """
@@ -54,58 +55,63 @@ def rotate(u, grid: TorusGrid, t: float):
 class BandSubspace:
     """Orthonormal plane-wave modes |k|_inf <= kmax: lattice_cube(grid, kmax).
 
-    Probe operators are compressed to this subspace; kmax is chosen well
-    inside the transform's phase window so the compression loses only
-    packet-tail mass.
+    Probe operators are compressed to this subspace; kmax is chosen inside
+    the transform's phase window so the compression loses only packet-tail
+    mass.
     """
 
     def __init__(self, grid: TorusGrid, kmax: int):
         self.grid = grid
         self.modes = lattice_cube(grid, kmax)
         self.size = self.modes.shape[0]
-        sg = grid.space_grids()
-        norm = grid.length ** (grid.d / 2.0)
-        self._basis = np.empty((self.size,) + grid.shape, dtype=complex)
-        for i, k in enumerate(self.modes):
-            phase = sum(k[ax] * grid.d_eta * sg[ax] for ax in range(grid.d))
-            self._basis[i] = np.exp(1j * phase) / norm
 
     def from_grid(self, u):
-        """Coefficients <b_i, u> of u on the modes, each by TorusGrid.inner."""
-        return np.array([self.grid.inner(b, u) for b in self._basis])
+        """Coefficients <b_k, u> of u on the modes: its Fourier coefficients
+        at the modes over L^(d/2), from one FFT."""
+        g = self.grid
+        return g.fcoef(u)[tuple((self.modes % g.points).T)] \
+            / g.length ** (g.d / 2.0)
 
     def matrix(self, apply_fn) -> np.ndarray:
         """Compression P T P of an operator, as a size x size matrix."""
+        g = self.grid
+        sg = g.space_grids()
+        norm = g.length ** (g.d / 2.0)
         out = np.empty((self.size, self.size), dtype=complex)
-        for j in range(self.size):
-            out[:, j] = self.from_grid(apply_fn(self._basis[j]))
+        for j, k in enumerate(self.modes):
+            phase = sum(k[ax] * g.d_eta * sg[ax] for ax in range(g.d))
+            out[:, j] = self.from_grid(apply_fn(np.exp(1j * phase) / norm))
         return out
 
 
 class WeightedSpace:
-    """H_W on a band: the weight, the transform (phase grid) it is realized
-    on, and the Cholesky factor chol = L of the band Gram G = L L^H of
-    <u, Op(W^2) v>, built once.  W^2 not finite and positive at a center
-    (an OverflowError counting as infinite) is a ValueError."""
+    """H_W on a band for a weight W(eta) of the frequency center alone: the
+    transform (phase grid) it is realized on and the scale
+    s_k = <b_k, Op(W^2) b_k>^(1/2) of each band mode, built once.  A band
+    reaching past the transform's phase window, or W^2 not finite and
+    positive at a center (an OverflowError counting as infinite), is a
+    ValueError."""
 
     def __init__(self, weight: Callable, transform: BargmannTransform,
                  band: BandSubspace):
-        sg = transform.grid.space_grids()
+        reach = int(np.max(np.abs(band.modes)))
+        if reach > transform.window:
+            raise ValueError(f"band {reach} exceeds the phase window "
+                             f"{transform.window}")
         for eta in transform.centers:
             try:
                 with np.errstate(over="ignore"):
-                    w2 = np.asarray(weight(sg, eta)) ** 2
+                    w2 = np.asarray(weight(eta)) ** 2
             except OverflowError:
                 w2 = np.inf
-            if not np.all(np.isfinite(w2) & (w2 > 0)):
+            if not (np.isfinite(w2) and w2 > 0):
                 raise ValueError(f"weight ** 2 is not finite and positive at "
                                  f"eta = {eta}")
-        self.weight = weight
         self.transform = transform
         self.band = band
         gram = band.matrix(lambda u: transform.op_apply(
-            u, lambda sg, eta: np.asarray(weight(sg, eta)) ** 2))
-        self.chol = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
+            u, lambda sg, eta: weight(eta) ** 2))
+        self.scale = np.sqrt(np.real(np.diag(gram)))
 
 
 def power_largest_sv(a: np.ndarray) -> float:
@@ -127,12 +133,10 @@ def power_largest_sv(a: np.ndarray) -> float:
 def hw_operator_norm(apply_fn, space: WeightedSpace) -> float:
     """H_W norm of the band compression of apply_fn, by power_largest_sv.
 
-    ||T||_{H_W} = ||L^H T_band L^{-H}||_2 with G = L L^H the band Gram.
+    ||T||_{H_W} = ||S T_band S^-1||_2 with S = diag(space.scale).
     """
-    tmat = space.band.matrix(apply_fn)
-    # T L^{-H} = (L^{-1} T^H)^H
-    right = np.linalg.solve(space.chol, tmat.conj().T).conj().T
-    return power_largest_sv(space.chol.conj().T @ right)
+    s = space.scale
+    return power_largest_sv(s[:, None] * space.band.matrix(apply_fn) / s)
 
 
 # -- residual probes -------------------------------------------------------
@@ -167,8 +171,9 @@ def composition_residual(a, b, h_b: float, space: WeightedSpace,
 def egorov_residual(a, h_a: float, t: float, space: WeightedSpace,
                     c_frozen: float):
     """(estimate of ||e^{-tX} Op(a o phi^t) - Op(a) e^{-tX}||_{H_W},
-    bound C_t ||(W o phi^t / W) h_a||_inf), h_a the certificate of a and
-    e^{-tX} the rotation of the flow circle."""
+    bound C_t h_a), h_a the certificate of a and e^{-tX} the rotation of
+    the flow circle.  The rotation freezes frequency, so the weight ratio
+    W o phi^t / W of the paper's bound is 1 for a frequency weight."""
     _check_certificate(h_a)
     tr = space.transform
     at = lambda sg, eta: a([*sg[:-1], sg[-1] - t], eta)  # a o phi^t
@@ -177,13 +182,7 @@ def egorov_residual(a, h_a: float, t: float, space: WeightedSpace,
         return rotate(tr.op_apply(u, at), tr.grid, t) \
             - tr.op_apply(rotate(u, tr.grid, t), a)
 
-    est = hw_operator_norm(t_apply, space)
-    sg = tr.grid.space_grids()
-    sgt = [*sg[:-1], sg[-1] - t]
-    sup = max(float(np.max(np.asarray(space.weight(sgt, eta), dtype=float)
-                           / np.asarray(space.weight(sg, eta), dtype=float)))
-              for eta in tr.centers)
-    return est, c_frozen * (h_a * sup)
+    return hw_operator_norm(t_apply, space), c_frozen * h_a
 
 
 def microlocality_probe(rho, t: float, probes,

@@ -240,6 +240,16 @@ def test_quantize_probes_subcommand(tmp_path):
     assert all(r["pass"] for r in records)
 
 
+def test_quantize_band_at_window_edge(tmp_path):
+    """A band at the phase window's edge is well-formed input (one past it
+    is a config error): it runs, and its failing probes are a resolution
+    verdict, exit 1, with probes.json written."""
+    out = tmp_path / "edge"
+    assert run(["quantize-probes", "--band", "4", "--window", "4",
+                "--output-dir", out]) == 1
+    assert (out / "probes.json").is_file()
+
+
 def test_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     run(["toy", "--w0", "0.7", "--r", "0.5", "--output-dir", out_a])
@@ -351,6 +361,7 @@ def test_malformed_config_rejected(tmp_path):
                  ["quantize-probes", "--window", "-3"],
                  ["quantize-probes", "--points", "7"],
                  ["quantize-probes", "--points", "2"],
+                 ["quantize-probes", "--band", "5", "--window", "4"],
                  ["suspension", "--R", "0"],
                  ["suspension", "--k-max", "-1"],
                  ["suspension", "--nu-max", "-1"],

@@ -19,10 +19,8 @@ PROBE_A = (2.0, 4.0, 2.0, 8.0)
 PROBE_B = (3.5, -2.0, 2.5, 10.0)
 H_PROBE = 0.2
 
-# <omega>, the weight of quantize-probes, and a z-dependent weight whose
-# band Gram is not diagonal
-BRACKET = lambda sg, eta: jbracket(eta[-1]) * np.ones_like(sg[0])
-COS_Z = lambda sg, eta: (1.5 + np.cos(sg[0])) * jbracket(eta[-1])
+# <omega>, the weight of quantize-probes
+BRACKET = lambda eta: jbracket(eta[-1])
 
 
 @pytest.fixture(scope="module")
@@ -110,31 +108,61 @@ def test_weighted_space_temperate_frozen():
         <= frozen.WSPACE_TEMPERATE_C
 
 
-def test_hw_gram_positive(setup):
-    """The space's factor is that of the band Gram of Op(W^2), which is
-    positive definite."""
+def test_weight_gram_is_diagonal(setup):
+    """The premise of WeightedSpace: for a frequency weight the band
+    compression of Op(W^2) is diagonal to rounding, and the space's scales
+    are the square roots of its diagonal."""
     tr, band, space = setup
     gram = band.matrix(lambda u: tr.op_apply(
-        u, lambda sg, eta: BRACKET(sg, eta) ** 2))
-    gram = 0.5 * (gram + gram.conj().T)
-    assert np.linalg.eigvalsh(gram).min() > 0
-    assert np.allclose(space.chol @ space.chol.conj().T, gram,
-                       rtol=0, atol=1e-12 * np.max(np.abs(gram)))
+        u, lambda sg, eta: BRACKET(eta) ** 2))
+    diag = np.diag(gram)
+    off = gram - np.diag(diag)
+    assert np.max(np.abs(off)) <= 1e-12 * np.max(np.abs(diag))
+    assert np.max(np.abs(diag.imag)) <= 1e-12 * np.max(diag.real)
+    assert np.all(diag.real > 0)
+    assert np.allclose(space.scale ** 2, diag.real, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("weight", [BRACKET, COS_Z], ids=["bracket", "cos_z"])
-def test_power_iteration_close_to_dense(setup, weight):
-    """The power estimate against the exact SVD of L^H T L^{-H}, G = L L^H."""
-    tr, band, _ = setup
-    space = WeightedSpace(weight=weight, transform=tr, band=band)
+def test_power_iteration_close_to_dense(setup):
+    """The power estimate against the exact SVD of S T S^-1, S the
+    diagonal of the space's scales."""
+    tr, band, space = setup
     a = bump_symbol(2.0, 3.0, 2.0, 6.0)
     est = hw_operator_norm(lambda u: tr.op_apply(u, a), space)
-    low_h = space.chol.conj().T
+    s = np.diag(space.scale)
     tmat = band.matrix(lambda u: tr.op_apply(u, a))
-    exact = np.linalg.svd(low_h @ tmat @ np.linalg.inv(low_h),
-                          compute_uv=False)[0]
+    exact = np.linalg.svd(s @ tmat @ np.linalg.inv(s), compute_uv=False)[0]
     assert est <= exact * (1 + 1e-12)
     assert est == pytest.approx(exact, rel=1e-6)
+
+
+def test_band_past_window_rejected(params_half):
+    """A band whose modes lie outside the phase window sees only packet-tail
+    mass there: WeightedSpace refuses it, and a band at the window edge is
+    accepted."""
+    tr = BargmannTransform(TorusGrid(0, 64), params_half, window=4)
+    with pytest.raises(ValueError, match="exceeds the phase window"):
+        WeightedSpace(weight=BRACKET, transform=tr,
+                      band=BandSubspace(tr.grid, 5))
+    space = WeightedSpace(weight=BRACKET, transform=tr,
+                          band=BandSubspace(tr.grid, 4))
+    assert space.scale.shape == (9,)
+
+
+@pytest.mark.parametrize("n_transverse", [0, 1])
+def test_from_grid_matches_inner_products(n_transverse):
+    """The band coefficients from one FFT equal the per-mode inner products
+    <b_k, u> against the plane waves, on a 1-D and a 2-D grid."""
+    g = TorusGrid(n_transverse, 16, length=3.0)
+    band = BandSubspace(g, 3)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    sg = g.space_grids()
+    waves = [np.exp(1j * sum(k[ax] * g.d_eta * sg[ax] for ax in range(g.d)))
+             / g.length ** (g.d / 2.0) for k in band.modes]
+    want = np.array([g.inner(b, u) for b in waves])
+    got = band.from_grid(u)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _at(fn, rho):
