@@ -88,12 +88,19 @@ class WeightedSpace:
     """H_W on a band for a weight W(eta) of the frequency center alone: the
     transform (phase grid) it is realized on and the scale
     s_k = <b_k, Op(W^2) b_k>^(1/2) of each band mode, built once.  A band
-    reaching past the transform's phase window, or W^2 not finite and
-    positive at a center (an OverflowError counting as infinite), is a
+    on another grid than the transform's (n, points or length differing),
+    a band reaching past the transform's phase window, or W^2 not finite
+    and positive at a center (an OverflowError counting as infinite), is a
     ValueError."""
 
     def __init__(self, weight: Callable, transform: BargmannTransform,
                  band: BandSubspace):
+        bg, tg = band.grid, transform.grid
+        if (bg.n, bg.points, bg.length) != (tg.n, tg.points, tg.length):
+            raise ValueError(f"band grid (n={bg.n}, points={bg.points}, "
+                             f"length={bg.length}) is not the transform's "
+                             f"(n={tg.n}, points={tg.points}, "
+                             f"length={tg.length})")
         reach = int(np.max(np.abs(band.modes)))
         if reach > transform.window:
             raise ValueError(f"band {reach} exceeds the phase window "

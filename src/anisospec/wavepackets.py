@@ -152,7 +152,11 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     delta is constant over the node range (closed form pi^{d/2} / prod delta).
     eta_primes has shape (..., d); the last axis is the flow frequency.
     Each value is the row sum of its own point's node terms, so it is
-    bitwise independent of the other points in the call.
+    bitwise independent of the other points in the call.  The nodes and
+    weights are symmetric, so m is even in each coordinate up to rounding.
+    The points go through in blocks whose node arrays, the node deltas
+    min(delta0, |eta|^-alpha) among them, are written into three buffers
+    allocated once.
     """
     eta_primes = np.asarray(eta_primes, dtype=float)
     single = eta_primes.ndim == 1
@@ -165,21 +169,26 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
     def along(a, ax):  # a (block, nodes) array on node axis ax of the buffer
         return a.reshape((-1,) + (1,) * ax + (t.size,) + (1,) * (d - 1 - ax))
 
-    def node_delta(en_i, alpha, delta):  # the power -1/2 as 1/sqrt
+    def node_delta(en_i, alpha, delta, out):  # the power -1/2 as 1/sqrt
+        if alpha != 0.5:
+            return delta(en_i, p)
         with np.errstate(divide="ignore"):
-            return np.minimum(p.delta0, 1.0 / np.sqrt(en_i)) if alpha == 0.5 \
-                else delta(en_i, p)
+            np.sqrt(en_i, out=out)
+            np.divide(1.0, out, out=out)
+        return np.minimum(p.delta0, out, out=out)
 
     out = np.empty(pts.shape[0])
-    # blocks of points with every node: the node buffer and its scratch
-    # twin hold at most _NODE_BLOCK_BYTES each and are reused, so the
-    # arithmetic runs in cache without fresh temporaries
+    # blocks of points with every node: the node buffer, its scratch twin
+    # and the node deltas' buffer hold at most _NODE_BLOCK_BYTES each and
+    # are reused, so the arithmetic runs in cache without fresh temporaries
+    # (one deltas' buffer serves both exponents: if they differ, at most
+    # one of them is 1/2)
     block = max(1, _NODE_BLOCK_BYTES // (8 * t.size**d))
     buf = np.empty((min(block, pts.shape[0]),) + logww.shape)
-    scratch = np.empty_like(buf)
+    scratch, deltas = np.empty_like(buf), np.empty_like(buf)
     for start in range(0, pts.shape[0], block):
         c, s = pts[start:start + block], scales[start:start + block]
-        b, tmp = buf[:len(c)], scratch[:len(c)]
+        b, tmp, dbuf = buf[:len(c)], scratch[:len(c)], deltas[:len(c)]
         # the node coordinates eta_ax = c_ax - t / s_ax, (block, nodes) each
         eta = [c[:, ax, None] - t / s[:, ax, None] for ax in range(d)]
         # adding the squares in axis order is bitwise what
@@ -189,9 +198,9 @@ def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
             b += along(eta[ax] * eta[ax], ax)
         en_i = np.sqrt(b, out=b)
         # |prof0|^2 = exp(-(dp (xi - xi'))^2 - (dl (om - om'))^2)
-        dl = node_delta(en_i, p.alpha_par, delta_par)  # one when they agree
+        dl = node_delta(en_i, p.alpha_par, delta_par, dbuf)  # one if equal
         dp = dl if p.alpha_perp == p.alpha_par \
-            else node_delta(en_i, p.alpha_perp, delta_perp)
+            else node_delta(en_i, p.alpha_perp, delta_perp, dbuf)
         # q, the sum of the squares in axis order, overwrites |eta|
         for ax, dk in enumerate([dp] * (d - 1) + [dl]):
             term = tmp if ax else b
@@ -277,24 +286,52 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams) -> float:
     """Continuous ||packet||^2 = int prof0^2/m d eta' by local trapezoid.
 
     The integrand is concentrated within ~1/delta of the center per axis;
-    the trapezoid covers 10 of those units on each side.  As for the exact
-    packet, m is evaluated only where prof0^2 >= 1e-40; the integrand is 0
-    elsewhere.
+    the trapezoid covers 10 of those units on each side on nodes symmetric
+    about the center.  As for the exact packet, m is evaluated only where
+    prof0^2 >= 1e-40; the integrand is 0 elsewhere.  m is even in each
+    coordinate, so it is evaluated once per distinct |eta'| point among
+    the kept nodes: along an axis where the center is 0, half the grid.
+    A center that is not a finite 1-D vector, or one so large that its
+    nodes collapse or the quadrature overflows, is a ValueError.
     """
-    eta_center = np.asarray(eta_center, dtype=float)
-    d = len(eta_center)
-    sizes = box_sizes(float(np.linalg.norm(eta_center)), p, d)
-    axes = [c + np.linspace(-10.0, 10.0, _NORM_POINTS) / s
-            for c, s in zip(eta_center, sizes)]
+    c = np.asarray(eta_center, dtype=float)
+    if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise ValueError(f"center {eta_center!r} is not a finite 1-D vector")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _norm_sq_trapezoid(c, p)
+    except FloatingPointError as exc:
+        raise ValueError(f"center {eta_center!r} overflows the quadrature"
+                         ) from exc
+
+
+def _norm_sq_trapezoid(c, p: MetricParams) -> float:
+    """packet_norm_sq_continuous at a finite center c."""
+    d = c.size
+    sizes = box_sizes(float(np.linalg.norm(c)), p, d)
+    offsets = (np.arange(_NORM_POINTS) - _NORM_POINTS // 2) \
+        * (20.0 / (_NORM_POINTS - 1))
+    axes = [ca + offsets / s for ca, s in zip(c, sizes)]
+    if not all(np.all(np.diff(a) > 0) for a in axes):
+        raise ValueError(f"center {c}: its trapezoid nodes are not distinct "
+                         f"in float64")
+    # a node's id is the row-major index of its |eta'_ax| among each axis's
+    # distinct values, so mirror nodes, where m agrees, share one id
+    folded = [np.unique(np.abs(a), return_inverse=True) for a in axes]
+    ids = 0
+    for ax, (u, inv) in enumerate(folded):
+        ids = ids * u.size + inv.reshape((-1,) + (1,) * (d - 1 - ax))
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    q = np.zeros(pts.shape[:-1])
+    q = np.zeros(mesh[0].shape)
     for ax in range(d):
-        q += (sizes[ax] * (mesh[ax] - eta_center[ax])) ** 2
+        q += (sizes[ax] * (mesh[ax] - c[ax])) ** 2
     vals = np.exp(-q)
     keep = vals >= 1e-40
     vals[~keep] = 0.0
-    vals[keep] /= m_gauss_hermite(pts[keep], p, d)
+    kept, back = np.unique(ids[keep], return_inverse=True)
+    idx = np.unravel_index(kept, [u.size for u, _ in folded])
+    pts = np.stack([u[i] for (u, _), i in zip(folded, idx)], axis=-1)
+    vals[keep] /= m_gauss_hermite(pts, p, d)[back]
     for ax in reversed(range(d)):
         vals = np.trapezoid(vals, axes[ax], axis=ax)
     return float(vals)

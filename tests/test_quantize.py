@@ -11,7 +11,7 @@ from anisospec.quantize import (BandSubspace, WeightedSpace, bump_symbol,
                                 composition_residual, constant_symbol,
                                 egorov_residual, hw_operator_norm,
                                 microlocality_probe, rotate, trace_phase_sum)
-from anisospec.wavepackets import BargmannTransform, TorusGrid
+from anisospec.wavepackets import TWO_PI, BargmannTransform, TorusGrid
 
 # the two symbols of `anisospec quantize-probes` and their slow-variation
 # certificate
@@ -146,6 +146,22 @@ def test_band_past_window_rejected(params_half):
                       band=BandSubspace(tr.grid, 5))
     space = WeightedSpace(weight=BRACKET, transform=tr,
                           band=BandSubspace(tr.grid, 4))
+    assert space.scale.shape == (9,)
+
+
+@pytest.mark.parametrize("n, points, length", [
+    (0, 128, 3.0), (0, 64, TWO_PI), (1, 128, TWO_PI)],
+    ids=["length", "points", "dimension"])
+def test_band_on_another_grid_rejected(params_half, n, points, length):
+    """A band's plane waves are the transform's only on the transform's own
+    grid: a band on a grid of another length, point count or dimension is
+    refused, and one on an equal grid object is accepted."""
+    tr = BargmannTransform(TorusGrid(0, 128), params_half, window=16)
+    with pytest.raises(ValueError, match="is not the transform's"):
+        WeightedSpace(weight=BRACKET, transform=tr,
+                      band=BandSubspace(TorusGrid(n, points, length), 4))
+    space = WeightedSpace(weight=BRACKET, transform=tr,
+                          band=BandSubspace(TorusGrid(0, 128), 4))
     assert space.scale.shape == (9,)
 
 

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from calibrate_constants import packet_constants
 
-from anisospec import frozen
-from anisospec.bracket_metric import (MetricParams, delta_par, delta_perp,
+from anisospec import frozen, wavepackets
+from anisospec.bracket_metric import (MetricParams, box_sizes, delta_par,
+                                      delta_perp,
                                       distortion_from_eta_norm, frequency_norm,
                                       jbracket, phase_point)
 from anisospec.errors import ResolutionError
@@ -342,21 +343,89 @@ def test_packet_norm_defect_scaling(packets):
     assert worst <= frozen.PACKET_NORM_DEFECT_C
 
 
-@pytest.mark.parametrize("e", [1.0, 64.0, 1024.0])
-def test_packet_norm_mask_matches_full_evaluation(params_half, e):
-    """Leaving out m where prof0^2 < 1e-40 moves ||packet||^2 by rounding
-    only, against the integrand evaluated at every trapezoid node."""
-    p, center = params_half, np.array([e, 0.0])
-    dp, dl = delta_perp(e, p), delta_par(e, p)
-    axes = [center[0] + np.linspace(-10.0, 10.0, _NORM_POINTS) / dp,
-            center[1] + np.linspace(-10.0, 10.0, _NORM_POINTS) / dl]
-    xi, om = np.meshgrid(*axes, indexing="ij")
-    g2 = np.exp(-(dp * (xi - center[0])) ** 2 - (dl * (om - center[1])) ** 2)
-    assert np.count_nonzero(g2 < 1e-40) > 0.2 * g2.size
-    vals = g2 / m_gauss_hermite(np.stack([xi, om], axis=-1), p, 2)
-    full = np.trapezoid(np.trapezoid(vals, axes[1], axis=1), axes[0])
+def _norm_nodes(center, p, points=_NORM_POINTS):
+    """The box sizes at the center and the trapezoid axes of
+    packet_norm_sq_continuous: offsets symmetric about the center."""
+    sizes = box_sizes(float(np.linalg.norm(center)), p, len(center))
+    offsets = (np.arange(points) - points // 2) * (20.0 / (points - 1))
+    return sizes, [c + offsets / s for c, s in zip(center, sizes)]
+
+
+@pytest.mark.parametrize("center, points", [
+    pytest.param((1.0, 0.0), _NORM_POINTS, id="1.0"),
+    pytest.param((64.0, 0.0), _NORM_POINTS, id="64.0"),
+    pytest.param((1024.0, 0.0), _NORM_POINTS, id="1024.0"),
+    pytest.param((64.0,), _NORM_POINTS, id="1d"),
+    # 97^3 nodes of 32^3 Gauss-Hermite terms each take minutes; 17 per
+    # axis keep the symmetric grid and the cut corners
+    pytest.param((64.0, 0.0, 0.0), 17, id="3d"),
+    pytest.param((3.0, 5.0), _NORM_POINTS, id="off_axis"),
+])
+def test_packet_norm_mask_matches_full_evaluation(params_half, monkeypatch,
+                                                  center, points):
+    """Leaving out m where prof0^2 < 1e-40, and taking one m per mirror
+    pair of nodes, moves ||packet||^2 by rounding only, against the
+    integrand evaluated at every trapezoid node."""
+    monkeypatch.setattr(wavepackets, "_NORM_POINTS", points)
+    p, center = params_half, np.array(center)
+    d = center.size
+    sizes, axes = _norm_nodes(center, p, points)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    g2 = np.exp(-sum((s * (m - c)) ** 2 for s, m, c in zip(sizes, mesh,
+                                                            center)))
+    # the cut drops the 2 end nodes of a 1-D axis, the corners in 2-D and 3-D
+    assert np.count_nonzero(g2 < 1e-40) > (0.04 if d == 1 else 0.2) * g2.size
+    vals = g2 / m_gauss_hermite(np.stack(mesh, axis=-1), p, d)
+    for ax in reversed(range(d)):
+        vals = np.trapezoid(vals, axes[ax], axis=ax)
     got = packet_norm_sq_continuous(center, p)
-    assert got == pytest.approx(full, rel=1e-13, abs=0.0)
+    assert got == pytest.approx(float(vals), rel=1e-13, abs=0.0)
+
+
+def test_packet_norm_one_m_per_mirror_pair(params_half, monkeypatch):
+    """At an on-axis 2-D center, m_gauss_hermite receives each kept node
+    with omega' >= 0 once, and no other: along omega' the trapezoid is
+    symmetric about 0 and m is even, so the kept nodes with omega' < 0 take
+    their mirrors' values: at most 49 of the 97 nodes of a column.  (The
+    cut keeps at most 93 nodes of a column, so m gets 47/93 of the kept
+    points or a little more.)"""
+    seen = []
+
+    def spy(pts, p, d):
+        seen.append(np.array(pts))
+        return m_gauss_hermite(pts, p, d)
+
+    monkeypatch.setattr(wavepackets, "m_gauss_hermite", spy)
+    p, center = params_half, np.array([64.0, 0.0])
+    sizes, axes = _norm_nodes(center, p)
+    xi, om = np.meshgrid(*axes, indexing="ij")
+    keep = np.exp(-(sizes[0] * (xi - 64.0)) ** 2 - (sizes[1] * om) ** 2) \
+        >= 1e-40
+    packet_norm_sq_continuous(center, p)
+    (pts,) = seen
+    half = keep & (om >= 0.0)
+    assert len(pts) == np.count_nonzero(half)
+    assert 2 * len(pts) == np.count_nonzero(keep) \
+        + np.count_nonzero(keep & (om == 0.0))
+    assert np.count_nonzero(half, axis=1).max() <= 49
+    # m is even in xi' too: the nodes left of xi' = 0 go in as |xi'|
+    assert set(map(tuple, pts)) == set(zip(np.abs(xi[half]), om[half]))
+
+
+@pytest.mark.parametrize("center", [
+    pytest.param(4.0, id="scalar"),
+    pytest.param((np.inf, 0.0), id="inf"),
+    pytest.param((np.nan, 0.0), id="nan"),
+    pytest.param((1e300, 0.0), id="overflow"),
+    pytest.param((1e100, 0.0), id="collapsed_nodes"),
+    pytest.param((), id="empty"),
+    pytest.param(((1.0, 0.0),), id="2d_array"),
+])
+def test_packet_norm_bad_center_rejected(params_half, center):
+    """A center that is not a finite 1-D vector, or whose nodes collapse or
+    overflow in float64, is a ValueError: no warning, no nan."""
+    with pytest.raises(ValueError, match="center"):
+        packet_norm_sq_continuous(center, params_half)
 
 
 def test_packet_spatial_decay_exponent(params_half):
