@@ -100,8 +100,8 @@ def holder_ratio(form: HolderForm, scale: float, n_pairs: int, exponent: float,
 
 
 # Cell sides per chunk of box_count; 16 samples each keep a chunk's complex
-# Weierstrass powers in evaluate near 1 MB per axis.
-_SIDE_CHUNK = 2**12
+# Weierstrass powers in evaluate at 256 KiB per axis.
+_SIDE_CHUNK = 2**10
 
 
 def box_count(form: HolderForm, omega: float, alpha: float) -> int:

@@ -123,9 +123,9 @@ def band_limited_field(grid: TorusGrid, band: int, rng):
     return u
 
 
-def _profile0(grid: TorusGrid, eta_centers, p: MetricParams):
+def _profile0(grid: TorusGrid, eta_centers, p: MetricParams, out=None):
     """Unnormalized frequency Gaussians of the packets centered at the rows of
-    eta_centers, shape (c,) + grid.shape.
+    eta_centers, shape (c,) + grid.shape, written into out when given.
 
     Each square (delta (eta'_ax - eta_ax))^2 depends on one frequency axis,
     so it is computed on grid.freqs_1d and broadcast along the others; the
@@ -136,12 +136,14 @@ def _profile0(grid: TorusGrid, eta_centers, p: MetricParams):
     # norms one row at a time: np.linalg.norm(cs, axis=1) rounds differently
     scales = box_sizes(np.array([np.linalg.norm(eta) for eta in cs]), p,
                        grid.d)
-    q = np.zeros((cs.shape[0],) + grid.shape)
+    q = np.empty((cs.shape[0],) + grid.shape) if out is None else out
+    q.fill(0.0)
     for ax in range(grid.d):
         sq = (scales[:, ax, None] * (grid.freqs_1d - cs[:, ax, None])) ** 2
         q += sq.reshape((-1,) + (1,) * ax + (grid.points,)
                         + (1,) * (grid.d - 1 - ax))
-    return np.exp(-0.5 * q)
+    np.multiply(-0.5, q, out=q)
+    return np.exp(q, out=q)
 
 
 def m_gauss_hermite(eta_primes, p: MetricParams, d: int):
@@ -394,11 +396,15 @@ class BargmannTransform:
     them, and `_fold` adds per-center rows into accumulators.  A batch
     holds at most _BATCH_BYTES per complex (c,) + grid array, whatever the
     window: the FFTs run no faster on larger batches, while the peak memory
-    grows with them.  The arithmetic order is fixed to that of a loop over
-    single centers (scalar factors in the same order, norms per center,
-    accumulation one center at a time), so every result is bitwise
-    independent of the batching, and residuals that are pure rounding noise
-    reproduce exactly.
+    grows with them.  The batch arrays (profiles, B u, and op_apply's
+    forward FFT) are allocated once per call and each batch is computed
+    into them with `out=`, the same ufuncs in the same operand order as
+    fresh arrays, so the results are bit for bit those of fresh arrays.
+    The arithmetic order is fixed to that of a loop over single centers
+    (scalar factors in the same order, norms per center, B u times the
+    symbol row by row, accumulation one center at a time), so every result
+    is bitwise independent of the batching, and residuals that are pure
+    rounding noise reproduce exactly.
 
     `op_apply` and `identity_symbol_sum` also serve nested windows in one
     pass: given windows inside the transform's own, each center's row is
@@ -433,29 +439,45 @@ class BargmannTransform:
 
     # -- the kernel ------------------------------------------------------
 
+    def _batch_shape(self):
+        """Shape (c,) + grid of the kernel's batch arrays: c centers, at most
+        _BATCH_BYTES as a complex array, and no more than the window has."""
+        g = self.grid
+        step = max(1, _BATCH_BYTES // (16 * g.points**g.d))
+        return (min(step, self.centers.shape[0]),) + g.shape
+
     def _analysis(self, u, fn=None):
         """Walk the window's centers in byte-bounded batches.
 
         Yields (sl, prof, v) per batch: the batch's slice of the centers,
         their normalized profiles and, unless u is None, B u on them without
         the packets' absolute phase e^{-i eta.y}, multiplied by fn(Y, ETA)
-        when fn is given.  prof and v have shape (c,) + grid.
+        when fn is given.  prof and v have shape (c,) + grid and are views
+        of two buffers allocated once per call: the next batch overwrites
+        them, so a consumer uses (and may overwrite) a batch's rows before
+        it asks for the next.
         """
         g = self.grid
-        uhat = None if u is None else g.fcoef(u)
+        shape = self._batch_shape()
         axes = tuple(range(1, g.d + 1))
-        step = max(1, _BATCH_BYTES // (16 * g.points**g.d))
-        for start in range(0, self.centers.shape[0], step):
-            sl = slice(start, start + step)
+        uhat = None if u is None else g.fcoef(u)
+        prof_buf = np.empty(shape)
+        v_buf = None if u is None else np.empty(shape, dtype=complex)
+        for start in range(0, self.centers.shape[0], shape[0]):
+            sl = slice(start, start + shape[0])
             cs = self.centers[sl]
-            prof = _profile0(g, cs, self.p) / self._msqrt
+            prof = _profile0(g, cs, self.p, out=prof_buf[:len(cs)])
+            np.divide(prof, self._msqrt, out=prof)
             v = None
             if uhat is not None:
-                v = TWO_PI ** (g.d / 2.0) \
-                    * (np.fft.ifftn(prof * uhat, axes=axes) / g.h**g.d)
-                if fn is not None:
-                    v = v * np.stack([np.broadcast_to(fn(self._sg, eta), g.shape)
-                                      for eta in cs])
+                # TWO_PI**(d/2) * (ifftn(prof * uhat) / h**d), in place
+                v = np.multiply(prof, uhat, out=v_buf[:len(cs)])
+                np.fft.ifftn(v, axes=axes, out=v)
+                v /= g.h**g.d
+                np.multiply(TWO_PI ** (g.d / 2.0), v, out=v)
+                if fn is not None:  # B u times the symbol, row by row
+                    for row, eta in zip(v, cs):
+                        row *= fn(self._sg, eta)
             yield sl, prof, v
 
     def _picks(self, windows):
@@ -476,7 +498,8 @@ class BargmannTransform:
 
         batches yields (sl, rows): a batch's slice of the centers and one
         grid-shaped row per center.  Each accumulator adds its rows one at a
-        time in center order, starting from zeros.
+        time in center order, starting from zeros, and a batch's rows are
+        added before the next batch, which may overwrite them, is asked for.
         """
         accs = [np.zeros(self.grid.shape, dtype=dtype) for _ in picks]
         for sl, rows in batches:
@@ -507,10 +530,15 @@ class BargmannTransform:
         """
         g = self.grid
         axes = tuple(range(1, g.d + 1))
-        # B*: each center's prof * fcoef(v), folded per window
-        accs = self._fold(((sl, prof * (g.h**g.d * np.fft.fftn(v, axes=axes)))
-                           for sl, prof, v in self._analysis(u, symbol)),
-                          self._picks(windows), complex)
+        f_buf = np.empty(self._batch_shape(), dtype=complex)
+
+        def rows():  # B*: each center's prof * (h**d * fftn(v)), in place
+            for sl, prof, v in self._analysis(u, symbol):
+                f = np.fft.fftn(v, axes=axes, out=f_buf[:len(v)])
+                np.multiply(g.h**g.d, f, out=f)
+                yield sl, np.multiply(prof, f, out=f)
+
+        accs = self._fold(rows(), self._picks(windows), complex)
         scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
         out = [scale * g.finv(acc) for acc in accs]
         return out[0] if windows is None else out
@@ -521,13 +549,14 @@ class BargmannTransform:
         op_apply(u) = finv(identity_symbol_sum() * fcoef(u)).  It equals 1
         where the window fully covers the packet mass.  windows gives a list
         with one multiplier per window, as for op_apply."""
-        accs = self._fold(((sl, prof**2) for sl, prof, _
+        accs = self._fold(((sl, np.square(prof, out=prof)) for sl, prof, _
                            in self._analysis(None)), self._picks(windows))
         out = [acc * self.grid.d_eta**self.grid.d for acc in accs]
         return out[0] if windows is None else out
 
     def packet_norm_sq(self):
         """||phi_(y,eta)||^2 for each window center (independent of y)."""
-        return np.concatenate([np.sum(prof.reshape(prof.shape[0], -1) ** 2, axis=1)
-                               for _, prof, _ in self._analysis(None)]) \
+        return np.concatenate([
+            np.sum(np.square(prof, out=prof).reshape(len(prof), -1), axis=1)
+            for _, prof, _ in self._analysis(None)]) \
             * self.grid.d_eta**self.grid.d

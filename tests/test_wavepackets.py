@@ -17,7 +17,7 @@ from anisospec.bracket_metric import (MetricParams, box_sizes, delta_par,
                                       jbracket, phase_point)
 from anisospec.errors import ResolutionError
 from anisospec.quantize import BandSubspace
-from anisospec.wavepackets import (_BATCH_BYTES, _NODE_BLOCK_BYTES,
+from anisospec.wavepackets import (_NODE_BLOCK_BYTES,
                                    _NORM_POINTS, TWO_PI,
                                    BargmannTransform, TorusGrid, _m_lattice,
                                    _profile0,
@@ -176,7 +176,7 @@ def test_m_gauss_hermite_bitwise_per_axis(d):
 @pytest.mark.parametrize("d, count", [(2, 2000), (3, 50)])
 def test_m_gauss_hermite_peak_memory(d, count):
     """The reused node buffers bound the kernel's peak allocation at
-    criterion 3's metric (2.7-2.8 MiB here), whatever the point count."""
+    criterion 3's metric (1.67/1.82 MiB here), whatever the point count."""
     pts = np.random.default_rng(d).normal(size=(count, d)) * 100.0
     tracemalloc.start()
     try:
@@ -185,6 +185,22 @@ def test_m_gauss_hermite_peak_memory(d, count):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak
+
+
+def test_op_apply_peak_memory():
+    """At resolution-check's 128^2 grid and windows, the kernel's batch
+    buffers, allocated once per call, keep op_apply's peak allocation at
+    3.6 MiB here; fresh arrays at every step of every batch took 7.0 MiB."""
+    g = TorusGrid(1, 128, np.pi)
+    tr = BargmannTransform(g, MetricParams(1.0, 0.5, 0.5), 14)
+    u = band_limited_field(g, 2, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        tr.op_apply(u, windows=[7, 10, 14])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20, peak
 
 
 def _m_lattice_dense(g, p):
@@ -533,24 +549,44 @@ def test_forward_at_matches_forward_field_on_lattice(torus_transform):
             <= 1e-12 * np.max(np.abs(field))
 
 
-def test_kernel_batches_do_not_change_results(torus_transform):
-    """Results are bitwise those of a per-center loop, whatever the batches."""
+@pytest.mark.parametrize("one_center", [False, True],
+                         ids=["default_budget", "one_center"])
+def test_kernel_batches_do_not_change_results(torus_transform, one_center,
+                                              monkeypatch):
+    """op_apply, identity_symbol_sum and packet_norm_sq are bitwise those of
+    a per-center loop, whatever the batches: the rows of a batch buffer
+    that the next batch overwrites cannot leak into a result.  The symbol
+    is complex: numpy's complex product is not bitwise commutative, so B u
+    times the symbol must keep that operand order at every batch size (a
+    stacked product whose temporary numpy elided swapped it)."""
+    if one_center:
+        monkeypatch.setattr(wavepackets, "_BATCH_BYTES", 1)
     tr = torus_transform
     g = tr.grid
-    assert _BATCH_BYTES // (16 * g.points**g.d) < len(tr.centers)
+    assert max(1, wavepackets._BATCH_BYTES // (16 * g.points**g.d)) \
+        == (1 if one_center else 16) < len(tr.centers)
     rng = np.random.default_rng(7)
     u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-    # the per-center anti-Wick loop the kernel replaced, as the reference
+    # the per-center loops the kernel replaced, as the references
     sg = g.space_grids()
-    symbol = lambda sg, eta: np.cos(sg[0]) * np.exp(-(eta[-1] / 6.0) ** 2)
+    symbol = lambda sg, eta: (np.cos(sg[0]) + 0.7j * np.sin(sg[-1])) \
+        * np.exp(1j * eta[-1] / 5.0 - (eta[-1] / 6.0) ** 2)
     uhat = g.fcoef(u)
     acc = np.zeros(g.shape, dtype=complex)
+    ms = np.zeros(g.shape)
+    norms = []
     for eta in tr.centers:
         prof = tr.profile(eta)
-        v = TWO_PI ** (g.d / 2.0) * g.finv(prof * uhat) * symbol(sg, eta)
+        # np.multiply, not *, which may swap a large temporary operand
+        v = np.multiply(TWO_PI ** (g.d / 2.0) * g.finv(prof * uhat),
+                        symbol(sg, eta))
         acc += prof * g.fcoef(v)
+        ms += prof**2
+        norms.append(np.sum(prof**2))
     ref = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0) * g.finv(acc)
     assert np.array_equal(tr.op_apply(u, symbol), ref)
+    assert np.array_equal(tr.identity_symbol_sum(), ms * g.d_eta**g.d)
+    assert np.array_equal(tr.packet_norm_sq(), np.array(norms) * g.d_eta**g.d)
 
 
 @pytest.mark.parametrize("fixture", ["torus_transform", "circle_transform"])
