@@ -30,8 +30,9 @@ from .suspension import (CAT_MAP, CAT_SPLIT, eigenfunction_hw_norm,
                          full_spectrum, generator_residual, wavefront_extrema,
                          weyl_count, weyl_density_exponent,
                          zero_sector_spectrum)
-from .wavepackets import (BargmannTransform, TorusGrid, band_limited_field,
-                          field_norm, packet_norm_sq_continuous)
+from .wavepackets import (BargmannTransform, TorusGrid, band_coefficients,
+                          field_norm, lattice_cube, packet_norm_sq_continuous,
+                          window_tails)
 
 
 @dataclass
@@ -113,18 +114,15 @@ RESOLUTION_GRID = dict(points=128, length=np.pi, band=2, windows=(7, 10, 14))
 
 def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
-    p = MetricParams(1.0, 0.5, 0.5)
     g = TorusGrid(1, RESOLUTION_GRID["points"], length=RESOLUTION_GRID["length"])
-    rng = np.random.default_rng(5)
-    uhats = [g.fcoef(band_limited_field(g, RESOLUTION_GRID["band"], rng))
-             for _ in range(3)]
-    # the identity symbol has no y dependence: B*B is a Fourier multiplier,
-    # one per window from one pass over the largest window's centers
-    windows = RESOLUTION_GRID["windows"]
-    ms = BargmannTransform(g, p, window=max(windows)).identity_symbol_sum(
-        windows=windows)
-    residuals = [max(field_norm((m - 1.0) * uh) / field_norm(uh)
-                     for uh in uhats) for m in ms]
+    band, rng = RESOLUTION_GRID["band"], np.random.default_rng(5)
+    coefs = [band_coefficients(g, band, rng) for _ in range(3)]
+    # by Parseval, a band-limited field's ||(B*B - 1) u|| / ||u|| is
+    # ||tail c|| / ||c|| over its band coefficients c
+    tails = window_tails(g, MetricParams(1.0, 0.5, 0.5), lattice_cube(g, band),
+                         RESOLUTION_GRID["windows"])
+    residuals = [max(field_norm(t * c) / field_norm(c) for c in coefs)
+                 for t in tails]
     ok = residuals[0] <= 1e-3 and residuals[1] < residuals[0] \
         and residuals[2] < residuals[1]
     return _result(2, "resolution of identity", ok,

@@ -12,7 +12,7 @@ eta', which is what makes B* B the identity.  Two quadratures for m are
 provided: a scaled Gauss-Hermite rule (used for standalone packets, exact in
 the constant-metric regime) and the full-lattice trapezoid sum (used inside
 the transform, so the resolution-of-identity residual measures exactly the
-truncation of the phase window).
+truncation of the phase window, which window_tails sums directly).
 """
 
 from __future__ import annotations
@@ -112,15 +112,47 @@ def lattice_cube(grid: TorusGrid, radius):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def band_coefficients(grid: TorusGrid, band: int, rng):
+    """c_k = normal + i normal for the modes k of lattice_cube(grid, band),
+    drawn from rng in the cube's row-major order, real part first."""
+    draws = rng.normal(size=(len(lattice_cube(grid, band)), 2))
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
 def band_limited_field(grid: TorusGrid, band: int, rng):
     """sum_k c_k e^{i k.y} over the modes of lattice_cube(grid, band), with
-    c_k = normal + i normal drawn from rng in the cube's row-major order."""
+    the c_k of band_coefficients, each product taken as e^{i k.y} * c_k."""
     sg = grid.space_grids()
     u = np.zeros(grid.shape, dtype=complex)
-    for ks in lattice_cube(grid, band):
-        u += (rng.normal() + 1j * rng.normal()) \
-            * np.exp(1j * grid.d_eta * sum(k * s for k, s in zip(ks, sg)))
+    for ks, c in zip(lattice_cube(grid, band),
+                     band_coefficients(grid, band, rng)):
+        u += np.exp(1j * grid.d_eta * sum(k * s for k, s in zip(ks, sg))) * c
     return u
+
+
+def window_tails(grid: TorusGrid, p: MetricParams, modes, windows):
+    """Per window w of windows and lattice mode k (a row of ints) of modes,
+    the share of sum_c prof0_c(k)^2 over _m_lattice's full center lattice
+    that the centers c = j d_eta with |j|_inf > w carry, with no
+    cancellation: 1 - tail is B*B's multiplier at k at window w.  Windows
+    are checked as by lattice_cube; the result is (windows, modes)."""
+    ws = [lattice_cube(grid, w).max() for w in windows]  # the radius of w
+    etas = np.asarray(modes, dtype=float) * grid.d_eta
+    full = np.stack([f.ravel() for f in grid.freq_grids()], axis=1)
+    sums = np.zeros((len(etas), grid.points // 2 + 1))  # shells max|j|
+    base = sums.shape[1] * np.arange(len(etas))[:, None]
+    # chunks whose d + 1 live (modes, centers) arrays hold _BATCH_BYTES
+    step = max(1, _BATCH_BYTES // (8 * (grid.d + 1) * len(etas)))
+    for cs in (full[i:i + step] for i in range(0, len(full), step)):
+        q = etas[:, None] - cs  # (modes, centers, d), then the exponent
+        q *= box_sizes(np.linalg.norm(cs, axis=1), p, grid.d)
+        q = np.square(q, out=q).sum(axis=2)
+        np.exp(np.negative(q, out=q), out=q)
+        j = np.rint(np.max(np.abs(cs), axis=1) / grid.d_eta).astype(int)
+        sums += np.bincount((base + j).ravel(), q.ravel(),
+                            sums.size).reshape(sums.shape)
+    suffix = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
+    return suffix[:, [w + 1 for w in ws]].T / suffix[:, 0]
 
 
 def _profile0(grid: TorusGrid, eta_centers, p: MetricParams, out=None):
@@ -390,29 +422,30 @@ class BargmannTransform:
     center lattice, so B* B - Id measures exactly the window truncation.
 
     `forward_at` gives B u at any phase point as packet inner products.
-    `op_apply` (the anti-Wick Op(a) = B* a B), `identity_symbol_sum` and
-    `packet_norm_sq` rest on one kernel: `_analysis` walks the window's
-    centers in batches and yields their normalized profiles and B u on
-    them, and `_fold` adds per-center rows into accumulators.  A batch
-    holds at most _BATCH_BYTES per complex (c,) + grid array, whatever the
-    window: the FFTs run no faster on larger batches, while the peak memory
-    grows with them.  The batch arrays (profiles, B u, and op_apply's
-    forward FFT) are allocated once per call and each batch is computed
-    into them with `out=`, the same ufuncs in the same operand order as
-    fresh arrays, so the results are bit for bit those of fresh arrays.
+    `op_apply` (the anti-Wick Op(a) = B* a B) and `packet_norm_sq` rest on
+    one kernel: `_analysis` walks the window's centers in batches and
+    yields their normalized profiles and B u on them, and `_fold` adds
+    per-center rows into accumulators.  A batch holds at most _BATCH_BYTES
+    per complex (c,) + grid array, whatever the window: the FFTs run no
+    faster on larger batches, while the peak memory grows with them.  The
+    batch arrays (profiles, B u, and op_apply's forward FFT) are allocated
+    once per call and each batch is computed into them with `out=`, the
+    same ufuncs in the same operand order as fresh arrays, so the results
+    are bit for bit those of fresh arrays.
     The arithmetic order is fixed to that of a loop over single centers
     (scalar factors in the same order, norms per center, B u times the
     symbol row by row, accumulation one center at a time), so every result
     is bitwise independent of the batching, and residuals that are pure
     rounding noise reproduce exactly.
 
-    `op_apply` and `identity_symbol_sum` also serve nested windows in one
+    For resolution-check, `op_apply` also serves nested windows in one
     pass: given windows inside the transform's own, each center's row is
-    added to the accumulator of every window that holds it.  A
-    sub-window's centers, in row-major order, keep their relative order
-    inside the larger window, and every accumulator is a strict left fold
-    in center order from zeros, so each window's result is bitwise that of
-    a transform built at that window alone.
+    added to the accumulator of every window that holds it.  A sub-window's
+    centers, in row-major order, keep their relative order inside the
+    larger window, and every accumulator is a strict left fold in center
+    order from zeros, so each window's result is bitwise that of a
+    transform built at that window alone.  `window_tails` gives B*B's
+    multiplier at given modes without a transform.
     """
 
     def __init__(self, grid: TorusGrid, p: MetricParams, window):
@@ -493,7 +526,7 @@ class BargmannTransform:
             picks.append(np.all(np.abs(self._lattice) <= window, axis=1))
         return picks
 
-    def _fold(self, batches, picks, dtype=float):
+    def _fold(self, batches, picks):
         """Per pick of `_picks`, the sum of the rows at the centers it holds.
 
         batches yields (sl, rows): a batch's slice of the centers and one
@@ -501,7 +534,7 @@ class BargmannTransform:
         time in center order, starting from zeros, and a batch's rows are
         added before the next batch, which may overwrite them, is asked for.
         """
-        accs = [np.zeros(self.grid.shape, dtype=dtype) for _ in picks]
+        accs = [np.zeros(self.grid.shape, dtype=complex) for _ in picks]
         for sl, rows in batches:
             for acc, pick in zip(accs, picks):
                 for i in (range(len(rows)) if pick is None
@@ -538,20 +571,9 @@ class BargmannTransform:
                 np.multiply(g.h**g.d, f, out=f)
                 yield sl, np.multiply(prof, f, out=f)
 
-        accs = self._fold(rows(), self._picks(windows), complex)
+        accs = self._fold(rows(), self._picks(windows))
         scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
         out = [scale * g.finv(acc) for acc in accs]
-        return out[0] if windows is None else out
-
-    def identity_symbol_sum(self, windows=None):
-        """sum_eta prof(eta; .)^2 d_eta^d on the lattice: the Fourier
-        multiplier that B*B is with the identity symbol, so
-        op_apply(u) = finv(identity_symbol_sum() * fcoef(u)).  It equals 1
-        where the window fully covers the packet mass.  windows gives a list
-        with one multiplier per window, as for op_apply."""
-        accs = self._fold(((sl, np.square(prof, out=prof)) for sl, prof, _
-                           in self._analysis(None)), self._picks(windows))
-        out = [acc * self.grid.d_eta**self.grid.d for acc in accs]
         return out[0] if windows is None else out
 
     def packet_norm_sq(self):

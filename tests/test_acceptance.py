@@ -17,7 +17,11 @@ import anisospec
 from anisospec import acceptance
 from anisospec.acceptance import ALL_CRITERIA, _par_offset
 from anisospec.bracket_metric import MetricParams, delta_par
+from anisospec.cli import RESOLUTION_DEFAULTS
 from anisospec.fractal_count import lipschitz_unit_scale_test
+from anisospec.wavepackets import (BargmannTransform, TorusGrid,
+                                   band_coefficients, lattice_cube,
+                                   window_tails)
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,
@@ -27,6 +31,71 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, result.line()
+
+
+def _residuals(result):
+    """The three residuals of criterion 2's detail string."""
+    levels = result.detail.removeprefix("residuals ").split(" (")[0]
+    return [float(r) for r in levels.split(" -> ")]
+
+
+def test_criterion_2_can_fail(monkeypatch):
+    """Windows that cut into the band's packet mass fail the 1e-3 bound
+    alone, and windows in decreasing order the decreasing check alone."""
+    monkeypatch.setitem(acceptance.RESOLUTION_GRID, "windows", (0, 1, 2))
+    result = acceptance.criterion_2()
+    r = _residuals(result)
+    assert not result.passed and r[0] > 1e-3 and r[0] > r[1] > r[2]
+    monkeypatch.setitem(acceptance.RESOLUTION_GRID, "windows", (14, 10, 7))
+    result = acceptance.criterion_2()
+    r = _residuals(result)
+    assert not result.passed and r[0] <= 1e-3 and r[0] < r[1]
+
+
+def test_criterion_2_builds_no_transform(monkeypatch):
+    """Criterion 2 sums the tails directly: it builds no transform (the spy
+    does see one built outside it)."""
+    calls = []
+    init = BargmannTransform.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BargmannTransform, "__init__", spy)
+    assert acceptance.criterion_2().passed
+    assert calls == []
+    BargmannTransform(TorusGrid(0, 64), MetricParams(1.0, 0.5, 0.5), 1)
+    assert len(calls) == 1
+
+
+def test_criterion_2_measures_resolution_check(monkeypatch):
+    """Criterion 2 and resolution-check measure one statement on one draw:
+    the criterion's grid, band, windows and metric are resolution-check's
+    defaults, and its first coefficient set is the default seed's."""
+    seen, drawn = {}, []
+
+    def tails_spy(grid, p, modes, windows):
+        seen.update(grid=grid, p=p, modes=modes, windows=windows)
+        return window_tails(grid, p, modes, windows)
+
+    def coefficients_spy(grid, band, rng):
+        drawn.append(band_coefficients(grid, band, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(acceptance, "window_tails", tails_spy)
+    monkeypatch.setattr(acceptance, "band_coefficients", coefficients_spy)
+    assert acceptance.criterion_2().passed
+    cfg, g = RESOLUTION_DEFAULTS, seen["grid"]
+    assert (g.d, g.points, g.length) == (2, cfg["points"], cfg["length"])
+    assert seen["p"] == MetricParams(cfg["delta0"], cfg["alpha_perp"],
+                                     cfg["alpha_par"])
+    assert [int(w) for w in cfg["windows"].split(",")] \
+        == list(seen["windows"])
+    assert np.array_equal(seen["modes"], lattice_cube(g, cfg["band"]))
+    assert len(drawn) == 3
+    assert np.array_equal(drawn[0], band_coefficients(
+        g, cfg["band"], np.random.default_rng(cfg["seed"])))
 
 
 def test_criterion_11_counts_a_nan_ratio(monkeypatch):

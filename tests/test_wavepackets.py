@@ -15,15 +15,18 @@ from anisospec.bracket_metric import (MetricParams, box_sizes, delta_par,
                                       delta_perp,
                                       distortion_from_eta_norm, frequency_norm,
                                       jbracket, phase_point)
+from anisospec.cli import RESOLUTION_DEFAULTS
 from anisospec.errors import ResolutionError
 from anisospec.quantize import BandSubspace
 from anisospec.wavepackets import (_NODE_BLOCK_BYTES,
                                    _NORM_POINTS, TWO_PI,
                                    BargmannTransform, TorusGrid, _m_lattice,
                                    _profile0,
-                                   _samples_from_profile, band_limited_field,
-                                   exact_packet, gaussian_packet, lattice_cube,
-                                   m_gauss_hermite, packet_norm_sq_continuous)
+                                   _samples_from_profile, band_coefficients,
+                                   band_limited_field, exact_packet,
+                                   field_norm, gaussian_packet, lattice_cube,
+                                   m_gauss_hermite, packet_norm_sq_continuous,
+                                   window_tails)
 
 
 # -- grids -------------------------------------------------------------------
@@ -72,22 +75,31 @@ def test_inner_and_norm_independent_of_blas_threads():
 
 
 def test_band_limited_field_draw_order():
-    """The field of resolution-check and criterion 2, bitwise equal to its
-    double loop over (kx, kz) drawing real, then imaginary parts."""
-    g = TorusGrid(1, 32, length=np.pi)
+    """The field of resolution-check, bitwise equal to its double loop over
+    (kx, kz) drawing real, then imaginary parts; band_coefficients, which
+    criterion 2 draws, gives that loop's coefficients bitwise.  On the
+    default 128^2 grid a mode is 256 KiB, and numpy computes the loop's
+    c * exp(...) in the temporary exp(...), as exp(...) * c: complex
+    products are not bitwise commutative, so the field must keep that
+    order."""
+    g = TorusGrid(1, 128, length=np.pi)
     rng = np.random.default_rng(5)
     xg, zg = g.space_grids()
-    ref = []
+    ref, coefs = [], []
     for _ in range(2):
         u = np.zeros(g.shape, dtype=complex)
         for kx in range(-2, 3):
             for kz in range(-2, 3):
                 c = rng.normal() + 1j * rng.normal()
                 u += c * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
+                coefs.append(c)
         ref.append(u)
     rng = np.random.default_rng(5)
     for u in ref:
         assert np.array_equal(band_limited_field(g, 2, rng), u)
+    rng = np.random.default_rng(5)
+    drawn = [band_coefficients(g, 2, rng) for _ in ref]
+    assert np.array_equal(np.concatenate(drawn), np.array(coefs))
 
 
 # -- m quadrature ------------------------------------------------------------
@@ -201,6 +213,21 @@ def test_op_apply_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 2**20, peak
+
+
+def test_window_tails_peak_memory():
+    """At criterion 2's config (128^2, the 25 modes of band 2, windows
+    7/10/14) window_tails walks the centers in chunks: 1.39 MiB of peak
+    allocation here.  One chunk of all 16384 centers took 9.6 MiB."""
+    g = TorusGrid(1, 128, np.pi)
+    modes = lattice_cube(g, 2)
+    tracemalloc.start()
+    try:
+        window_tails(g, MetricParams(1.0, 0.5, 0.5), modes, (7, 10, 14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20, peak
 
 
 def _m_lattice_dense(g, p):
@@ -553,12 +580,12 @@ def test_forward_at_matches_forward_field_on_lattice(torus_transform):
                          ids=["default_budget", "one_center"])
 def test_kernel_batches_do_not_change_results(torus_transform, one_center,
                                               monkeypatch):
-    """op_apply, identity_symbol_sum and packet_norm_sq are bitwise those of
-    a per-center loop, whatever the batches: the rows of a batch buffer
-    that the next batch overwrites cannot leak into a result.  The symbol
-    is complex: numpy's complex product is not bitwise commutative, so B u
-    times the symbol must keep that operand order at every batch size (a
-    stacked product whose temporary numpy elided swapped it)."""
+    """op_apply and packet_norm_sq are bitwise those of a per-center loop,
+    whatever the batches: the rows of a batch buffer that the next batch
+    overwrites cannot leak into a result.  The symbol is complex: numpy's
+    complex product is not bitwise commutative, so B u times the symbol
+    must keep that operand order at every batch size (a stacked product
+    whose temporary numpy elided swapped it)."""
     if one_center:
         monkeypatch.setattr(wavepackets, "_BATCH_BYTES", 1)
     tr = torus_transform
@@ -573,7 +600,6 @@ def test_kernel_batches_do_not_change_results(torus_transform, one_center,
         * np.exp(1j * eta[-1] / 5.0 - (eta[-1] / 6.0) ** 2)
     uhat = g.fcoef(u)
     acc = np.zeros(g.shape, dtype=complex)
-    ms = np.zeros(g.shape)
     norms = []
     for eta in tr.centers:
         prof = tr.profile(eta)
@@ -581,11 +607,9 @@ def test_kernel_batches_do_not_change_results(torus_transform, one_center,
         v = np.multiply(TWO_PI ** (g.d / 2.0) * g.finv(prof * uhat),
                         symbol(sg, eta))
         acc += prof * g.fcoef(v)
-        ms += prof**2
         norms.append(np.sum(prof**2))
     ref = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0) * g.finv(acc)
     assert np.array_equal(tr.op_apply(u, symbol), ref)
-    assert np.array_equal(tr.identity_symbol_sum(), ms * g.d_eta**g.d)
     assert np.array_equal(tr.packet_norm_sq(), np.array(norms) * g.d_eta**g.d)
 
 
@@ -608,10 +632,6 @@ def test_nested_windows_are_bitwise(fixture, request):
         assert len(nested) == len(windows)
         for got, one in zip(nested, separate):
             assert np.array_equal(got, one.op_apply(u, sym))
-    nested = tr.identity_symbol_sum(windows=windows)
-    assert len(nested) == len(windows)
-    for got, one in zip(nested, separate):
-        assert np.array_equal(got, one.identity_symbol_sum())
     with pytest.raises(ValueError):
         tr.op_apply(u, windows=[3, top + 1])
 
@@ -638,20 +658,42 @@ def test_op_adjoint_is_conjugate_symbol_on_fields(fixture, request):
 @pytest.mark.parametrize("fixture", ["torus_transform", "circle_transform"])
 def test_identity_op_apply_is_fourier_multiplier(fixture, request):
     """With the identity symbol, the batched kernel B*B is the Fourier
-    multiplier identity_symbol_sum, which criterion 2 uses in its place."""
+    multiplier 1 - window_tails at every mode of the grid."""
     tr = request.getfixturevalue(fixture)
     g = tr.grid
     rng = np.random.default_rng(9)
     u = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-    ref = g.finv(tr.identity_symbol_sum() * g.fcoef(u))
+    modes = np.stack([f.ravel() for f in g.freq_grids()], axis=1) / g.d_eta
+    [tails] = window_tails(g, tr.p, np.rint(modes).astype(int), [tr.window])
+    ref = g.finv((1.0 - tails.reshape(g.shape)) * g.fcoef(u))
     assert np.linalg.norm(tr.op_apply(u) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-def test_identity_symbol_sum_near_one_on_band(torus_transform):
-    s = torus_transform.identity_symbol_sum()
-    # lattice modes |k| <= 2 sit deep inside the window
-    assert abs(s[1, 2] - 1.0) <= 1e-3
-    assert abs(s[0, 0] - 1.0) <= 1e-3
+def test_op_apply_levels_are_window_tails():
+    """At resolution-check's default config, op_apply's levels
+    ||rec - u|| / ||u|| are window_tails' levels ||tail c|| / ||c|| on the
+    same draw of band coefficients c, within 1e-14 (the gaps were 2.0e-16,
+    1.3e-16 and 6.3e-17 at windows 7, 10 and 14)."""
+    cfg = RESOLUTION_DEFAULTS
+    g = TorusGrid(1, cfg["points"], cfg["length"])
+    p = MetricParams(cfg["delta0"], cfg["alpha_perp"], cfg["alpha_par"])
+    windows = [int(w) for w in cfg["windows"].split(",")]
+    u = band_limited_field(g, cfg["band"], np.random.default_rng(cfg["seed"]))
+    c = band_coefficients(g, cfg["band"], np.random.default_rng(cfg["seed"]))
+    recs = BargmannTransform(g, p, max(windows)).op_apply(u, windows=windows)
+    tails = window_tails(g, p, lattice_cube(g, cfg["band"]), windows)
+    for rec, tail in zip(recs, tails):
+        kernel = field_norm(rec - u) / field_norm(u)
+        assert abs(kernel - field_norm(tail * c) / field_norm(c)) <= 1e-14
+
+
+def test_window_tails_small_on_band(torus_transform):
+    """Lattice modes |k| <= 2 sit deep inside the window: under 1e-3 of
+    their packet mass lies outside it."""
+    tr = torus_transform
+    tails = window_tails(tr.grid, tr.p, [[0, 0], [1, 2]], [tr.window])
+    assert tails.shape == (1, 2)
+    assert np.all(tails <= 1e-3)
 
 
 def test_mode_count_trace(circle_transform):
@@ -694,8 +736,9 @@ def test_negative_band_rejected():
 def test_malformed_window_rejected(torus_transform, window):
     """A phase window and a band are each one non-negative integer radius
     whose 2 r + 1 modes per axis fit the grid's points (16 here): anything
-    else is refused, for the transform, its sub-windows, the band subspace
-    and the band-limited field alike, not truncated, emptied or aliased."""
+    else is refused, for the transform, its sub-windows, the window tails,
+    the band subspace and the band-limited field alike, not truncated,
+    emptied or aliased."""
     g = TorusGrid(1, 16, length=np.pi)
     tr = torus_transform
     err = ResolutionError if window == 8 else ValueError
@@ -703,9 +746,10 @@ def test_malformed_window_rejected(torus_transform, window):
                  lambda: BargmannTransform(g, tr.p, window=window),
                  lambda: BandSubspace(g, window),
                  lambda: band_limited_field(g, window,
-                                            np.random.default_rng(0))):
+                                            np.random.default_rng(0)),
+                 lambda: window_tails(g, tr.p, [[0, 0]], windows=[window])):
         with pytest.raises(err):
             make()
     if err is ValueError:
         with pytest.raises(ValueError):
-            tr.identity_symbol_sum(windows=[window])
+            tr.op_apply(np.ones(tr.grid.shape), windows=[window])
