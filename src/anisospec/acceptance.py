@@ -117,8 +117,7 @@ def criterion_2() -> CriterionResult:
     g = TorusGrid(1, RESOLUTION_GRID["points"], length=RESOLUTION_GRID["length"])
     band, rng = RESOLUTION_GRID["band"], np.random.default_rng(5)
     coefs = [band_coefficients(g, band, rng) for _ in range(3)]
-    # by Parseval, a band-limited field's ||(B*B - 1) u|| / ||u|| is
-    # ||tail c|| / ||c|| over its band coefficients c
+    # Parseval: ||(B*B - 1) u|| / ||u|| = ||tail c|| / ||c||, u = sum c_k e_k
     tails = window_tails(g, MetricParams(1.0, 0.5, 0.5), lattice_cube(g, band),
                          RESOLUTION_GRID["windows"])
     residuals = [max(field_norm(t * c) / field_norm(c) for c in coefs)

@@ -115,42 +115,44 @@ def lattice_cube(grid: TorusGrid, radius):
 def band_coefficients(grid: TorusGrid, band: int, rng):
     """c_k = normal + i normal for the modes k of lattice_cube(grid, band),
     drawn from rng in the cube's row-major order, real part first."""
-    draws = rng.normal(size=(len(lattice_cube(grid, band)), 2))
-    return draws[:, 0] + 1j * draws[:, 1]
+    return rng.normal(size=(len(lattice_cube(grid, band)), 2)).view(complex)[:, 0]
 
 
 def band_limited_field(grid: TorusGrid, band: int, rng):
     """sum_k c_k e^{i k.y} over the modes of lattice_cube(grid, band), with
-    the c_k of band_coefficients, each product taken as e^{i k.y} * c_k."""
-    sg = grid.space_grids()
-    u = np.zeros(grid.shape, dtype=complex)
-    for ks, c in zip(lattice_cube(grid, band),
-                     band_coefficients(grid, band, rng)):
-        u += np.exp(1j * grid.d_eta * sum(k * s for k, s in zip(ks, sg))) * c
+    the c_k of band_coefficients as Python complexes on the left, as a loop
+    drawing them one at a time (complex products do not commute bitwise)."""
+    sg, u = grid.space_grids(), np.zeros(grid.shape, dtype=complex)
+    coefs = band_coefficients(grid, band, rng).tolist()
+    for ks, c in zip(lattice_cube(grid, band), coefs):
+        u += c * np.exp(1j * grid.d_eta * sum(k * s for k, s in zip(ks, sg)))
     return u
 
 
 def window_tails(grid: TorusGrid, p: MetricParams, modes, windows):
-    """Per window w of windows and lattice mode k (a row of ints) of modes,
+    """(windows, modes): per window w and lattice mode k (a row of ints),
     the share of sum_c prof0_c(k)^2 over _m_lattice's full center lattice
-    that the centers c = j d_eta with |j|_inf > w carry, with no
-    cancellation: 1 - tail is B*B's multiplier at k at window w.  Windows
-    are checked as by lattice_cube; the result is (windows, modes)."""
+    that centers c = j d_eta with |j|_inf > w carry, without cancellation;
+    1 - tail is B*B's multiplier at k.  Windows are checked by lattice_cube."""
     ws = [lattice_cube(grid, w).max() for w in windows]  # the radius of w
     etas = np.asarray(modes, dtype=float) * grid.d_eta
     full = np.stack([f.ravel() for f in grid.freq_grids()], axis=1)
+    full = full[np.argsort(np.max(np.abs(full), axis=1), kind="stable")]
     sums = np.zeros((len(etas), grid.points // 2 + 1))  # shells max|j|
-    base = sums.shape[1] * np.arange(len(etas))[:, None]
-    # chunks whose d + 1 live (modes, centers) arrays hold _BATCH_BYTES
-    step = max(1, _BATCH_BYTES // (8 * (grid.d + 1) * len(etas)))
+    # chunks of centers, shell by shell, that q and t hold in _BATCH_BYTES
+    step = min(len(full), max(1, _BATCH_BYTES // (16 * len(etas))))
+    q, t = np.empty((2, len(etas), step))
     for cs in (full[i:i + step] for i in range(0, len(full), step)):
-        q = etas[:, None] - cs  # (modes, centers, d), then the exponent
-        q *= box_sizes(np.linalg.norm(cs, axis=1), p, grid.d)
-        q = np.square(q, out=q).sum(axis=2)
+        js = np.rint(np.max(np.abs(cs), axis=1) / grid.d_eta).astype(int)
+        box = box_sizes(np.linalg.norm(cs, axis=1), p, grid.d)
+        q, t = q[:, :len(cs)], t[:, :len(cs)]  # the last chunk is shorter
+        q.fill(0.0)
+        for a in range(grid.d):
+            np.subtract.outer(etas[:, a], cs[:, a], out=t)
+            q += np.square(np.multiply(t, box[:, a], out=t), out=t)
         np.exp(np.negative(q, out=q), out=q)
-        j = np.rint(np.max(np.abs(cs), axis=1) / grid.d_eta).astype(int)
-        sums += np.bincount((base + j).ravel(), q.ravel(),
-                            sums.size).reshape(sums.shape)
+        starts = np.flatnonzero(np.diff(js, prepend=-1))  # first per shell
+        sums[:, js[starts]] += np.add.reduceat(q, starts, axis=1)
     suffix = np.cumsum(sums[:, ::-1], axis=1)[:, ::-1]
     return suffix[:, [w + 1 for w in ws]].T / suffix[:, 0]
 
@@ -444,8 +446,7 @@ class BargmannTransform:
     centers, in row-major order, keep their relative order inside the
     larger window, and every accumulator is a strict left fold in center
     order from zeros, so each window's result is bitwise that of a
-    transform built at that window alone.  `window_tails` gives B*B's
-    multiplier at given modes without a transform.
+    transform built at that window alone.
     """
 
     def __init__(self, grid: TorusGrid, p: MetricParams, window):

@@ -77,29 +77,29 @@ def test_inner_and_norm_independent_of_blas_threads():
 def test_band_limited_field_draw_order():
     """The field of resolution-check, bitwise equal to its double loop over
     (kx, kz) drawing real, then imaginary parts; band_coefficients, which
-    criterion 2 draws, gives that loop's coefficients bitwise.  On the
-    default 128^2 grid a mode is 256 KiB, and numpy computes the loop's
-    c * exp(...) in the temporary exp(...), as exp(...) * c: complex
-    products are not bitwise commutative, so the field must keep that
-    order."""
-    g = TorusGrid(1, 128, length=np.pi)
-    rng = np.random.default_rng(5)
-    xg, zg = g.space_grids()
-    ref, coefs = [], []
-    for _ in range(2):
-        u = np.zeros(g.shape, dtype=complex)
-        for kx in range(-2, 3):
-            for kz in range(-2, 3):
-                c = rng.normal() + 1j * rng.normal()
-                u += c * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
-                coefs.append(c)
-        ref.append(u)
-    rng = np.random.default_rng(5)
-    for u in ref:
-        assert np.array_equal(band_limited_field(g, 2, rng), u)
-    rng = np.random.default_rng(5)
-    drawn = [band_coefficients(g, 2, rng) for _ in ref]
-    assert np.array_equal(np.concatenate(drawn), np.array(coefs))
+    criterion 2 draws, gives that loop's coefficients bitwise.  The loop's
+    c * exp(...) is taken as written on 32^2, and in the temporary exp(...)
+    as exp(...) * c from 256 KiB a mode (128^2) on: complex products are
+    not bitwise commutative, so the field must match at both sizes."""
+    for points in (32, 128):
+        g = TorusGrid(1, points, length=np.pi)
+        rng = np.random.default_rng(5)
+        xg, zg = g.space_grids()
+        ref, coefs = [], []
+        for _ in range(2):
+            u = np.zeros(g.shape, dtype=complex)
+            for kx in range(-2, 3):
+                for kz in range(-2, 3):
+                    c = rng.normal() + 1j * rng.normal()
+                    u += c * np.exp(1j * g.d_eta * (kx * xg + kz * zg))
+                    coefs.append(c)
+            ref.append(u)
+        rng = np.random.default_rng(5)
+        for u in ref:
+            assert np.array_equal(band_limited_field(g, 2, rng), u), points
+        rng = np.random.default_rng(5)
+        drawn = [band_coefficients(g, 2, rng) for _ in ref]
+        assert np.array_equal(np.concatenate(drawn), np.array(coefs))
 
 
 # -- m quadrature ------------------------------------------------------------
@@ -217,8 +217,8 @@ def test_op_apply_peak_memory():
 
 def test_window_tails_peak_memory():
     """At criterion 2's config (128^2, the 25 modes of band 2, windows
-    7/10/14) window_tails walks the centers in chunks: 1.39 MiB of peak
-    allocation here.  One chunk of all 16384 centers took 9.6 MiB."""
+    7/10/14) window_tails walks the centers in chunks: 1.46 MiB of peak
+    allocation here.  One chunk of all 16384 centers took 7.3 MiB."""
     g = TorusGrid(1, 128, np.pi)
     modes = lattice_cube(g, 2)
     tracemalloc.start()
