@@ -277,8 +277,8 @@ def criterion_8() -> CriterionResult:
     alpha_grid = np.arange(0.5, 0.95 + 1e-9, 0.025)
     details = []
     ok = True
-    for b0 in (0.5, 0.8, 1.0):
-        form = synth_holder(b0, seed=3)
+    forms = {b0: synth_holder(b0, seed=3) for b0 in (0.5, 0.8, 1.0)}
+    for b0, form in forms.items():
         a_star, e_star = optimal_alpha(box_counts(form, omegas, alpha_grid),
                                        omegas, alpha_grid)
         target = 1.0 / (1.0 + b0)
@@ -286,7 +286,7 @@ def criterion_8() -> CriterionResult:
         details.append(f"b0={b0}: a*={a_star:.3f}/{target:.3f} "
                        f"e*={e_star:.3f}")
     s_low, s_high = growth_slopes(box_counts(
-        synth_holder(0.5, seed=3), omegas, (0.6, 0.8)), omegas, (0.6, 0.8))
+        forms[0.5], omegas, (0.6, 0.8)), omegas, (0.6, 0.8))
     ok &= abs(s_low - (1.0 - 0.5 * 0.6)) <= 0.07
     ok &= abs(s_high - 0.8) <= 0.07
     details.append(f"slopes {s_low:.3f}/0.70, {s_high:.3f}/0.80")

@@ -5,6 +5,12 @@ w_i(x) = sum_k a^{-beta0 k} cos(2 pi a^k x_i + phase_ik).  The trapped-set
 graph at frequency omega is {xi = omega w(x)}; covering it with boxes of
 base side omega^-alpha and fiber side omega^alpha gives a count whose
 growth exponent is minimized at alpha = 1/(1+beta0).
+
+That exponent comes from a Holder estimate, which the series makes explicit:
+|w_i(x) - w_i(y)| <= |amplitude| sum_k a^{-beta0 k} min(2, 2 pi a^k |x - y|)
+on every axis, whatever the phases.  Where omega times this bound over a
+base cell side stays below the fiber side omega^alpha, every cell needs one
+box per axis, and box_count takes the count without sampling the graph.
 """
 
 from __future__ import annotations
@@ -102,6 +108,24 @@ def holder_ratio(form: HolderForm, scale: float, n_pairs: int, exponent: float,
 # Cell sides per chunk of box_count; 16 samples each keep a chunk's complex
 # Weierstrass powers in evaluate at 256 KiB per axis.
 _SIDE_CHUNK = 2**10
+# Relative slack by which box_count's oscillation bound must clear the fiber
+# height before it skips the sampling.  The sampled oscillation carries a
+# rounding error of about 1e-12 amplitude at beta0 = 0.5, far below 1e-3 of
+# the bound at any resolved side, so a skipped count is the sampled one.
+_BOUND_MARGIN = 1e-3
+
+
+def _oscillation_bound(form: HolderForm, span: float) -> float:
+    """An upper bound on |w_i(x) - w_i(y)| over |x - y| <= span, on every
+    axis i: |amplitude| sum_k a^(-beta0 k) min(2, 2 pi a^k span).
+
+    |e^(i theta) - e^(i phi)| <= min(2, |theta - phi|) bounds each term of
+    the series, whatever its phase.
+    """
+    k = np.arange(form.n_terms)
+    a = float(BASE_FREQ)
+    return abs(form.amplitude) * float(np.sum(
+        a ** (-form.beta0 * k) * np.minimum(2.0, 2.0 * np.pi * a**k * span)))
 
 
 def box_count(form: HolderForm, omega: float, alpha: float) -> int:
@@ -115,6 +139,11 @@ def box_count(form: HolderForm, omega: float, alpha: float) -> int:
     the axes of the counts of its sides, and the total is the product over
     the axes of their sums: the n ceil(omega^alpha) sides are sampled, in
     chunks of _SIDE_CHUNK, instead of the ceil(omega^alpha)^n cells.
+
+    No side is sampled when omega times _oscillation_bound over a whole
+    side, raised by _BOUND_MARGIN, is below omega^alpha: then every sampled
+    oscillation is too, so each side counts one box, and the count is
+    exactly ceil(omega^alpha)^n, the integer the samples would give.
     """
     if omega < 4.0:
         raise ValueError("omega must be >= 4")
@@ -126,6 +155,8 @@ def box_count(form: HolderForm, omega: float, alpha: float) -> int:
     height = omega**alpha
     n_cells = int(np.ceil(height))
     side = 1.0 / n_cells
+    if omega * _oscillation_bound(form, side) * (1.0 + _BOUND_MARGIN) < height:
+        return n_cells**form.n  # every side fits in one fiber box
     offs = (np.arange(16) + 0.5) / 16 * side
     sums = np.zeros(form.n, dtype=np.int64)
     for start in range(0, n_cells, _SIDE_CHUNK):

@@ -59,13 +59,17 @@ def test_evaluate_matches_cosine_sum(b0, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_box_counts_match_cosine_sum(n, monkeypatch):
     """Every count of a weyl-boxes-like table is the count the cosine sum
-    gives."""
+    gives, and each form has cells that the Holder bound leaves to the
+    samples."""
     forms = [synth_holder(b0, seed=3, n=n) for b0 in (0.5, 0.8, 1.0)]
     omegas = 2.0 ** np.arange(6, 15 - 2 * (n - 1))
     alphas = np.arange(0.5, 0.95 + 1e-9, 0.05)
     got = [box_counts(form, omegas, alphas) for form in forms]
-    monkeypatch.setattr(fractal_count, "evaluate", _cosine_sum)
+    sampled = set()
+    monkeypatch.setattr(fractal_count, "evaluate", lambda form, x:
+                        sampled.add(form) or _cosine_sum(form, x))
     assert got == [box_counts(form, omegas, alphas) for form in forms]
+    assert sampled == set(forms)
 
 
 def test_amplitude_bound():
@@ -147,6 +151,52 @@ def test_box_count_matches_per_cell_loop(n, monkeypatch):
     assert [box_count(form, om, al) for om, al in cells] == ref
     monkeypatch.setattr(fractal_count, "_SIDE_CHUNK", 3)
     assert [box_count(form, om, al) for om, al in cells] == ref
+
+
+@pytest.mark.parametrize("b0", [0.3, 0.5, 0.8, 1.0])
+def test_oscillation_bound_holds_and_is_near_tight(b0):
+    """On cells sampled as box_count samples them (up to 512 evenly spread
+    cells per side), the largest oscillation of w stays below
+    _oscillation_bound at every side from 1/8 to FINEST_CELL, and for each
+    form it reaches half of the bound at some side, which the bound without
+    its cap of 2 per term misses for every beta0 < 1."""
+    sides = 2.0 ** -np.arange(3, 18)
+    assert sides[-1] == FINEST_CELL
+    offs = (np.arange(16) + 0.5) / 16
+    for seed in (3, 7):
+        form = synth_holder(b0, seed)
+        ratios = []
+        for side in sides:
+            cells = np.unique(np.linspace(0, 1 / side - 1, 512).astype(int))
+            t = cells[:, None] * side + offs[None, :] * side
+            vals = evaluate(form, t.reshape(-1, 1)).reshape(t.shape)
+            osc = np.max(vals.max(axis=1) - vals.min(axis=1))
+            ratios.append(osc / fractal_count._oscillation_bound(form, side))
+        assert max(ratios) <= 1.0, (seed, ratios)
+        assert max(ratios) >= 0.5, (seed, ratios)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_box_count_bound_is_exact(n, monkeypatch):
+    """Over criterion 8's grid, each count equals the one sampled on every
+    cell side, and the Holder bound decides some cells but not all."""
+    forms = [synth_holder(b0, seed=3, n=n) for b0 in (0.5, 0.8, 1.0)]
+    omegas = 2.0 ** np.arange(6, 15 - 2 * (n - 1))
+    alphas = np.arange(0.5, 0.95 + 1e-9, 0.025)
+    cells = [(form, om, al) for form in forms for om in omegas
+             for al in alphas]
+    calls = []
+    monkeypatch.setattr(fractal_count, "evaluate",
+                        lambda form, x: calls.append(1) or evaluate(form, x))
+    got, sampled = [], []
+    for cell in cells:
+        before = len(calls)
+        got.append(box_count(*cell))
+        sampled.append(len(calls) > before)
+    assert any(sampled) and not all(sampled)
+    monkeypatch.setattr(fractal_count, "_oscillation_bound",
+                        lambda form, span: np.inf)
+    assert got == [box_count(*cell) for cell in cells]
 
 
 def _slopes(form, omegas, alphas):
