@@ -9,10 +9,11 @@ operator norms are taken on an explicit band-limited subspace (plane-wave
 modes inside the phase window).  A weight W(eta) depends on the frequency
 alone, so Op(W^2) is a Fourier multiplier and the band's plane waves are
 H_W-orthogonal: a WeightedSpace keeps one scale s_k = <b_k, Op(W^2) b_k>^(1/2)
-per mode, and the H_W norm of T is the spectral norm of S T S^-1, S =
-diag(s), estimated by power iteration.  Power iteration approaches the
-largest singular value from below, so a residual estimate is a lower
-estimate of the residual norm.
+per mode, which is s_k^2 = d_eta^d sum_c W(c)^2 prof_c(k)^2 over the
+transform's centers c and their normalized profiles, and the H_W norm of T
+is the spectral norm of S T S^-1, S = diag(s), estimated by power
+iteration.  Power iteration approaches the largest singular value from
+below, so a residual estimate is a lower estimate of the residual norm.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ class BandSubspace:
 class WeightedSpace:
     """H_W on a band for a weight W(eta) of the frequency center alone: the
     transform (phase grid) it is realized on and the scale
-    s_k = <b_k, Op(W^2) b_k>^(1/2) of each band mode, built once.  A band
+    s_k = <b_k, Op(W^2) b_k>^(1/2) of each band mode, built once.  Op(W^2)
+    is the Fourier multiplier d_eta^d sum_c W(c)^2 prof_c^2 over the
+    transform's centers c, prof_c = transform.profile(c), so s_k^2 is that
+    sum at the mode k, with one evaluation of W per center.  A band
     on another grid than the transform's (n, points or length differing),
     a band reaching past the transform's phase window, or W^2 not finite
     and positive at a center (an OverflowError counting as infinite), is a
@@ -105,6 +109,8 @@ class WeightedSpace:
         if reach > transform.window:
             raise ValueError(f"band {reach} exceeds the phase window "
                              f"{transform.window}")
+        at_modes = tuple((band.modes % tg.points).T)
+        sq = np.zeros(band.size)
         for eta in transform.centers:
             try:
                 with np.errstate(over="ignore"):
@@ -114,11 +120,10 @@ class WeightedSpace:
             if not (np.isfinite(w2) and w2 > 0):
                 raise ValueError(f"weight ** 2 is not finite and positive at "
                                  f"eta = {eta}")
+            sq += w2 * transform.profile(eta)[at_modes] ** 2
         self.transform = transform
         self.band = band
-        gram = band.matrix(lambda u: transform.op_apply(
-            u, lambda sg, eta: weight(eta) ** 2))
-        self.scale = np.sqrt(np.real(np.diag(gram)))
+        self.scale = np.sqrt(sq * tg.d_eta**tg.d)
 
 
 def power_largest_sv(a: np.ndarray) -> float:
@@ -229,7 +234,8 @@ def trace_phase_sum(transform: BargmannTransform, a) -> complex:
     the phase-space volume count behind the paper's Weyl bound."""
     g = transform.grid
     sg = g.space_grids()
-    total = sum(nsq * complex(np.sum(np.asarray(a(sg, eta)))) * g.h**g.d
-                for nsq, eta in zip(transform.packet_norm_sq(), transform.centers))
+    total = sum(np.sum(transform.profile(eta) ** 2) * g.d_eta**g.d
+                * complex(np.sum(np.asarray(a(sg, eta)))) * g.h**g.d
+                for eta in transform.centers)
     return total * g.d_eta**g.d / TWO_PI**g.d
 

@@ -57,7 +57,8 @@ def generator_residual(k: int) -> float:
 
 def transfer_time1_grid(u, f):
     """Time-1 transfer on an x-grid sample (grid maps to itself under f);
-    only tests call it until ROADMAP item 6 gives it its caller."""
+    only tests call it until ROADMAP item 9's hyperbolic Egorov probe
+    gives it its caller."""
     u, f = np.asarray(u), np.asarray(f)
     npts = u.shape[0]
     if u.shape != (npts, npts):

@@ -424,21 +424,17 @@ class BargmannTransform:
     center lattice, so B* B - Id measures exactly the window truncation.
 
     `forward_at` gives B u at any phase point as packet inner products.
-    `op_apply` (the anti-Wick Op(a) = B* a B) and `packet_norm_sq` rest on
-    one kernel: `_analysis` walks the window's centers in batches and
-    yields their normalized profiles and B u on them, and `_fold` adds
-    per-center rows into accumulators.  A batch holds at most _BATCH_BYTES
-    per complex (c,) + grid array, whatever the window: the FFTs run no
-    faster on larger batches, while the peak memory grows with them.  The
-    batch arrays (profiles, B u, and op_apply's forward FFT) are allocated
-    once per call and each batch is computed into them with `out=`, the
-    same ufuncs in the same operand order as fresh arrays, so the results
-    are bit for bit those of fresh arrays.
-    The arithmetic order is fixed to that of a loop over single centers
-    (scalar factors in the same order, norms per center, B u times the
-    symbol row by row, accumulation one center at a time), so every result
-    is bitwise independent of the batching, and residuals that are pure
-    rounding noise reproduce exactly.
+    `op_apply` (the anti-Wick Op(a) = B* a B) is the transform's kernel: one
+    loop over the window's centers in batches, each batch's normalized
+    profiles, B u on them and its forward FFT computed with `out=` into
+    three buffers allocated once per call.  A batch holds at most
+    _BATCH_BYTES per complex (c,) + grid array, whatever the window: the
+    FFTs run no faster on larger batches, while the peak memory grows with
+    them.  The ufuncs and their operand order are those of fresh arrays and
+    of a loop over single centers (scalar factors in the same order, norms
+    per center, B u times the symbol row by row, accumulation one center at
+    a time), so every result is bitwise independent of the batching, and
+    residuals that are pure rounding noise reproduce exactly.
 
     For resolution-check, `op_apply` also serves nested windows in one
     pass: given windows inside the transform's own, each center's row is
@@ -471,78 +467,6 @@ class BargmannTransform:
         return _samples_from_profile(self.grid, rho,
                                      self.profile(rho[self.grid.d:]))
 
-    # -- the kernel ------------------------------------------------------
-
-    def _batch_shape(self):
-        """Shape (c,) + grid of the kernel's batch arrays: c centers, at most
-        _BATCH_BYTES as a complex array, and no more than the window has."""
-        g = self.grid
-        step = max(1, _BATCH_BYTES // (16 * g.points**g.d))
-        return (min(step, self.centers.shape[0]),) + g.shape
-
-    def _analysis(self, u, fn=None):
-        """Walk the window's centers in byte-bounded batches.
-
-        Yields (sl, prof, v) per batch: the batch's slice of the centers,
-        their normalized profiles and, unless u is None, B u on them without
-        the packets' absolute phase e^{-i eta.y}, multiplied by fn(Y, ETA)
-        when fn is given.  prof and v have shape (c,) + grid and are views
-        of two buffers allocated once per call: the next batch overwrites
-        them, so a consumer uses (and may overwrite) a batch's rows before
-        it asks for the next.
-        """
-        g = self.grid
-        shape = self._batch_shape()
-        axes = tuple(range(1, g.d + 1))
-        uhat = None if u is None else g.fcoef(u)
-        prof_buf = np.empty(shape)
-        v_buf = None if u is None else np.empty(shape, dtype=complex)
-        for start in range(0, self.centers.shape[0], shape[0]):
-            sl = slice(start, start + shape[0])
-            cs = self.centers[sl]
-            prof = _profile0(g, cs, self.p, out=prof_buf[:len(cs)])
-            np.divide(prof, self._msqrt, out=prof)
-            v = None
-            if uhat is not None:
-                # TWO_PI**(d/2) * (ifftn(prof * uhat) / h**d), in place
-                v = np.multiply(prof, uhat, out=v_buf[:len(cs)])
-                np.fft.ifftn(v, axes=axes, out=v)
-                v /= g.h**g.d
-                np.multiply(TWO_PI ** (g.d / 2.0), v, out=v)
-                if fn is not None:  # B u times the symbol, row by row
-                    for row, eta in zip(v, cs):
-                        row *= fn(self._sg, eta)
-            yield sl, prof, v
-
-    def _picks(self, windows):
-        """Per window of windows, each an integer in [0, self.window], the
-        boolean pick of the centers inside it; windows None is [None]."""
-        if windows is None:
-            return [None]
-        picks = []
-        for window in windows:
-            if window not in range(self.window + 1):
-                raise ValueError(f"window {window!r} is not an integer in "
-                                 f"[0, {self.window}]")
-            picks.append(np.all(np.abs(self._lattice) <= window, axis=1))
-        return picks
-
-    def _fold(self, batches, picks):
-        """Per pick of `_picks`, the sum of the rows at the centers it holds.
-
-        batches yields (sl, rows): a batch's slice of the centers and one
-        grid-shaped row per center.  Each accumulator adds its rows one at a
-        time in center order, starting from zeros, and a batch's rows are
-        added before the next batch, which may overwrite them, is asked for.
-        """
-        accs = [np.zeros(self.grid.shape, dtype=complex) for _ in picks]
-        for sl, rows in batches:
-            for acc, pick in zip(accs, picks):
-                for i in (range(len(rows)) if pick is None
-                          else np.flatnonzero(pick[sl])):
-                    acc += rows[i]
-        return accs
-
     # -- transforms ------------------------------------------------------
 
     def forward_at(self, u, rho_list):
@@ -563,23 +487,42 @@ class BargmannTransform:
         window; a larger window is a ValueError.
         """
         g = self.grid
+        ws = [self.window] if windows is None else windows
+        for window in ws:
+            if window not in range(self.window + 1):
+                raise ValueError(f"window {window!r} is not an integer in "
+                                 f"[0, {self.window}]")
+        picks = [np.all(np.abs(self._lattice) <= w, axis=1) for w in ws]
+        accs = [np.zeros(g.shape, dtype=complex) for _ in picks]
         axes = tuple(range(1, g.d + 1))
-        f_buf = np.empty(self._batch_shape(), dtype=complex)
-
-        def rows():  # B*: each center's prof * (h**d * fftn(v)), in place
-            for sl, prof, v in self._analysis(u, symbol):
-                f = np.fft.fftn(v, axes=axes, out=f_buf[:len(v)])
-                np.multiply(g.h**g.d, f, out=f)
-                yield sl, np.multiply(prof, f, out=f)
-
-        accs = self._fold(rows(), self._picks(windows))
+        uhat = g.fcoef(u)
+        step = min(max(1, _BATCH_BYTES // (16 * g.points**g.d)),
+                   self.centers.shape[0])
+        prof_buf = np.empty((step,) + g.shape)
+        v_buf, f_buf = (np.empty((step,) + g.shape, dtype=complex)
+                        for _ in range(2))
+        for start in range(0, self.centers.shape[0], step):
+            sl = slice(start, start + step)
+            cs = self.centers[sl]
+            prof = _profile0(g, cs, self.p, out=prof_buf[:len(cs)])
+            np.divide(prof, self._msqrt, out=prof)
+            # B u: TWO_PI**(d/2) * (ifftn(prof * uhat) / h**d), in place
+            v = np.multiply(prof, uhat, out=v_buf[:len(cs)])
+            np.fft.ifftn(v, axes=axes, out=v)
+            v /= g.h**g.d
+            np.multiply(TWO_PI ** (g.d / 2.0), v, out=v)
+            if symbol is not None:  # B u times the symbol, row by row
+                for row, eta in zip(v, cs):
+                    row *= symbol(self._sg, eta)
+            # B*: each center's prof * (h**d * fftn(v))
+            f = np.fft.fftn(v, axes=axes, out=f_buf[:len(cs)])
+            np.multiply(g.h**g.d, f, out=f)
+            np.multiply(prof, f, out=f)
+            for acc, pick in zip(accs, picks):
+                for i in np.flatnonzero(pick[sl]):
+                    acc += f[i]
+        # the batch buffers go before the inverse FFTs allocate theirs
+        del prof_buf, v_buf, f_buf, prof, v, f
         scale = g.d_eta**g.d / TWO_PI**g.d * TWO_PI ** (g.d / 2.0)
         out = [scale * g.finv(acc) for acc in accs]
         return out[0] if windows is None else out
-
-    def packet_norm_sq(self):
-        """||phi_(y,eta)||^2 for each window center (independent of y)."""
-        return np.concatenate([
-            np.sum(np.square(prof, out=prof).reshape(len(prof), -1), axis=1)
-            for _, prof, _ in self._analysis(None)]) \
-            * self.grid.d_eta**self.grid.d

@@ -16,8 +16,9 @@ ALLOWED = {
     "trace_phase_sum": "checks the anti-Wick trace identity "
                        "tr Op(a) = (2 pi)^-d int a |phi_rho|^2 drho, the "
                        "phase-space volume count behind the Weyl bound",
-    "transfer_time1_grid": "waits for the caller of ROADMAP item 6 (tail "
-                           "norms and the wave-front set of computed states)",
+    "transfer_time1_grid": "waits for its caller in ROADMAP item 9 (a "
+                           "hyperbolic Egorov probe through the time-1 "
+                           "transfer operator)",
 }
 
 

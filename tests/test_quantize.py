@@ -108,19 +108,35 @@ def test_weighted_space_temperate_frozen():
         <= frozen.WSPACE_TEMPERATE_C
 
 
-def test_weight_gram_is_diagonal(setup):
+@pytest.mark.parametrize("case", ["bracket_space", "circle_length_pi",
+                                  "torus_length_pi"])
+def test_weight_gram_is_diagonal(case, setup, params_half, torus_transform):
     """The premise of WeightedSpace: for a frequency weight the band
     compression of Op(W^2) is diagonal to rounding, and the space's scales
-    are the square roots of its diagonal."""
-    tr, band, space = setup
+    are the square roots of its diagonal.  On the grids of length pi,
+    d_eta = 2, so a scale without its factor d_eta^d has its square off by
+    1/2 (circle) or 3/4 (2-torus) relative; their rounding gaps to the Gram
+    were 8.6e-16 and 1.3e-15."""
+    if case == "bracket_space":
+        (tr, band, space), weight, rtol = setup, BRACKET, 1e-15
+    else:
+        if case == "circle_length_pi":
+            tr = BargmannTransform(TorusGrid(0, 128, length=np.pi),
+                                   params_half, window=16)
+            band = BandSubspace(tr.grid, 4)
+        else:
+            tr = torus_transform
+            band = BandSubspace(tr.grid, 2)
+        weight, rtol = lambda eta: jbracket(np.linalg.norm(eta)), 1e-14
+        space = WeightedSpace(weight=weight, transform=tr, band=band)
     gram = band.matrix(lambda u: tr.op_apply(
-        u, lambda sg, eta: BRACKET(eta) ** 2))
+        u, lambda sg, eta: weight(eta) ** 2))
     diag = np.diag(gram)
     off = gram - np.diag(diag)
     assert np.max(np.abs(off)) <= 1e-12 * np.max(np.abs(diag))
     assert np.max(np.abs(diag.imag)) <= 1e-12 * np.max(diag.real)
     assert np.all(diag.real > 0)
-    assert np.allclose(space.scale ** 2, diag.real, rtol=1e-15, atol=0)
+    assert np.allclose(space.scale ** 2, diag.real, rtol=rtol, atol=0)
 
 
 def test_power_iteration_close_to_dense(setup):
