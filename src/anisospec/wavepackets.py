@@ -13,6 +13,10 @@ provided: a scaled Gauss-Hermite rule (used for standalone packets, exact in
 the constant-metric regime) and the full-lattice trapezoid sum (used inside
 the transform, so the resolution-of-identity residual measures exactly the
 truncation of the phase window, which window_tails sums directly).
+
+Both quadratures for m, and the exact packet's profile, keep a Gaussian
+term only where it is at least _GAUSS_CUT, one cut whose margin is
+measured, not proved (see the constant).
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ _BATCH_BYTES = 2**20
 # Byte budget of m_gauss_hermite's float (block,) + (nodes,) * d node buffer.
 _NODE_BLOCK_BYTES = 2**19
 _NORM_POINTS = 97  # trapezoid nodes per axis of packet_norm_sq_continuous
+# Gaussian terms below this value are left out of the m-lattice, the
+# packet-norm quadrature and the exact packet's profile.  The margin is
+# measured: 1e-20 moves no bit of any m-lattice or packet norm tested
+# against the terms kept down to 1e-40, and 1e-17 does.
+_GAUSS_CUT = 1e-20
 
 
 class TorusGrid:
@@ -305,13 +314,13 @@ def exact_packet(rho, p: MetricParams, grid: TorusGrid):
     """Grid samples of the exact packet at rho: the inverse lattice Fourier
     transform of prof0 / sqrt(m), with m by Gauss-Hermite.
 
-    m is evaluated only where prof0 >= 1e-40, the cut of the m-lattice; the
-    profile is 0 elsewhere, which moves no sample beyond rounding.
+    m is evaluated only where prof0 >= _GAUSS_CUT, the cut of the m-lattice;
+    the profile is 0 elsewhere, which moves no sample beyond rounding.
     """
     _check_packet(grid, p, frequency_norm(rho), rho)
     fg = grid.freq_grids()
     prof = _profile0(grid, [rho[grid.d:]], p)[0]
-    keep = prof >= 1e-40
+    keep = prof >= _GAUSS_CUT
     prof[~keep] = 0.0
     prof[keep] /= np.sqrt(m_gauss_hermite(np.stack(fg, axis=-1)[keep], p,
                                           grid.d))
@@ -323,8 +332,11 @@ def packet_norm_sq_continuous(eta_center, p: MetricParams) -> float:
 
     The integrand is concentrated within ~1/delta of the center per axis;
     the trapezoid covers 10 of those units on each side on nodes symmetric
-    about the center.  As for the exact packet, m is evaluated only where
-    prof0^2 >= 1e-40; the integrand is 0 elsewhere.  m is even in each
+    about the center.  m is evaluated only where prof0^2 >= _GAUSS_CUT;
+    the integrand is 0 elsewhere.  That this moves no bit is measured, not
+    proved: at criterion 3's centers the norms at 1e-20 are those of a cut
+    at 1e-40, while 1e-17 moves three of them by one ulp, and the defect
+    |norm^2 - 1| at 1024 by 3e-13 of itself.  m is even in each
     coordinate, so it is evaluated once per distinct |eta'| point among
     the kept nodes: along an axis where the center is 0, half the grid.
     A center that is not a finite 1-D vector, or one so large that its
@@ -362,7 +374,7 @@ def _norm_sq_trapezoid(c, p: MetricParams) -> float:
     for ax in range(d):
         q += (sizes[ax] * (mesh[ax] - c[ax])) ** 2
     vals = np.exp(-q)
-    keep = vals >= 1e-40
+    keep = vals >= _GAUSS_CUT
     vals[~keep] = 0.0
     kept, back = np.unique(ids[keep], return_inverse=True)
     idx = np.unravel_index(kept, [u.size for u, _ in folded])
@@ -377,10 +389,14 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
     """m(eta') as the trapezoid sum of prof0^2 over the full center lattice.
 
     Each center's Gaussian is summed only over the box where it is at least
-    1e-40, which cannot round a sum holding the center's own term 1.  On the
-    fftshifted (sorted) lattice a box is a slice; the centers are added in
-    lattice order into one accumulator per chunk of 64, as in the dense sum,
-    so the result is bitwise that of the dense sum.  Up to 8 consecutive
+    _GAUSS_CUT.  Every sum holds the term 1 of the center at eta' itself,
+    but the chunks' partial sums start from 0, and a left-out term can
+    still tip a rounding: that it moves no bit of m is measured, not
+    proved.  At 1e-20 m is bitwise the dense sum on every grid of the
+    tests; at 1e-17 it is not on a 256-point circle.  On the fftshifted
+    (sorted) lattice a box is a slice; the centers are added in lattice
+    order into one accumulator per chunk of 64, as in the dense sum, so
+    the result is bitwise that of the dense sum.  Up to 8 consecutive
     centers share a buffer over their boxes' bounding window: the
     accumulator in row 0, then a Gaussian per row, exactly 0 off its box, and
     a sum over axis 0 adds the rows in order, as one center at a time would.
@@ -393,7 +409,7 @@ def _m_lattice(g: TorusGrid, p: MetricParams):
         scales = box_sizes(np.linalg.norm(cs, axis=1), p, g.d)
         # box center and half-width in lattice steps
         ks = np.rint(cs / g.d_eta).astype(int) + g.points // 2
-        rs = (np.sqrt(np.log(1e40)) / g.d_eta / scales).astype(int) + 1
+        rs = (np.sqrt(-np.log(_GAUSS_CUT)) / g.d_eta / scales).astype(int) + 1
         lo, hi = np.maximum(ks - rs, 0), np.minimum(ks + rs + 1, g.points)
         # negated squared distances per center and axis, -inf off the box;
         # negation is exact, so exp of their sum is bitwise exp of minus the

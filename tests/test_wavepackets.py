@@ -18,7 +18,7 @@ from anisospec.bracket_metric import (MetricParams, box_sizes, delta_par,
 from anisospec.cli import RESOLUTION_DEFAULTS
 from anisospec.errors import ResolutionError
 from anisospec.quantize import BandSubspace
-from anisospec.wavepackets import (_NODE_BLOCK_BYTES,
+from anisospec.wavepackets import (_GAUSS_CUT, _NODE_BLOCK_BYTES,
                                    _NORM_POINTS, TWO_PI,
                                    BargmannTransform, TorusGrid, _m_lattice,
                                    _profile0,
@@ -259,14 +259,24 @@ def _m_lattice_dense(g, p):
     (0, 2048, 1.0, MetricParams(1.0, 0.5, 0.5)),
 ])
 def test_m_lattice_window_is_bitwise_dense(n, points, length, p):
-    """Leaving out the terms below 1e-40 changes no bit of m."""
+    """Leaving out the terms below _GAUSS_CUT changes no bit of m.  The
+    128^2 grid of length pi that criterion 2 and resolution-check build
+    takes seconds densely; CI checks it."""
     g = TorusGrid(n, points, length)
     assert np.array_equal(_m_lattice(g, p), _m_lattice_dense(g, p))
 
 
+def test_m_lattice_cut_1e17_moves_bits(monkeypatch):
+    """The margin of _GAUSS_CUT is measured: at 1e-17 the boxes leave out
+    terms that round some sums of m differently from the dense sum."""
+    monkeypatch.setattr(wavepackets, "_GAUSS_CUT", 1e-17)
+    g, p = TorusGrid(0, 256), MetricParams(1.0, 0.5, 0.5)
+    assert not np.array_equal(_m_lattice(g, p), _m_lattice_dense(g, p))
+
+
 def test_m_lattice_peak_memory():
     """At the 128^2 grid of criterion 2 and resolution-check, sub-batches of
-    8 centers keep the build's peak allocation at 1.7 MiB here; one window
+    8 centers keep the build's peak allocation at 1.4 MiB here; one window
     for all 64 centers of a chunk would take about 8 MiB."""
     g = TorusGrid(1, 128, np.pi)
     tracemalloc.start()
@@ -354,14 +364,14 @@ def test_profile0_per_axis_is_bitwise(n, points):
 ])
 def test_exact_samples_match_full_grid_m(params_half, n, points, length, xi,
                                          omega):
-    """m only where the profile is at least 1e-40 gives the samples of m on
-    the whole grid: each m value is independent of the other points, and
-    the dropped tail is below rounding."""
+    """m only where the profile is at least _GAUSS_CUT gives the samples of
+    m on the whole grid: each m value is independent of the other points,
+    and the dropped tail is below rounding."""
     p = params_half
     g = TorusGrid(n, points, length)
     rho = phase_point(x=[1.0] * n, z=2.0, xi=xi, omega=omega)
     fg = g.freq_grids()
-    assert 0 < np.count_nonzero(_profile0(g, [rho[g.d:]], p) < 1e-40)
+    assert 0 < np.count_nonzero(_profile0(g, [rho[g.d:]], p) < _GAUSS_CUT)
     m = m_gauss_hermite(np.stack(fg, axis=-1), p, g.d)
     prof = _profile0(g, [rho[g.d:]], p)[0] / np.sqrt(m)
     ref = _samples_from_profile(g, rho, prof)
@@ -408,7 +418,7 @@ def _norm_nodes(center, p, points=_NORM_POINTS):
 ])
 def test_packet_norm_mask_matches_full_evaluation(params_half, monkeypatch,
                                                   center, points):
-    """Leaving out m where prof0^2 < 1e-40, and taking one m per mirror
+    """Leaving out m where prof0^2 < _GAUSS_CUT, and taking one m per mirror
     pair of nodes, moves ||packet||^2 by rounding only, against the
     integrand evaluated at every trapezoid node."""
     monkeypatch.setattr(wavepackets, "_NORM_POINTS", points)
@@ -418,8 +428,10 @@ def test_packet_norm_mask_matches_full_evaluation(params_half, monkeypatch,
     mesh = np.meshgrid(*axes, indexing="ij")
     g2 = np.exp(-sum((s * (m - c)) ** 2 for s, m, c in zip(sizes, mesh,
                                                             center)))
-    # the cut drops the 2 end nodes of a 1-D axis, the corners in 2-D and 3-D
-    assert np.count_nonzero(g2 < 1e-40) > (0.04 if d == 1 else 0.2) * g2.size
+    # the cut drops 32 of the 97 nodes of a 1-D axis, 64 % of the 2-D
+    # nodes and 86 % of the 3-D ones
+    assert np.count_nonzero(g2 < _GAUSS_CUT) > (0.3 if d == 1 else 0.6) \
+        * g2.size
     vals = g2 / m_gauss_hermite(np.stack(mesh, axis=-1), p, d)
     for ax in reversed(range(d)):
         vals = np.trapezoid(vals, axes[ax], axis=ax)
@@ -427,13 +439,23 @@ def test_packet_norm_mask_matches_full_evaluation(params_half, monkeypatch,
     assert got == pytest.approx(float(vals), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("eta", [1.0, 32.0, 1024.0])
+def test_packet_norm_cut_keeps_bits_of_1e40(params_half, monkeypatch, eta):
+    """At criterion 3's centers the terms between 1e-40 and _GAUSS_CUT move
+    no bit of ||packet||^2."""
+    center = np.array([eta, 0.0])
+    got = packet_norm_sq_continuous(center, params_half)
+    monkeypatch.setattr(wavepackets, "_GAUSS_CUT", 1e-40)
+    assert packet_norm_sq_continuous(center, params_half) == got
+
+
 def test_packet_norm_one_m_per_mirror_pair(params_half, monkeypatch):
     """At an on-axis 2-D center, m_gauss_hermite receives each kept node
     with omega' >= 0 once, and no other: along omega' the trapezoid is
     symmetric about 0 and m is even, so the kept nodes with omega' < 0 take
     their mirrors' values: at most 49 of the 97 nodes of a column.  (The
-    cut keeps at most 93 nodes of a column, so m gets 47/93 of the kept
-    points or a little more.)"""
+    cut keeps at most 65 nodes of a column, 33 of them with omega' >= 0, so
+    m gets 33/65 of the kept points or a little more.)"""
     seen = []
 
     def spy(pts, p, d):
@@ -445,7 +467,7 @@ def test_packet_norm_one_m_per_mirror_pair(params_half, monkeypatch):
     sizes, axes = _norm_nodes(center, p)
     xi, om = np.meshgrid(*axes, indexing="ij")
     keep = np.exp(-(sizes[0] * (xi - 64.0)) ** 2 - (sizes[1] * om) ** 2) \
-        >= 1e-40
+        >= _GAUSS_CUT
     packet_norm_sq_continuous(center, p)
     (pts,) = seen
     half = keep & (om >= 0.0)
